@@ -24,43 +24,46 @@ impl Default for Args {
     }
 }
 
+/// The one-line usage every experiment binary shares.
+const USAGE: &str = "usage: [--reps N] [--seed S] [--threads T] [--quick]";
+
 impl Args {
     /// Parses `--reps N`, `--seed S`, `--threads T` and `--quick` from the
-    /// process arguments. Unknown flags abort with a usage message.
+    /// process arguments. A malformed flag prints the error and the usage
+    /// line to stderr and exits with status 2.
     #[must_use]
     pub fn parse() -> Self {
-        Self::parse_from(std::env::args().skip(1))
+        Self::parse_from(std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("error: {e}\n{USAGE}");
+            std::process::exit(2)
+        })
     }
 
     /// Parses from an explicit iterator (testable).
     ///
-    /// # Panics
-    /// Panics on malformed flags.
-    #[must_use]
-    pub fn parse_from<I: IntoIterator<Item = String>>(iter: I) -> Self {
+    /// # Errors
+    /// Names the offending flag or value.
+    pub fn parse_from<I: IntoIterator<Item = String>>(iter: I) -> Result<Self, String> {
+        fn value<T: std::str::FromStr>(
+            flag: &str,
+            it: &mut impl Iterator<Item = String>,
+        ) -> Result<T, String> {
+            let v = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
+            v.parse()
+                .map_err(|_| format!("{flag} must be an integer, got `{v}`"))
+        }
         let mut args = Self::default();
         let mut it = iter.into_iter();
         while let Some(flag) = it.next() {
             match flag.as_str() {
-                "--reps" => {
-                    let v = it.next().expect("--reps needs a value");
-                    args.reps = v.parse().expect("--reps must be an integer");
-                }
-                "--seed" => {
-                    let v = it.next().expect("--seed needs a value");
-                    args.seed = v.parse().expect("--seed must be an integer");
-                }
-                "--threads" => {
-                    let v = it.next().expect("--threads needs a value");
-                    args.threads = v.parse().expect("--threads must be an integer");
-                }
+                "--reps" => args.reps = value(&flag, &mut it)?,
+                "--seed" => args.seed = value(&flag, &mut it)?,
+                "--threads" => args.threads = value(&flag, &mut it)?,
                 "--quick" => args.quick = true,
-                other => {
-                    panic!("unknown flag {other}; supported: --reps N --seed S --threads T --quick")
-                }
+                other => return Err(format!("unknown flag `{other}`")),
             }
         }
-        args
+        Ok(args)
     }
 
     /// Replication count to use given a binary-specific default.
@@ -80,13 +83,13 @@ impl Args {
 mod tests {
     use super::*;
 
-    fn parse(s: &[&str]) -> Args {
+    fn parse(s: &[&str]) -> Result<Args, String> {
         Args::parse_from(s.iter().map(|x| (*x).to_string()))
     }
 
     #[test]
     fn defaults() {
-        let a = parse(&[]);
+        let a = parse(&[]).expect("no flags");
         assert_eq!(a.reps, 0);
         assert!(!a.quick);
         assert_eq!(a.reps_or(500), 500);
@@ -94,7 +97,7 @@ mod tests {
 
     #[test]
     fn explicit_values() {
-        let a = parse(&["--reps", "42", "--seed", "7", "--threads", "3"]);
+        let a = parse(&["--reps", "42", "--seed", "7", "--threads", "3"]).expect("valid flags");
         assert_eq!(a.reps, 42);
         assert_eq!(a.seed, 7);
         assert_eq!(a.threads, 3);
@@ -103,14 +106,18 @@ mod tests {
 
     #[test]
     fn quick_scales_defaults_down() {
-        let a = parse(&["--quick"]);
+        let a = parse(&["--quick"]).expect("valid flag");
         assert_eq!(a.reps_or(500), 50);
         assert_eq!(a.reps_or(50), 10);
     }
 
     #[test]
-    #[should_panic(expected = "unknown flag")]
-    fn unknown_flag_panics() {
-        let _ = parse(&["--nope"]);
+    fn unknown_flag_is_an_error() {
+        assert_eq!(parse(&["--nope"]).unwrap_err(), "unknown flag `--nope`");
+        assert_eq!(parse(&["--reps"]).unwrap_err(), "--reps needs a value");
+        assert_eq!(
+            parse(&["--seed", "x"]).unwrap_err(),
+            "--seed must be an integer, got `x`"
+        );
     }
 }

@@ -1,5 +1,6 @@
 //! The sweep scheduler: one shared worker pool over the flattened
-//! `(grid point, replication)` index space.
+//! `(grid point, policy, replication)` index space, behind the single
+//! entry point [`run_grid`].
 //!
 //! The Monte-Carlo runner of `mc` parallelises replications *within* one
 //! system; a parameter sweep runs many systems, and driving them through
@@ -9,8 +10,8 @@
 //! This module removes the barrier:
 //!
 //! * the whole grid is flattened into one task space, task `t` being the
-//!   `r`-th replication of point `p` (points in grid order, replications
-//!   in index order within a point);
+//!   `r`-th replication of one `(point, policy)` cell (cells point-major,
+//!   replications in index order within a cell);
 //! * a fixed pool of workers claims **chunks** of that space from a single
 //!   atomic cursor (a lock-light chunked work queue: claiming costs one
 //!   `fetch_add`, and idle workers automatically "steal" whatever the
@@ -18,10 +19,10 @@
 //! * each worker owns one long-lived [`Simulator`] and cycles it through
 //!   [`Simulator::reset`] within a point and [`Simulator::rebind`] across
 //!   points, so simulator allocations are per-worker, not per-point;
-//! * results scatter into pre-sized **slot-stable** per-point buffers
-//!   (atomic cells indexed by replication), and completed points drain
-//!   through a reorder buffer so the caller's `on_point` callback fires in
-//!   **grid order** even when a later point finishes first.
+//! * results scatter into pre-sized **slot-stable** per-cell buffers
+//!   (atomic cells indexed by replication), and completed cells drain
+//!   through a reorder buffer so the caller's `on_cell` callback fires in
+//!   **`(point, policy)` order** even when a later cell finishes first.
 //!
 //! Determinism: replication `r` of point `p` always runs on the streams
 //! derived from `(jobs[p].seed, r)` — worker placement, thread count and
@@ -29,12 +30,13 @@
 //! The in-order drain then makes the *observable output* (rows, bytes)
 //! independent of scheduling too; both invariants are pinned by tests.
 //!
-//! [`run_grid_policies_streaming`] additionally flattens a **policy
-//! axis** into the same task space: `N` policies evaluate per grid point
-//! in one pass, every variant's replication `r` reusing the *identical*
-//! `(seed, r)` streams — common random numbers across policies by
-//! construction, which is what makes paired policy deltas a
-//! variance-reduction device rather than a subtraction of noise.
+//! The **policy axis** shares those streams: `N` policies evaluate per
+//! grid point in one pass, every variant's replication `r` reusing the
+//! *identical* `(seed, r)` streams — common random numbers across
+//! policies by construction, which is what makes paired policy deltas a
+//! variance-reduction device rather than a subtraction of noise. Cells a
+//! caller already holds (a result cache) come in through `preloaded` and
+//! are emitted at their turn without running a replication.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
@@ -98,7 +100,7 @@ impl PointJob<'_> {
 
 /// Slot-stable per-replication results of one completed grid point, in
 /// replication order.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct PointStats {
     /// Completion time of each replication.
     pub completion_times: Vec<f64>,
@@ -373,55 +375,13 @@ impl ExecReport {
     }
 }
 
-/// Executes every `(point, replication)` task of `jobs` on a shared
-/// worker pool and hands each point's [`PointStats`] to `on_point` **in
-/// grid order** as points complete (a reorder buffer holds points that
-/// finish early). `make_policy(point, rep)` builds the policy for one
-/// replication. `threads = 0` picks the available parallelism; results
-/// are independent of `threads` and `chunk` (0 = auto) by construction.
-///
-/// The single-policy form of [`run_grid_policies_streaming`] — one
-/// variant per point, so the flattened task order (and every sampled
-/// byte) is exactly the pre-variant scheduler's.
-///
-/// With `threads == 1` no worker thread is spawned at all: the calling
-/// thread executes the flattened task space in order, which is also the
-/// bit-exact reference schedule for the parallel path.
-///
-/// # Errors
-/// Propagates the first error `on_point` returns; remaining work is
-/// abandoned (workers stop at their next chunk claim).
-///
-/// # Panics
-/// Panics if any job has `reps == 0`. A panic *inside a task* does not
-/// propagate: the replication is quarantined (see [`QuarantineReport`])
-/// and the sweep completes degraded.
-pub fn run_grid_streaming<P, F, G>(
-    jobs: &[PointJob<'_>],
-    make_policy: &F,
-    threads: usize,
-    chunk: usize,
-    mut on_point: G,
-) -> Result<(), String>
-where
-    P: Policy,
-    F: Fn(usize, u64) -> P + Sync,
-    G: FnMut(usize, PointStats) -> Result<(), String>,
-{
-    run_grid_policies_streaming(
-        jobs,
-        1,
-        &|p, _v, r| make_policy(p, r),
-        threads,
-        chunk,
-        |p, _v, stats| on_point(p, stats),
-    )
-}
-
 /// Executes the full `(point, policy, replication)` task space of
-/// `jobs × policies` on one shared worker pool — the **policy axis** of a
-/// comparison study, evaluated in a single scheduler pass instead of
-/// `policies` sequential sweeps.
+/// `jobs × policies` on one shared worker pool and hands each cell's
+/// [`PointStats`] to `on_cell(point, policy, stats)` **in lexicographic
+/// `(point, policy)` order** as cells complete (a reorder buffer holds
+/// early finishers), so a paired-delta consumer always sees a point's
+/// baseline variant first. `make_policy(point, policy, rep)` builds one
+/// replication's policy.
 ///
 /// Replication `r` of *every* policy variant of point `p` runs on the
 /// streams derived from `(jobs[p].seed, r)`: common random numbers across
@@ -429,99 +389,32 @@ where
 /// between two policies of the same point are paired samples. Because all
 /// variants of a point share one configuration, a worker moving between
 /// them keeps its simulator bound ([`Simulator::reset`], not
-/// [`Simulator::rebind`]) — event-queue slots, SoA node columns and
-/// scratch buffers are shared across the whole policy set of the point.
+/// [`Simulator::rebind`]).
 ///
-/// `make_policy(point, policy, rep)` builds one variant's policy;
-/// `on_cell(point, policy, stats)` fires in lexicographic
-/// `(point, policy)` order (the reorder buffer holds early finishers), so
-/// a paired-delta consumer always sees a point's baseline variant first.
+/// `preloaded` is either empty (run every cell) or holds one slot per
+/// `(point, policy)` cell, point-major. A `Some(stats)` slot is a cell
+/// already completed elsewhere — a result cache — and is emitted at its
+/// in-order turn without running a single replication; only `None` cells
+/// are scheduled. The emitted byte stream is therefore identical however
+/// the work was split between passes.
 ///
-/// # Errors
-/// Propagates the first error `on_cell` returns; remaining work is
-/// abandoned (workers stop at their next chunk claim).
-///
-/// # Panics
-/// Panics if `policies == 0` or if any job has `reps == 0`. A panic
-/// *inside a task* does not propagate: the replication is quarantined
-/// (see [`QuarantineReport`]) and the sweep completes degraded.
-pub fn run_grid_policies_streaming<P, F, G>(
-    jobs: &[PointJob<'_>],
-    policies: usize,
-    make_policy: &F,
-    threads: usize,
-    chunk: usize,
-    on_cell: G,
-) -> Result<(), String>
-where
-    P: Policy,
-    F: Fn(usize, usize, u64) -> P + Sync,
-    G: FnMut(usize, usize, PointStats) -> Result<(), String>,
-{
-    run_grid_policies_streaming_with_report(jobs, policies, make_policy, threads, chunk, on_cell)
-        .map(|_| ())
-}
-
-/// [`run_grid_policies_streaming`] that additionally returns the pass's
-/// runtime instrumentation — per-worker tasks/chunks/rebinds/events and
-/// busy time plus the overall wall clock (see [`ExecReport`]). The
-/// simulation results delivered to `on_cell` are identical to the plain
-/// variant; the report is observational only and never digested.
+/// `threads = 0` picks the available parallelism and `chunk = 0` an
+/// automatic claim size; results are independent of both. With
+/// `threads == 1` no worker thread is spawned at all: the calling thread
+/// executes the flattened task space in order, which is also the
+/// bit-exact reference schedule for the parallel path. The returned
+/// [`ExecReport`] is observational only and never digested.
 ///
 /// # Errors
 /// Propagates the first error `on_cell` returns; remaining work is
 /// abandoned (workers stop at their next chunk claim).
 ///
 /// # Panics
-/// Panics if `policies == 0` or if any job has `reps == 0`. A panic
-/// *inside a task* does not propagate: the replication is quarantined
-/// (see [`QuarantineReport`]) and the sweep completes degraded.
-pub fn run_grid_policies_streaming_with_report<P, F, G>(
-    jobs: &[PointJob<'_>],
-    policies: usize,
-    make_policy: &F,
-    threads: usize,
-    chunk: usize,
-    on_cell: G,
-) -> Result<ExecReport, String>
-where
-    P: Policy,
-    F: Fn(usize, usize, u64) -> P + Sync,
-    G: FnMut(usize, usize, PointStats) -> Result<(), String>,
-{
-    let preloaded = vec![None; jobs.len() * policies.max(1)];
-    run_grid_policies_resumable(
-        jobs,
-        policies,
-        make_policy,
-        threads,
-        chunk,
-        preloaded,
-        on_cell,
-    )
-}
-
-/// The resumable form of [`run_grid_policies_streaming_with_report`]:
-/// `preloaded` carries one slot per `(point, policy)` cell, point-major.
-/// A `Some(stats)` slot is a cell already completed by an earlier
-/// (interrupted) pass — it is emitted to `on_cell` at its in-order turn
-/// without running a single replication; only `None` cells are scheduled.
-/// Because replication `r` of point `p` always runs on the streams
-/// derived from `(jobs[p].seed, r)`, the emitted byte stream is identical
-/// to an uninterrupted run no matter how the work was split between the
-/// passes — this is what makes a write-ahead journal resume bit-exact.
-///
-/// # Errors
-/// Propagates the first error `on_cell` returns; remaining work is
-/// abandoned (workers stop at their next chunk claim).
-///
-/// # Panics
-/// Panics if `policies == 0`, if any job has `reps == 0`, or if
-/// `preloaded` does not hold exactly `jobs.len() * policies` slots.
-/// Worker panics *inside a task* do not propagate: the task is
-/// quarantined (see [`QuarantineReport`]) and the pass completes
-/// degraded.
-pub fn run_grid_policies_resumable<P, F, G>(
+/// Panics if `policies == 0`, if any job has `reps == 0`, or if a
+/// non-empty `preloaded` does not hold exactly `jobs.len() * policies`
+/// slots. A panic *inside a task* does not propagate: the replication is
+/// quarantined (see [`QuarantineReport`]) and the pass completes degraded.
+pub fn run_grid<P, F, G>(
     jobs: &[PointJob<'_>],
     policies: usize,
     make_policy: &F,
@@ -540,14 +433,17 @@ where
         jobs.iter().all(|j| j.reps > 0),
         "every grid point needs at least one replication"
     );
+    if jobs.is_empty() {
+        return Ok(ExecReport::default());
+    }
+    if preloaded.is_empty() {
+        preloaded.resize(jobs.len() * policies, None);
+    }
     assert_eq!(
         preloaded.len(),
         jobs.len() * policies,
         "one preloaded slot per (point, policy) cell"
     );
-    if jobs.is_empty() {
-        return Ok(ExecReport::default());
-    }
     let wall_start = Instant::now();
     // Pending cells (no preloaded result) form the flattened task space:
     // pending cell s owns flat indices [seg_starts[s], seg_starts[s+1]) —
@@ -725,22 +621,7 @@ where
     let mut sim: Option<(usize, Simulator<'_>)> = None;
     let mut local = WorkerReport::default();
     let mut quarantines: Vec<QuarantineReport> = Vec::new();
-    let mut stats = PointStats {
-        completion_times: Vec::new(),
-        failures_per_rep: Vec::new(),
-        tasks_shipped_per_rep: Vec::new(),
-        incomplete: 0,
-        total_events: 0,
-        total_recoveries: 0,
-        total_transfers: 0,
-        total_tasks_clamped: 0,
-        total_tasks_lost: 0,
-        total_retries: 0,
-        total_bounces: 0,
-        transit_task_seconds: 0.0,
-        probes: Vec::new(),
-        quarantined_reps: Vec::new(),
-    };
+    let mut stats = PointStats::default();
     for (p, job) in jobs.iter().enumerate() {
         for v in 0..policies {
             if let Some(ready) = preloaded[p * policies + v].take() {
@@ -975,6 +856,44 @@ mod tests {
         vec![small([30, 5]), small([4, 4]), small([60, 1]), small([2, 9])]
     }
 
+    /// A job over `config` with default engine options.
+    fn job(config: &SystemConfig, reps: u64, seed: u64) -> PointJob<'_> {
+        PointJob {
+            config,
+            reps,
+            seed,
+            rep_base: 0,
+            antithetic: false,
+            options: SimOptions::default(),
+        }
+    }
+
+    /// Runs `jobs × policies` under `NoBalancing`, returning every emitted
+    /// `(point, policy, stats)` cell in order plus the runtime report.
+    fn run_cells(
+        jobs: &[PointJob<'_>],
+        policies: usize,
+        threads: usize,
+        chunk: usize,
+        preloaded: Vec<Option<PointStats>>,
+    ) -> (Vec<(usize, usize, PointStats)>, ExecReport) {
+        let mut out = Vec::new();
+        let report = run_grid(
+            jobs,
+            policies,
+            &|_, _, _| NoBalancing,
+            threads,
+            chunk,
+            preloaded,
+            |p, v, stats| {
+                out.push((p, v, stats));
+                Ok(())
+            },
+        )
+        .expect("grid runs");
+        (out, report)
+    }
+
     fn collect(
         configs: &[SystemConfig],
         reps: &[u64],
@@ -984,22 +903,10 @@ mod tests {
         let jobs: Vec<PointJob<'_>> = configs
             .iter()
             .zip(reps)
-            .map(|(config, &reps)| PointJob {
-                config,
-                reps,
-                seed: 42,
-                rep_base: 0,
-                antithetic: false,
-                options: SimOptions::default(),
-            })
+            .map(|(config, &reps)| job(config, reps, 42))
             .collect();
-        let mut out = Vec::new();
-        run_grid_streaming(&jobs, &|_, _| NoBalancing, threads, chunk, |p, stats| {
-            out.push((p, stats));
-            Ok(())
-        })
-        .expect("grid runs");
-        out
+        let (cells, _) = run_cells(&jobs, 1, threads, chunk, Vec::new());
+        cells.into_iter().map(|(p, _, stats)| (p, stats)).collect()
     }
 
     #[test]
@@ -1063,49 +970,38 @@ mod tests {
     fn deadline_points_report_incomplete() {
         let config = small([5000, 5000]);
         let jobs = [PointJob {
-            config: &config,
-            reps: 4,
-            seed: 7,
-            rep_base: 0,
-            antithetic: false,
             options: SimOptions {
                 deadline: Some(0.25),
                 ..SimOptions::default()
             },
+            ..job(&config, 4, 7)
         }];
-        let mut incomplete = 0;
-        run_grid_streaming(&jobs, &|_, _| NoBalancing, 2, 1, |_, stats| {
-            incomplete = stats.incomplete;
-            Ok(())
-        })
-        .expect("runs");
-        assert_eq!(incomplete, 4);
+        let (cells, _) = run_cells(&jobs, 1, 2, 1, Vec::new());
+        assert_eq!(cells[0].2.incomplete, 4);
     }
 
     #[test]
     fn sink_errors_abort_the_sweep() {
         let configs = grid();
-        let jobs: Vec<PointJob<'_>> = configs
-            .iter()
-            .map(|config| PointJob {
-                config,
-                reps: 2,
-                seed: 1,
-                rep_base: 0,
-                antithetic: false,
-                options: SimOptions::default(),
-            })
-            .collect();
+        let jobs: Vec<PointJob<'_>> = configs.iter().map(|c| job(c, 2, 1)).collect();
         for threads in [1, 4] {
             let mut seen = 0;
-            let err = run_grid_streaming(&jobs, &|_, _| NoBalancing, threads, 1, |p, _| {
-                seen += 1;
-                if p == 1 {
-                    Err("disk full".to_string())
-                } else {
-                    Ok(())
-                }
-            })
+            let err = run_grid(
+                &jobs,
+                1,
+                &|_, _, _| NoBalancing,
+                threads,
+                1,
+                Vec::new(),
+                |p, _, _| {
+                    seen += 1;
+                    if p == 1 {
+                        Err("disk full".to_string())
+                    } else {
+                        Ok(())
+                    }
+                },
+            )
             .unwrap_err();
             assert_eq!(err, "disk full", "threads={threads}");
             assert_eq!(seen, 2, "threads={threads}: drain must stop at the error");
@@ -1116,15 +1012,7 @@ mod tests {
     #[should_panic(expected = "at least one replication")]
     fn zero_rep_points_are_rejected() {
         let config = small([1, 1]);
-        let jobs = [PointJob {
-            config: &config,
-            reps: 0,
-            seed: 1,
-            rep_base: 0,
-            antithetic: false,
-            options: SimOptions::default(),
-        }];
-        let _ = run_grid_streaming(&jobs, &|_, _| NoBalancing, 1, 1, |_, _| Ok(()));
+        run_cells(&[job(&config, 0, 1)], 1, 1, 1, Vec::new());
     }
 
     #[test]
@@ -1133,31 +1021,9 @@ mod tests {
         // trajectories — the common-random-numbers invariant of the
         // policy axis, bit for bit.
         let configs = grid();
-        let jobs: Vec<PointJob<'_>> = configs
-            .iter()
-            .map(|config| PointJob {
-                config,
-                reps: 5,
-                seed: 42,
-                rep_base: 0,
-                antithetic: false,
-                options: SimOptions::default(),
-            })
-            .collect();
+        let jobs: Vec<PointJob<'_>> = configs.iter().map(|c| job(c, 5, 42)).collect();
         for threads in [1, 4] {
-            let mut cells: Vec<(usize, usize, PointStats)> = Vec::new();
-            run_grid_policies_streaming(
-                &jobs,
-                2,
-                &|_, _, _| NoBalancing,
-                threads,
-                1,
-                |p, v, stats| {
-                    cells.push((p, v, stats));
-                    Ok(())
-                },
-            )
-            .expect("runs");
+            let (cells, _) = run_cells(&jobs, 2, threads, 1, Vec::new());
             assert_eq!(cells.len(), 2 * jobs.len(), "threads={threads}");
             for (point, pair) in cells.chunks(2).enumerate() {
                 let (p0, v0, a) = &pair[0];
@@ -1181,45 +1047,38 @@ mod tests {
         let jobs: Vec<PointJob<'_>> = configs
             .iter()
             .enumerate()
-            .map(|(k, config)| PointJob {
-                config,
-                reps: 3 + (k as u64 % 3),
-                seed: 7,
-                rep_base: 0,
-                antithetic: false,
-                options: SimOptions::default(),
-            })
+            .map(|(k, config)| job(config, 3 + (k as u64 % 3), 7))
             .collect();
-        let k_policies = gains().len();
-        let mut combined: Vec<(usize, usize, Vec<f64>)> = Vec::new();
-        run_grid_policies_streaming(
-            &jobs,
-            k_policies,
-            &|_, v, _| gains()[v].clone(),
-            3,
-            2,
-            |p, v, stats| {
-                combined.push((p, v, stats.completion_times));
-                Ok(())
-            },
-        )
-        .expect("variant pass runs");
+        let times = |policies: &[ShipAtStart], threads: usize, chunk: usize| {
+            let mut out: Vec<(usize, usize, Vec<f64>)> = Vec::new();
+            run_grid(
+                &jobs,
+                policies.len(),
+                &|_, v, _| policies[v].clone(),
+                threads,
+                chunk,
+                Vec::new(),
+                |p, v, stats| {
+                    out.push((p, v, stats.completion_times));
+                    Ok(())
+                },
+            )
+            .expect("pass runs");
+            out
+        };
+        let combined = times(&gains(), 3, 2);
         for (v, policy) in gains().into_iter().enumerate() {
-            let mut single: Vec<(usize, Vec<f64>)> = Vec::new();
-            run_grid_streaming(&jobs, &|_, _| policy.clone(), 1, 0, |p, stats| {
-                single.push((p, stats.completion_times));
-                Ok(())
-            })
-            .expect("single pass runs");
-            for (p, times) in single {
+            for (p, _, single) in times(&[policy], 1, 0) {
                 let cell = combined
                     .iter()
                     .find(|&&(cp, cv, _)| cp == p && cv == v)
                     .expect("cell present");
-                assert_eq!(cell.2, times, "point {p} policy {v} diverged");
+                assert_eq!(cell.2, single, "point {p} policy {v} diverged");
             }
         }
     }
+
+    use churnbal_core_free::ShipAtStart;
 
     /// Tiny local stand-in for distinct policies without a `core` dep:
     /// transfer-free policies that differ only in name (the trajectories
@@ -1257,24 +1116,10 @@ mod tests {
     #[test]
     fn variant_cells_drain_in_point_major_order_across_threads() {
         let configs = grid();
-        let jobs: Vec<PointJob<'_>> = configs
-            .iter()
-            .map(|config| PointJob {
-                config,
-                reps: 2,
-                seed: 3,
-                rep_base: 0,
-                antithetic: false,
-                options: SimOptions::default(),
-            })
-            .collect();
+        let jobs: Vec<PointJob<'_>> = configs.iter().map(|c| job(c, 2, 3)).collect();
         for threads in [1, 3, 8] {
-            let mut order = Vec::new();
-            run_grid_policies_streaming(&jobs, 3, &|_, _, _| NoBalancing, threads, 1, |p, v, _| {
-                order.push((p, v));
-                Ok(())
-            })
-            .expect("runs");
+            let (cells, _) = run_cells(&jobs, 3, threads, 1, Vec::new());
+            let order: Vec<(usize, usize)> = cells.iter().map(|&(p, v, _)| (p, v)).collect();
             let expected: Vec<(usize, usize)> = (0..jobs.len())
                 .flat_map(|p| (0..3).map(move |v| (p, v)))
                 .collect();
@@ -1286,25 +1131,21 @@ mod tests {
     #[should_panic(expected = "at least one policy")]
     fn zero_policies_are_rejected() {
         let config = small([1, 1]);
-        let jobs = [PointJob {
-            config: &config,
-            reps: 1,
-            seed: 1,
-            rep_base: 0,
-            antithetic: false,
-            options: SimOptions::default(),
-        }];
-        let _ =
-            run_grid_policies_streaming(&jobs, 0, &|_, _, _| NoBalancing, 1, 1, |_, _, _| Ok(()));
+        run_cells(&[job(&config, 1, 1)], 0, 1, 1, Vec::new());
     }
 
     #[test]
     fn empty_grid_is_a_no_op() {
-        let called =
-            run_grid_streaming::<NoBalancing, _, _>(&[], &|_, _| NoBalancing, 4, 0, |_, _| {
-                Err("must not be called".into())
-            });
-        assert_eq!(called, Ok(()));
+        let called = run_grid::<NoBalancing, _, _>(
+            &[],
+            1,
+            &|_, _, _| NoBalancing,
+            4,
+            0,
+            Vec::new(),
+            |_, _, _| Err("must not be called".into()),
+        );
+        assert_eq!(called, Ok(ExecReport::default()));
     }
 
     #[test]
@@ -1346,31 +1187,18 @@ mod tests {
         };
         let jobs: Vec<PointJob<'_>> = configs
             .iter()
-            .map(|config| PointJob {
-                config,
-                reps: 4,
-                seed: 42,
-                rep_base: 0,
-                antithetic: false,
+            .map(|c| PointJob {
                 options,
+                ..job(c, 4, 42)
             })
             .collect();
-        let gather = |threads: usize| {
-            let mut out = Vec::new();
-            run_grid_streaming(&jobs, &|_, _| NoBalancing, threads, 1, |p, stats| {
-                out.push((p, stats));
-                Ok(())
-            })
-            .expect("grid runs");
-            out
-        };
-        let reference = gather(1);
-        for (p, stats) in &reference {
+        let (reference, _) = run_cells(&jobs, 1, 1, 1, Vec::new());
+        for (p, _, stats) in &reference {
             assert_eq!(stats.probes.len(), 4, "point {p}: one report per rep");
             assert!(stats.probes.iter().any(|r| !r.samples.is_empty()));
         }
-        let parallel = gather(4);
-        for ((_, a), (_, b)) in reference.iter().zip(&parallel) {
+        let (parallel, _) = run_cells(&jobs, 1, 4, 1, Vec::new());
+        for ((_, _, a), (_, _, b)) in reference.iter().zip(&parallel) {
             assert_eq!(
                 a.probes, b.probes,
                 "probe telemetry must be thread-invariant"
@@ -1381,31 +1209,10 @@ mod tests {
     #[test]
     fn exec_report_accounts_for_every_task() {
         let configs = grid();
-        let jobs: Vec<PointJob<'_>> = configs
-            .iter()
-            .map(|config| PointJob {
-                config,
-                reps: 3,
-                seed: 9,
-                rep_base: 0,
-                antithetic: false,
-                options: SimOptions::default(),
-            })
-            .collect();
+        let jobs: Vec<PointJob<'_>> = configs.iter().map(|c| job(c, 3, 9)).collect();
         for threads in [1, 4] {
-            let mut events = 0u64;
-            let report = run_grid_policies_streaming_with_report(
-                &jobs,
-                2,
-                &|_, _, _| NoBalancing,
-                threads,
-                1,
-                |_, _, stats| {
-                    events += stats.total_events;
-                    Ok(())
-                },
-            )
-            .expect("grid runs");
+            let (cells, report) = run_cells(&jobs, 2, threads, 1, Vec::new());
+            let events: u64 = cells.iter().map(|(_, _, s)| s.total_events).sum();
             let totals = report.totals();
             assert_eq!(totals.tasks, 2 * 3 * jobs.len() as u64, "threads={threads}");
             assert_eq!(totals.events, events, "threads={threads}");
@@ -1448,21 +1255,11 @@ mod tests {
     #[test]
     fn panicking_reps_are_quarantined_and_every_other_cell_emits() {
         let configs = grid();
-        let jobs: Vec<PointJob<'_>> = configs
-            .iter()
-            .map(|config| PointJob {
-                config,
-                reps: 3,
-                seed: 42,
-                rep_base: 0,
-                antithetic: false,
-                options: SimOptions::default(),
-            })
-            .collect();
+        let jobs: Vec<PointJob<'_>> = configs.iter().map(|c| job(c, 3, 42)).collect();
         let reference = collect(&configs, &[3, 3, 3, 3], 1, 0);
         for threads in [1, 4] {
             let mut cells: Vec<(usize, PointStats)> = Vec::new();
-            let report = run_grid_policies_streaming_with_report(
+            let report = run_grid(
                 &jobs,
                 1,
                 &|p, _v, r| PanicOn {
@@ -1470,6 +1267,7 @@ mod tests {
                 },
                 threads,
                 1,
+                Vec::new(),
                 |p, _v, stats| {
                     cells.push((p, stats));
                     Ok(())
@@ -1511,44 +1309,21 @@ mod tests {
     #[test]
     fn preloaded_cells_are_emitted_in_order_without_rerunning() {
         let configs = grid();
-        let jobs: Vec<PointJob<'_>> = configs
-            .iter()
-            .map(|config| PointJob {
-                config,
-                reps: 4,
-                seed: 42,
-                rep_base: 0,
-                antithetic: false,
-                options: SimOptions::default(),
-            })
-            .collect();
+        let jobs: Vec<PointJob<'_>> = configs.iter().map(|c| job(c, 4, 42)).collect();
         let reference = collect(&configs, &[4, 4, 4, 4], 1, 0);
         for threads in [1, 4] {
             // Cells 0 and 2 come preloaded; 1 and 3 must run live.
             let preloaded: Vec<Option<PointStats>> = (0..jobs.len())
                 .map(|i| (i % 2 == 0).then(|| reference[i].1.clone()))
                 .collect();
-            let mut cells: Vec<(usize, PointStats)> = Vec::new();
-            let report = run_grid_policies_resumable(
-                &jobs,
-                1,
-                &|_, _, _| NoBalancing,
-                threads,
-                1,
-                preloaded,
-                |p, _v, stats| {
-                    cells.push((p, stats));
-                    Ok(())
-                },
-            )
-            .expect("resumed pass runs");
+            let (cells, report) = run_cells(&jobs, 1, threads, 1, preloaded);
             assert_eq!(
                 report.totals().tasks,
                 2 * 4,
                 "threads={threads}: only pending cells run"
             );
             assert_eq!(cells.len(), jobs.len());
-            for (i, (p, stats)) in cells.iter().enumerate() {
+            for (i, (p, _, stats)) in cells.iter().enumerate() {
                 assert_eq!(*p, i, "threads={threads}: strict cell order");
                 assert_eq!(
                     stats.completion_times, reference[i].1.completion_times,
@@ -1559,21 +1334,8 @@ mod tests {
         // Everything preloaded: a pure replay, zero tasks executed.
         let preloaded: Vec<Option<PointStats>> =
             reference.iter().map(|(_, s)| Some(s.clone())).collect();
-        let mut seen = 0;
-        let report = run_grid_policies_resumable(
-            &jobs,
-            1,
-            &|_, _, _| NoBalancing,
-            4,
-            0,
-            preloaded,
-            |_, _, _| {
-                seen += 1;
-                Ok(())
-            },
-        )
-        .expect("pure replay runs");
-        assert_eq!(seen, jobs.len());
+        let (cells, report) = run_cells(&jobs, 1, 4, 0, preloaded);
+        assert_eq!(cells.len(), jobs.len());
         assert_eq!(report.totals().tasks, 0);
     }
 
@@ -1581,33 +1343,17 @@ mod tests {
     fn zero_task_timeout_quarantines_every_replication() {
         let config = small([40, 25]);
         let jobs = [PointJob {
-            config: &config,
-            reps: 2,
-            seed: 7,
-            rep_base: 0,
-            antithetic: false,
             options: SimOptions {
                 task_timeout: Some(0.0),
                 ..SimOptions::default()
             },
+            ..job(&config, 2, 7)
         }];
-        let mut got: Vec<PointStats> = Vec::new();
-        let report = run_grid_policies_streaming_with_report(
-            &jobs,
-            1,
-            &|_, _, _| NoBalancing,
-            1,
-            1,
-            |_, _, stats| {
-                got.push(stats);
-                Ok(())
-            },
-        )
-        .expect("degraded sweep still completes");
+        let (cells, report) = run_cells(&jobs, 1, 1, 1, Vec::new());
         assert_eq!(report.quarantines.len(), 2);
         assert!(report.quarantines[0].message.contains("task timeout"));
-        assert_eq!(got[0].quarantined_reps, vec![0, 1]);
-        assert_eq!(got[0].incomplete, 0);
+        assert_eq!(cells[0].2.quarantined_reps, vec![0, 1]);
+        assert_eq!(cells[0].2.incomplete, 0);
     }
 
     #[test]
@@ -1615,28 +1361,18 @@ mod tests {
         let config = small([40, 25]);
         let run = |timeout: Option<f64>| {
             let jobs = [PointJob {
-                config: &config,
-                reps: 6,
-                seed: 11,
-                rep_base: 0,
-                antithetic: false,
                 options: SimOptions {
                     task_timeout: timeout,
                     ..SimOptions::default()
                 },
+                ..job(&config, 6, 11)
             }];
-            let mut out = Vec::new();
-            run_grid_streaming(&jobs, &|_, _| NoBalancing, 2, 1, |_, stats| {
-                out.push(stats);
-                Ok(())
-            })
-            .expect("runs");
-            out
+            run_cells(&jobs, 1, 2, 1, Vec::new()).0.remove(0).2
         };
         let plain = run(None);
         let watched = run(Some(3600.0));
-        assert_eq!(plain[0].completion_times, watched[0].completion_times);
-        assert_eq!(plain[0].total_events, watched[0].total_events);
-        assert!(watched[0].quarantined_reps.is_empty());
+        assert_eq!(plain.completion_times, watched.completion_times);
+        assert_eq!(plain.total_events, watched.total_events);
+        assert!(watched.quarantined_reps.is_empty());
     }
 }

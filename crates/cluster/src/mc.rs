@@ -11,7 +11,7 @@ use churnbal_stochastic::OnlineStats;
 
 use crate::config::SystemConfig;
 use crate::engine::SimOptions;
-use crate::exec::{run_grid_streaming, PointJob, PointStats};
+use crate::exec::{run_grid, PointJob, PointStats};
 use crate::policy::Policy;
 use crate::probe::ProbeReport;
 
@@ -175,12 +175,14 @@ where
         options,
     };
     let mut stats = None;
-    run_grid_streaming(
+    run_grid(
         std::slice::from_ref(&job),
-        &|_, r| make_policy(r),
+        1,
+        &|_, _, r| make_policy(r),
         threads,
         0,
-        |_, s| {
+        Vec::new(),
+        |_, _, s| {
             stats = Some(s);
             Ok(())
         },

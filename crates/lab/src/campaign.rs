@@ -13,7 +13,8 @@
 //!   `(resolved grid point, policy)` pair. Every cell is keyed by an
 //!   FNV-1a digest of its fully-resolved inputs (the point scenario's
 //!   TOML, grid coordinates, policy, seed and stopping rule), and its
-//!   accumulated replications live in `<dir>/cache/<digest>.cell.jsonl`.
+//!   accumulated replications live in `<dir>/cache/<digest>.cell.jsonl`
+//!   (see [`crate::cache`] — the same store `run --cache` uses).
 //!   Re-running a campaign recomputes only cells whose inputs changed;
 //!   an interrupted run resumes for free, and a fully warm re-run
 //!   performs **zero** simulations yet emits byte-identical CSV.
@@ -58,23 +59,19 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use churnbal_cluster::exec::{run_grid_policies_resumable, PointJob, PointStats};
+use churnbal_cluster::exec::{run_grid, PointJob, PointStats};
 use churnbal_cluster::{SimOptions, SystemConfig};
 use churnbal_core::PolicySpec;
-use churnbal_stochastic::{t_ci95_half_width, Fnv1a, OnlineStats};
+use churnbal_stochastic::{t_ci95_half_width, OnlineStats};
 
+use crate::cache::{self, write_atomic};
 use crate::cli::{load_scenario, parse_axis, parse_policies};
 use crate::experiment::PolicyEntry;
-use crate::journal::{lookup, parse_object, push_u64_array, JsonVal};
 use crate::registry;
 use crate::scenario::Scenario;
 use crate::sweep::{csv_field, expand_grid, fnum, Axis, AxisParam};
 use crate::toml::{Doc, Value};
 
-/// Cache file format marker (first line of every cell file).
-const CELL_KIND: &str = "churnbal-cell";
-/// Cache file format version.
-const CELL_VERSION: u64 = 1;
 /// Default first-round batch.
 const DEFAULT_R0: u64 = 4;
 /// Default replication cap.
@@ -107,6 +104,19 @@ pub enum CellVerdict {
 }
 
 impl StoppingRule {
+    /// The fixed-replication rule `r0 = max_reps = reps`: one round of
+    /// exactly `reps` replications. It keys the cells of `run` / `sweep`
+    /// / `compare --cache`, which therefore share the campaign cache.
+    #[must_use]
+    pub(crate) fn fixed(reps: u64) -> Self {
+        Self {
+            tolerance: f64::INFINITY,
+            r0: reps,
+            max_reps: reps,
+            antithetic: false,
+        }
+    }
+
     /// The verdict for a cell with `n` accumulated replications whose
     /// metric half-width is `halfwidth`.
     #[must_use]
@@ -401,29 +411,6 @@ fn parse_fields(
     Ok(fields)
 }
 
-/// Accumulated replications of one cell (the cache file's payload).
-#[derive(Clone, Debug, Default, PartialEq)]
-struct CellState {
-    /// Completion time of each replication, in global-replication order.
-    times: Vec<f64>,
-    /// Failures observed in each replication.
-    failures: Vec<u64>,
-    /// Tasks shipped in each replication.
-    shipped: Vec<u64>,
-    /// Replications that hit the deadline without completing.
-    incomplete: u64,
-}
-
-impl CellState {
-    fn n(&self) -> u64 {
-        self.times.len() as u64
-    }
-
-    fn halfwidth(&self) -> f64 {
-        t_ci95_half_width(&self.times)
-    }
-}
-
 /// One unit of campaign work: a `(resolved grid point, policy)` pair.
 struct Cell {
     spec_idx: usize,
@@ -436,126 +423,43 @@ struct Cell {
     policy: PolicySpec,
     seed: u64,
     digest: u64,
-    state: CellState,
+    /// Accumulated replications, in global-replication order (the cache
+    /// file's payload).
+    stats: PointStats,
 }
 
 impl Cell {
+    fn n(&self) -> u64 {
+        self.stats.completion_times.len() as u64
+    }
+
+    fn halfwidth(&self) -> f64 {
+        t_ci95_half_width(&self.stats.completion_times)
+    }
+
     fn verdict(&self, rule: &StoppingRule) -> CellVerdict {
-        rule.verdict(self.state.n(), self.state.halfwidth())
+        rule.verdict(self.n(), self.halfwidth())
     }
 }
 
-/// The digest that content-addresses a cell: every input that can change
-/// its replication outcomes. The campaign/spec *name* is deliberately
-/// excluded — renaming a spec (or sharing a cell between two specs)
-/// reuses the cache.
-fn cell_digest(
-    point_scenario: &Scenario,
-    coords: &[(AxisParam, f64)],
-    policy_label: &str,
-    policy: &PolicySpec,
-    seed: u64,
-    rule: &StoppingRule,
-) -> u64 {
-    let mut h = Fnv1a::new();
-    h.update(CELL_KIND.as_bytes());
-    h.update_u64(CELL_VERSION);
-    h.update(point_scenario.to_toml().as_bytes());
-    h.update_u64(coords.len() as u64);
-    for (param, value) in coords {
-        h.update(param.key().as_bytes());
-        h.update_u64(value.to_bits());
-    }
-    h.update(policy_label.as_bytes());
-    h.update(format!("{policy:?}").as_bytes());
-    h.update_u64(seed);
-    h.update_u64(rule.tolerance.to_bits());
-    h.update_u64(rule.r0);
-    h.update_u64(rule.max_reps);
-    h.update_u64(u64::from(rule.antithetic));
-    h.finish()
-}
-
-/// Renders a cell cache file: a header line plus one state line, floats
-/// as `f64::to_bits` so the round trip is bit-exact.
-fn render_cell_file(digest: u64, state: &CellState) -> String {
-    let mut out = format!(
-        "{{\"kind\":\"{CELL_KIND}\",\"version\":{CELL_VERSION},\"cell\":\"{digest:016x}\"}}\n"
-    );
-    let mut line = format!(
-        "{{\"reps\":{},\"incomplete\":{}",
-        state.n(),
-        state.incomplete
-    );
-    push_u64_array(&mut line, "times", state.times.iter().map(|t| t.to_bits()));
-    push_u64_array(&mut line, "failures", state.failures.iter().copied());
-    push_u64_array(&mut line, "shipped", state.shipped.iter().copied());
-    line.push('}');
-    out.push_str(&line);
-    out.push('\n');
-    out
-}
-
-/// Parses a cell cache file back; `Ok(None)` when the header names a
-/// different cell (stale file under a hash collision — treated as cold).
-fn parse_cell_file(text: &str, digest: u64, path: &Path) -> Result<Option<CellState>, String> {
-    let bad = |msg: &str| {
-        format!(
-            "cell cache `{}`: {msg} (delete the file to recompute)",
-            path.display()
-        )
-    };
-    let mut lines = text.lines();
-    let header = lines.next().ok_or_else(|| bad("empty file"))?;
-    let fields = parse_object(header).map_err(|e| bad(&format!("bad header: {e}")))?;
-    match lookup(&fields, "kind") {
-        Some(JsonVal::Str(k)) if k == CELL_KIND => {}
-        _ => return Err(bad("not a cell cache file")),
-    }
-    match lookup(&fields, "version") {
-        Some(JsonVal::Num(v)) if *v == CELL_VERSION => {}
-        _ => return Err(bad("unsupported version")),
-    }
-    match lookup(&fields, "cell") {
-        Some(JsonVal::Str(d)) if *d == format!("{digest:016x}") => {}
-        _ => return Ok(None),
-    }
-    let line = lines.next().ok_or_else(|| bad("missing state line"))?;
-    let fields = parse_object(line).map_err(|e| bad(&format!("bad state line: {e}")))?;
-    let num = |key: &str| -> Result<u64, String> {
-        match lookup(&fields, key) {
-            Some(JsonVal::Num(v)) => Ok(*v),
-            _ => Err(bad(&format!("missing numeric `{key}`"))),
-        }
-    };
-    let arr = |key: &str| -> Result<&Vec<u64>, String> {
-        match lookup(&fields, key) {
-            Some(JsonVal::Arr(v)) => Ok(v),
-            _ => Err(bad(&format!("missing array `{key}`"))),
-        }
-    };
-    let reps = num("reps")?;
-    let incomplete = num("incomplete")?;
-    let times: Vec<f64> = arr("times")?.iter().map(|b| f64::from_bits(*b)).collect();
-    let failures = arr("failures")?.clone();
-    let shipped = arr("shipped")?.clone();
-    if times.len() as u64 != reps || failures.len() != times.len() || shipped.len() != times.len() {
-        return Err(bad("inconsistent replication counts"));
-    }
-    Ok(Some(CellState {
-        times,
-        failures,
-        shipped,
-        incomplete,
-    }))
-}
-
-/// Writes a file atomically (temp + rename) so a crash never leaves a
-/// torn cache or CSV behind.
-fn write_atomic(path: &Path, contents: &str) -> Result<(), String> {
-    let tmp = path.with_extension("tmp");
-    fs::write(&tmp, contents).map_err(|e| format!("cannot write `{}`: {e}", tmp.display()))?;
-    fs::rename(&tmp, path).map_err(|e| format!("cannot move `{}` into place: {e}", tmp.display()))
+/// Appends one round's replications and totals to a cell's accumulated
+/// stats.
+fn absorb(acc: &mut PointStats, round: &PointStats) {
+    acc.completion_times
+        .extend_from_slice(&round.completion_times);
+    acc.failures_per_rep
+        .extend_from_slice(&round.failures_per_rep);
+    acc.tasks_shipped_per_rep
+        .extend_from_slice(&round.tasks_shipped_per_rep);
+    acc.incomplete += round.incomplete;
+    acc.total_events += round.total_events;
+    acc.total_recoveries += round.total_recoveries;
+    acc.total_transfers += round.total_transfers;
+    acc.total_tasks_clamped += round.total_tasks_clamped;
+    acc.total_tasks_lost += round.total_tasks_lost;
+    acc.total_retries += round.total_retries;
+    acc.total_bounces += round.total_bounces;
+    acc.transit_task_seconds += round.transit_task_seconds;
 }
 
 /// Execution knobs for [`Campaign::run`]. Result bytes and replication
@@ -678,7 +582,7 @@ impl Campaign {
                             )
                         })?;
                         let seed = spec.seed.unwrap_or(point.scenario.seed);
-                        let digest = cell_digest(
+                        let digest = cache::cell_digest(
                             &point.scenario,
                             &point.coords,
                             &entry.label,
@@ -698,7 +602,7 @@ impl Campaign {
                             policy,
                             seed,
                             digest,
-                            state: CellState::default(),
+                            stats: PointStats::default(),
                         });
                     }
                 }
@@ -720,19 +624,15 @@ impl Campaign {
         self.dir.join("out").join(format!("{}.csv", spec.name))
     }
 
+    fn cache_dir(&self) -> PathBuf {
+        self.dir.join("cache")
+    }
+
     fn warm_from_cache(&mut self) -> Result<(), String> {
+        let dir = self.cache_dir();
         for cell in &mut self.cells {
-            let path = self
-                .dir
-                .join("cache")
-                .join(format!("{:016x}.cell.jsonl", cell.digest));
-            let text = match fs::read_to_string(&path) {
-                Ok(text) => text,
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
-                Err(e) => return Err(format!("cannot read `{}`: {e}", path.display())),
-            };
-            if let Some(state) = parse_cell_file(&text, cell.digest, &path)? {
-                cell.state = state;
+            if let Some(stats) = cache::load(&dir, cell.digest)? {
+                cell.stats = stats;
             }
         }
         Ok(())
@@ -748,8 +648,8 @@ impl Campaign {
     /// run clean — a panicking replication poisons the accumulated
     /// vectors), cache/CSV write failures.
     pub fn run(&mut self, opts: &CampaignRunOptions) -> Result<CampaignRunReport, String> {
-        fs::create_dir_all(self.dir.join("cache"))
-            .map_err(|e| format!("cannot create cache dir: {e}"))?;
+        let cache_dir = self.cache_dir();
+        fs::create_dir_all(&cache_dir).map_err(|e| format!("cannot create cache dir: {e}"))?;
         let mut report = CampaignRunReport {
             cells_total: self.cells.len(),
             ..CampaignRunReport::default()
@@ -774,7 +674,7 @@ impl Campaign {
             // One single-policy job per pending cell; `rep_base` makes
             // each round continue the same deterministic stream sequence
             // an unrounded `reps = rep_base + batch` job would use.
-            let bases: Vec<u64> = pending.iter().map(|&i| self.cells[i].state.n()).collect();
+            let bases: Vec<u64> = pending.iter().map(|&i| self.cells[i].n()).collect();
             let jobs: Vec<PointJob<'_>> = pending
                 .iter()
                 .zip(&bases)
@@ -797,7 +697,7 @@ impl Campaign {
             let cells = &self.cells;
             let mut results: Vec<Option<PointStats>> = Vec::new();
             results.resize_with(pending.len(), || None);
-            run_grid_policies_resumable(
+            run_grid(
                 &jobs,
                 1,
                 &|p, _v, r| {
@@ -810,7 +710,7 @@ impl Campaign {
                 },
                 opts.threads,
                 opts.chunk,
-                vec![None; jobs.len()],
+                Vec::new(),
                 |p, _v, stats| {
                     results[p] = Some(stats);
                     Ok(())
@@ -833,20 +733,9 @@ impl Campaign {
                 report.reps_run += stats.completion_times.len() as u64;
                 let rule = self.specs[self.cells[i].spec_idx].stopping;
                 let cell = &mut self.cells[i];
-                cell.state.times.extend_from_slice(&stats.completion_times);
-                cell.state
-                    .failures
-                    .extend_from_slice(&stats.failures_per_rep);
-                cell.state
-                    .shipped
-                    .extend_from_slice(&stats.tasks_shipped_per_rep);
-                cell.state.incomplete += stats.incomplete;
-                let path = self
-                    .dir
-                    .join("cache")
-                    .join(format!("{:016x}.cell.jsonl", cell.digest));
-                write_atomic(&path, &render_cell_file(cell.digest, &cell.state))?;
-                if rule.verdict(cell.state.n(), cell.state.halfwidth()) != CellVerdict::Pending {
+                absorb(&mut cell.stats, &stats);
+                cache::store(&cache_dir, cell.digest, &cell.stats)?;
+                if cell.verdict(&rule) != CellVerdict::Pending {
                     report.cells_finished_now += 1;
                 }
             }
@@ -893,7 +782,7 @@ impl Campaign {
         out.push('\n');
         for &i in &self.spec_cells[spec_idx] {
             let cell = &self.cells[i];
-            let stats = OnlineStats::from_slice(&cell.state.times);
+            let stats = OnlineStats::from_slice(&cell.stats.completion_times);
             let coords = cell
                 .coords
                 .iter()
@@ -907,11 +796,11 @@ impl Campaign {
                 cell.point_index,
                 csv_field(&coords),
                 csv_field(&cell.policy_label),
-                cell.state.n(),
+                cell.n(),
                 fnum(stats.mean()),
                 fnum(stats.std_dev()),
-                fnum(cell.state.halfwidth()),
-                cell.state.incomplete,
+                fnum(cell.halfwidth()),
+                cell.stats.incomplete,
                 u64::from(cell.verdict(&spec.stopping) == CellVerdict::Converged),
             ));
             for (_, value) in &spec.fields {
@@ -939,7 +828,7 @@ impl Campaign {
             let mut reps = 0u64;
             for &i in indices {
                 let cell = &self.cells[i];
-                reps += cell.state.n();
+                reps += cell.n();
                 match cell.verdict(&spec.stopping) {
                     CellVerdict::Converged => converged += 1,
                     CellVerdict::Capped => capped += 1,
@@ -1004,7 +893,7 @@ impl Campaign {
             out.push_str("|---|---|---|---|---|---|---|---|---|---|\n");
             for &i in &self.spec_cells[spec_idx] {
                 let cell = &self.cells[i];
-                let stats = OnlineStats::from_slice(&cell.state.times);
+                let stats = OnlineStats::from_slice(&cell.stats.completion_times);
                 let coords = cell
                     .coords
                     .iter()
@@ -1017,11 +906,11 @@ impl Campaign {
                     cell.point_index,
                     if coords.is_empty() { "—" } else { &coords },
                     cell.policy_label,
-                    cell.state.n(),
+                    cell.n(),
                     fnum(stats.mean()),
                     fnum(stats.std_dev()),
-                    fnum(cell.state.halfwidth()),
-                    cell.state.incomplete,
+                    fnum(cell.halfwidth()),
+                    cell.stats.incomplete,
                     if cell.verdict(&spec.stopping) == CellVerdict::Converged {
                         "yes"
                     } else {
@@ -1061,7 +950,7 @@ impl Campaign {
                         cell.scenario_name.clone(),
                         cell.point_index,
                         cell.policy_label.clone(),
-                        cell.state.n(),
+                        cell.n(),
                     )
                 })
             })
@@ -1108,26 +997,49 @@ mod tests {
 
     #[test]
     fn cell_file_round_trips_bit_exactly() {
-        let state = CellState {
-            times: vec![1.5, 2.25, f64::MIN_POSITIVE, 1e300],
-            failures: vec![0, 3, 1, 2],
-            shipped: vec![10, 11, 12, 13],
+        // Two rounds absorbed into one cell, stored and reloaded: every
+        // replication and every total comes back bit for bit.
+        let round = |t: &[f64], transit: f64| PointStats {
+            completion_times: t.to_vec(),
+            failures_per_rep: (0..t.len() as u64).collect(),
+            tasks_shipped_per_rep: (10..10 + t.len() as u64).collect(),
             incomplete: 1,
+            total_events: 100,
+            total_retries: 2,
+            transit_task_seconds: transit,
+            ..PointStats::default()
         };
+        let mut acc = PointStats::default();
+        absorb(&mut acc, &round(&[1.5, 2.25], 0.1));
+        absorb(&mut acc, &round(&[f64::MIN_POSITIVE, 1e300], 0.2));
+        assert_eq!(
+            acc.completion_times,
+            vec![1.5, 2.25, f64::MIN_POSITIVE, 1e300]
+        );
+        assert_eq!(acc.failures_per_rep, vec![0, 1, 0, 1]);
+        assert_eq!(
+            (acc.incomplete, acc.total_events, acc.total_retries),
+            (2, 200, 4)
+        );
+
+        let dir =
+            std::env::temp_dir().join(format!("churnbal-campaign-cell-{}", std::process::id()));
+        fs::create_dir_all(&dir).expect("tmp dir");
         let digest = 0xdead_beef_cafe_f00d;
-        let text = render_cell_file(digest, &state);
-        let parsed = parse_cell_file(&text, digest, Path::new("x"))
-            .expect("parses")
-            .expect("digest matches");
-        assert_eq!(parsed, state);
-        for (a, b) in parsed.times.iter().zip(&state.times) {
+        cache::store(&dir, digest, &acc).expect("stores");
+        let back = cache::load(&dir, digest).expect("parses").expect("hit");
+        for (a, b) in back.completion_times.iter().zip(&acc.completion_times) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-        // A different digest is a cache miss, not an error.
+        assert_eq!(back.tasks_shipped_per_rep, acc.tasks_shipped_per_rep);
         assert_eq!(
-            parse_cell_file(&text, digest ^ 1, Path::new("x")).expect("parses"),
-            None
+            back.transit_task_seconds.to_bits(),
+            acc.transit_task_seconds.to_bits()
         );
+        assert_eq!((back.incomplete, back.total_events), (2, 200));
+        // A different digest is a cache miss, not an error.
+        assert!(cache::load(&dir, digest ^ 1).expect("no file").is_none());
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1179,19 +1091,22 @@ mod tests {
         let sc = registry::get("paper-fig5").expect("registered");
         let policy = sc.policy.clone();
         let r = rule();
-        let base = cell_digest(&sc, &[], "p", &policy, 42, &r);
-        assert_eq!(base, cell_digest(&sc, &[], "p", &policy, 42, &r));
-        assert_ne!(base, cell_digest(&sc, &[], "p", &policy, 43, &r));
+        let base = cache::cell_digest(&sc, &[], "p", &policy, 42, &r);
+        assert_eq!(base, cache::cell_digest(&sc, &[], "p", &policy, 42, &r));
+        assert_ne!(base, cache::cell_digest(&sc, &[], "p", &policy, 43, &r));
         assert_ne!(
             base,
-            cell_digest(&sc, &[(AxisParam::Gain, 0.5)], "p", &policy, 42, &r)
+            cache::cell_digest(&sc, &[(AxisParam::Gain, 0.5)], "p", &policy, 42, &r)
         );
-        assert_ne!(base, cell_digest(&sc, &[], "q", &policy, 42, &r));
+        assert_ne!(base, cache::cell_digest(&sc, &[], "q", &policy, 42, &r));
         let mut tighter = r;
         tighter.tolerance = 0.25;
-        assert_ne!(base, cell_digest(&sc, &[], "p", &policy, 42, &tighter));
+        assert_ne!(
+            base,
+            cache::cell_digest(&sc, &[], "p", &policy, 42, &tighter)
+        );
         let mut anti = r;
         anti.antithetic = true;
-        assert_ne!(base, cell_digest(&sc, &[], "p", &policy, 42, &anti));
+        assert_ne!(base, cache::cell_digest(&sc, &[], "p", &policy, 42, &anti));
     }
 }

@@ -13,6 +13,11 @@
 //!                      [--format table|csv|jsonl] [--out PATH]
 //! ```
 //!
+//! `--cache DIR` on `run` / `sweep` / `compare` stores every completed
+//! `(point, policy)` cell in the content-addressed cell cache of
+//! [`crate::cache`] and replays cells already there, so an interrupted
+//! grid resumes to byte-identical output.
+//!
 //! `run` executes a scenario including its baked-in axes (so
 //! `run paper-fig3` regenerates the whole Fig. 3 gain sweep); `sweep`
 //! additionally grid-expands `--axis` specifications on top, and
@@ -33,6 +38,7 @@
 //! `--chunk` value.
 
 use std::io::Write;
+use std::path::PathBuf;
 
 use churnbal_cluster::ProbeReport;
 use churnbal_core::PolicySpec;
@@ -42,7 +48,6 @@ use crate::experiment::{
     probe_jsonl_row, CollectSink, CsvSink, Experiment, ExperimentResult, ExperimentRow,
     ExperimentSchema, ExperimentSpec, JsonlSink, PolicyEntry, RowSink,
 };
-use crate::journal::JournalConfig;
 use crate::registry;
 use crate::scenario::{Scenario, ScenarioError, ScenarioErrorKind};
 use crate::sweep::{Axis, AxisParam, RunOptions};
@@ -95,13 +100,11 @@ options (run/sweep/compare/stats):\n\
                              transfers, clamped orders, transit task-\n\
                              seconds — and, when probing, histogram\n\
                              quantile columns — to csv/jsonl rows\n\
-  --journal DIR              append each completed (point, policy) cell to a\n\
-                             content-addressed write-ahead journal in DIR;\n\
-                             crash-safe, keyed by a digest of the resolved\n\
-                             spec (not with probing)\n\
-  --resume                   replay completed cells from the --journal file\n\
-                             and run only the remainder; output bytes equal\n\
-                             an uninterrupted run\n\
+  --cache DIR                store each completed (point, policy) cell in\n\
+                             DIR/<digest>.cell.jsonl and replay cells already\n\
+                             there; output bytes equal an uninterrupted run.\n\
+                             The same store as a campaign's cache/ (not with\n\
+                             probing)\n\
   --task-timeout SECS        abort any single replication running longer\n\
                              than SECS wall-clock seconds and quarantine it\n\
                              instead of hanging the campaign\n\
@@ -181,8 +184,7 @@ struct CliOptions {
     policies: Vec<String>,
     baseline: Option<String>,
     theory: bool,
-    journal: Option<String>,
-    resume: bool,
+    cache: Option<PathBuf>,
     fail_on_quarantine: bool,
 }
 
@@ -255,11 +257,19 @@ fn parse_common<'a>(
                     }
                 }
             }
-            "--journal" => {
-                let v = it.next().ok_or("--journal needs a directory path")?;
-                opts.journal = Some(v.clone());
+            "--cache" => {
+                let v = it.next().ok_or("--cache needs a directory path")?;
+                opts.cache = Some(PathBuf::from(v));
             }
-            "--resume" => opts.resume = true,
+            "--journal" | "--resume" => {
+                return Err(ScenarioError {
+                    scenario: scenario.name.clone(),
+                    kind: ScenarioErrorKind::RemovedJournalOption {
+                        option: flag.clone(),
+                    },
+                }
+                .into())
+            }
             "--task-timeout" => {
                 let v = it.next().ok_or("--task-timeout needs a value in seconds")?;
                 let secs: f64 = v
@@ -312,16 +322,6 @@ fn parse_common<'a>(
             }
             other => return Err(format!("unknown flag `{other}`\n\n{USAGE}")),
         }
-    }
-    if opts.resume && opts.journal.is_none() {
-        // Typed up-front rejection: the experiment layer would otherwise
-        // only notice once it tries to open a journal that was never
-        // configured.
-        return Err(ScenarioError {
-            scenario: scenario.name.clone(),
-            kind: ScenarioErrorKind::ResumeWithoutJournal,
-        }
-        .into());
     }
     if grammar == Grammar::Compare && opts.policies.len() < 2 {
         return Err(format!(
@@ -633,21 +633,6 @@ fn render_table(result: &ExperimentResult) -> String {
     out
 }
 
-/// Copies `--journal` / `--resume` onto the spec. The experiment layer
-/// owns the digest, the replay and the probe conflict check.
-fn apply_journal(spec: &mut ExperimentSpec, opts: &CliOptions) {
-    if let Some(dir) = &opts.journal {
-        spec.journal = Some(JournalConfig {
-            dir: dir.clone(),
-            resume: opts.resume,
-            fsync_every: spec
-                .scenario
-                .journal_fsync_every
-                .unwrap_or(crate::journal::SYNC_EVERY),
-        });
-    }
-}
-
 /// One line per quarantined replication, naming the cell and the cause.
 fn quarantine_summary(report: &churnbal_cluster::ExecReport, policies: &[String]) -> String {
     let mut out = format!(
@@ -842,7 +827,7 @@ fn run_machine_format(
 
 fn cmd_run(scenario: &Scenario, opts: &CliOptions) -> Result<String, String> {
     let mut spec = ExperimentSpec::sweep(scenario.clone(), opts.axes.clone(), opts.run);
-    apply_journal(&mut spec, opts);
+    spec.cache.clone_from(&opts.cache);
     let format = opts.format.as_deref().unwrap_or("table");
     if format != "table" {
         return run_machine_format(spec, opts, format == "jsonl");
@@ -864,7 +849,7 @@ fn cmd_run(scenario: &Scenario, opts: &CliOptions) -> Result<String, String> {
 fn cmd_sweep(scenario: &Scenario, opts: &CliOptions) -> Result<String, String> {
     let mut spec = ExperimentSpec::sweep(scenario.clone(), opts.axes.clone(), opts.run);
     spec.theory = opts.theory;
-    apply_journal(&mut spec, opts);
+    spec.cache.clone_from(&opts.cache);
     let format = opts.format.as_deref().unwrap_or("csv");
     if format != "table" {
         return run_machine_format(spec, opts, format == "jsonl");
@@ -895,7 +880,7 @@ fn cmd_compare(scenario: &Scenario, opts: &CliOptions) -> Result<String, String>
     };
     let mut spec = ExperimentSpec::compare(scenario.clone(), opts.axes.clone(), policies, opts.run);
     spec.baseline = baseline;
-    apply_journal(&mut spec, opts);
+    spec.cache.clone_from(&opts.cache);
     let format = opts.format.as_deref().unwrap_or("table");
     if format != "table" {
         return run_machine_format(spec, opts, format == "jsonl");
@@ -933,7 +918,7 @@ fn cmd_stats(scenario: &Scenario, opts: &CliOptions) -> Result<String, String> {
     let reps = run.effective_reps(&base);
     let seed = run.seed.unwrap_or(base.seed);
     let mut spec = ExperimentSpec::sweep(base.clone(), Vec::new(), run);
-    apply_journal(&mut spec, opts);
+    spec.cache.clone_from(&opts.cache);
     let experiment = Experiment::new(spec);
     let mut sink = CollectSink::new();
     let (schema, report) = run_with_probe_tee(&experiment, &mut sink, opts)?;
@@ -1624,37 +1609,68 @@ mod tests {
 
     #[test]
     fn crash_safety_flags_parse_and_validate() {
-        let err = call(&["run", "paper-fig5", "--resume"]).unwrap_err();
-        assert!(err.contains("--resume needs --journal"), "{err}");
         let err = call(&["run", "paper-fig5", "--task-timeout", "-1"]).unwrap_err();
         assert!(err.contains("must be positive"), "{err}");
         let err = call(&["run", "paper-fig5", "--task-timeout", "soon"]).unwrap_err();
         assert!(err.contains("expected a number"), "{err}");
-        let err = call(&["run", "paper-fig5", "--journal"]).unwrap_err();
-        assert!(err.contains("--journal needs a directory path"), "{err}");
-        // The journal records result rows only; probe ticks would be lost,
-        // so the combination is an arming error, not silent data loss.
-        let dir = std::env::temp_dir().join("churnbal_lab_cli_journal_probe");
+        let err = call(&["run", "paper-fig5", "--cache"]).unwrap_err();
+        assert!(err.contains("--cache needs a directory path"), "{err}");
+
+        // The removed journal options are one typed error naming --cache,
+        // from the command line and from a scenario file alike.
+        let removed = |option: &str| {
+            ScenarioError {
+                scenario: "paper-fig5".into(),
+                kind: ScenarioErrorKind::RemovedJournalOption {
+                    option: option.into(),
+                },
+            }
+            .to_string()
+        };
+        let err = call(&["run", "paper-fig5", "--journal", "out"]).unwrap_err();
+        assert_eq!(err, removed("--journal"));
+        assert!(err.contains("--cache DIR"), "{err}");
+        let err = call(&["sweep", "paper-fig5", "--resume"]).unwrap_err();
+        assert_eq!(err, removed("--resume"));
+        let dir = std::env::temp_dir().join("churnbal_lab_cli_cache_flags");
         std::fs::create_dir_all(&dir).expect("tmp dir");
-        let err = call(&[
-            "run",
-            "paper-fig5",
-            "--reps",
-            "2",
-            "--probe-dt",
-            "50",
-            "--journal",
-            dir.to_str().expect("utf8"),
-        ])
-        .unwrap_err();
-        assert!(err.contains("does not capture probe telemetry"), "{err}");
+        let path = dir.join("journaled.toml");
+        let text = registry::get("paper-fig5").expect("preset").to_toml();
+        std::fs::write(&path, format!("{text}\n[journal]\ndir = \"out\"\n")).expect("write");
+        let path_str = path.to_str().expect("utf8");
+        let err = call(&["run", path_str]).unwrap_err();
+        assert_eq!(err, format!("{path_str}: {}", removed("[journal]")));
+
+        // The cache stores result rows only; probe ticks would be lost,
+        // so the combination is an arming error, not silent data loss.
+        let cache = dir.join("cache");
+        let cache_str = cache.to_str().expect("utf8");
+        let probing = ScenarioError {
+            scenario: "paper-fig5".into(),
+            kind: ScenarioErrorKind::CacheWithProbing,
+        }
+        .to_string();
+        for args in [
+            &[
+                "run",
+                "paper-fig5",
+                "--reps",
+                "2",
+                "--probe-dt",
+                "50",
+                "--cache",
+                cache_str,
+            ][..],
+            &["stats", "paper-fig5", "--reps", "2", "--cache", cache_str][..],
+        ] {
+            assert_eq!(call(args).unwrap_err(), probing, "{args:?}");
+        }
     }
 
     #[test]
-    fn journaled_runs_resume_to_identical_bytes() {
-        let dir = std::env::temp_dir().join("churnbal_lab_cli_journal_test");
+    fn cached_runs_resume_to_identical_bytes() {
+        let dir = std::env::temp_dir().join("churnbal_lab_cli_cache_test");
         let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("tmp dir");
         let dir_str = dir.to_str().expect("utf8");
         let base = [
             "sweep",
@@ -1663,18 +1679,21 @@ mod tests {
             "2",
             "--format",
             "csv",
+            "--metrics",
+            "full",
         ];
         let clean = call(&base).expect("clean sweep runs");
-        let mut with_journal = base.to_vec();
-        with_journal.extend(["--journal", dir_str]);
-        let journaled = call(&with_journal).expect("journaled sweep runs");
-        assert_eq!(journaled, clean, "journaling changed the output bytes");
-        // A second run with --resume replays every cell from the journal
-        // and must reproduce the same bytes without recomputing anything.
-        let mut resumed_args = with_journal.clone();
-        resumed_args.push("--resume");
-        let resumed = call(&resumed_args).expect("resumed sweep runs");
-        assert_eq!(resumed, clean, "resume changed the output bytes");
+        let mut cached_args = base.to_vec();
+        cached_args.extend(["--cache", dir_str]);
+        let cached = call(&cached_args).expect("cached sweep runs");
+        assert_eq!(cached, clean, "--cache changed the output bytes");
+        // One file per (point, policy) cell of the 5-point grid.
+        let cells = std::fs::read_dir(&dir).expect("cache dir").count();
+        assert_eq!(cells, 5);
+        // A second run replays every cell, run totals included, and must
+        // reproduce the same bytes without recomputing anything.
+        let replayed = call(&cached_args).expect("replayed sweep runs");
+        assert_eq!(replayed, clean, "replay changed the output bytes");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! An [`ExperimentSpec`] is `scenario × axes × policy set × options`. Its
 //! [`Experiment`] executes the whole thing in **one pass** through the
 //! shared work-stealing scheduler
-//! ([`churnbal_cluster::exec::run_grid_policies_streaming`]): the policy
+//! ([`churnbal_cluster::exec::run_grid`]): the policy
 //! set is just another axis of the flattened task space, and replication
 //! `r` of *every* policy at a grid point runs on the streams derived from
 //! `(seed, r)` — common random numbers across policies by construction.
@@ -20,24 +20,24 @@
 //! theory mean joins each row ([`ExperimentSpec::theory`],
 //! [`crate::theory`]).
 //!
-//! The historical `run_scenario` / `run_sweep` / `run_sweep_streaming`
-//! entry points survive as thin deprecated wrappers in [`crate::sweep`];
-//! their output bytes are unchanged (the pinned sweep digests prove it).
+//! With [`ExperimentSpec::cache`] set, every completed cell is stored in
+//! the content-addressed cell cache of [`crate::cache`] before any sink
+//! sees it, and cells already there are replayed instead of simulated —
+//! so an interrupted run resumes to byte-identical output.
 
 use std::io::Write;
-use std::path::Path;
+use std::path::PathBuf;
 
-use churnbal_cluster::exec::{
-    run_grid_policies_resumable, run_grid_policies_streaming, ExecReport, PointJob, PointStats,
-};
+use churnbal_cluster::exec::{run_grid, ExecReport, PointJob, PointStats};
 use churnbal_cluster::mc::McEstimate;
 use churnbal_cluster::{ProbeReport, SimOptions, SystemConfig};
 use churnbal_core::PolicySpec;
-use churnbal_stochastic::{paired_comparison, Fnv1a, PairedComparison};
+use churnbal_stochastic::{paired_comparison, PairedComparison};
 
-use crate::journal::{JournalConfig, RunJournal};
-use crate::scenario::Scenario;
-use crate::sweep::{expand_grid, sample_sd, Axis, AxisParam, RunOptions, SweepRow, SweepSchema};
+use crate::cache;
+use crate::campaign::StoppingRule;
+use crate::scenario::{Scenario, ScenarioError, ScenarioErrorKind};
+use crate::sweep::{expand_grid, sample_sd, Axis, AxisParam, RunOptions, SweepRow};
 use crate::theory::TheoryCache;
 
 /// One labelled policy of a comparison: the display/CSV label (usually the
@@ -102,12 +102,13 @@ pub struct ExperimentSpec {
     /// covers the point and policy; out-of-domain rows render empty
     /// cells.
     pub theory: bool,
-    /// Write-ahead result journal (`--journal` / `--resume`): completed
-    /// cells are appended to a content-addressed file under
-    /// [`JournalConfig::dir`] and replayed on resume — see
-    /// [`crate::journal`]. `None` falls back to the scenario's own
-    /// `[journal]` table (without resume), or no journal at all.
-    pub journal: Option<JournalConfig>,
+    /// Cell-cache directory (`--cache DIR`): each completed
+    /// `(point, policy)` cell is stored there and cells already present
+    /// are replayed instead of simulated — see [`crate::cache`]. Cells
+    /// are keyed like campaign cells with the fixed rule
+    /// [`StoppingRule::fixed`], so a campaign's `cache/` directory is the
+    /// same store. Not available with probing.
+    pub cache: Option<PathBuf>,
 }
 
 impl ExperimentSpec {
@@ -121,7 +122,7 @@ impl ExperimentSpec {
             baseline: 0,
             options,
             theory: false,
-            journal: None,
+            cache: None,
         }
     }
 
@@ -142,43 +143,8 @@ impl ExperimentSpec {
             baseline: 0,
             options,
             theory: true,
-            journal: None,
+            cache: None,
         }
-    }
-
-    /// Content digest of the fully-resolved experiment: FNV-1a over the
-    /// scenario's canonical TOML, the extra axes, the policy set (labels,
-    /// full specs, pins), the baseline index and the *effective*
-    /// replication count and seed. Two specs that could produce different
-    /// output bytes digest differently; presentation-only options
-    /// (threads, chunk, backend, metrics columns) are deliberately
-    /// excluded — they never change result values. This digest names the
-    /// write-ahead journal file, so a resume can never mix results from a
-    /// different spec.
-    #[must_use]
-    pub fn digest(&self) -> u64 {
-        let mut h = Fnv1a::new();
-        h.update(self.scenario.to_toml().as_bytes());
-        h.update_u64(self.axes.len() as u64);
-        for axis in &self.axes {
-            h.update(axis.param.key().as_bytes());
-            h.update_u64(axis.values.len() as u64);
-            for &v in &axis.values {
-                h.update_u64(v.to_bits());
-            }
-        }
-        h.update_u64(self.policies.len() as u64);
-        for entry in &self.policies {
-            h.update(entry.label.as_bytes());
-            // The Debug form covers every parameter of every variant
-            // (gains, sender/receiver, chaos-panic rep, ...).
-            h.update(format!("{:?}", entry.spec).as_bytes());
-            h.update_u64(u64::from(entry.pinned_gain));
-        }
-        h.update_u64(self.baseline as u64);
-        h.update_u64(self.options.effective_reps(&self.scenario));
-        h.update_u64(self.options.seed.unwrap_or(self.scenario.seed));
-        h.finish()
     }
 }
 
@@ -215,16 +181,6 @@ impl ExperimentSchema {
     #[must_use]
     pub fn rows(&self) -> usize {
         self.points * self.policies.len()
-    }
-
-    /// The sweep-schema view of this experiment (legacy wrapper support).
-    #[must_use]
-    pub fn to_sweep_schema(&self) -> SweepSchema {
-        SweepSchema {
-            scenario: self.scenario.clone(),
-            axes: self.axes.clone(),
-            points: self.points,
-        }
     }
 }
 
@@ -772,8 +728,7 @@ impl Experiment {
     /// Runs the **base point** of the spec's scenario (axes ignored)
     /// under its first policy — or the scenario's own policy when the set
     /// is empty — and returns the raw Monte-Carlo estimate with every
-    /// per-replication vector. The programmatic primitive behind the
-    /// legacy `run_scenario`; rendered output goes through
+    /// per-replication vector. Rendered output goes through
     /// [`Experiment::run`] instead.
     ///
     /// # Errors
@@ -806,12 +761,13 @@ impl Experiment {
             },
         };
         let mut stats = None;
-        run_grid_policies_streaming(
+        run_grid(
             std::slice::from_ref(&job),
             1,
             &|_, _, r| policy.build_for_rep(&config, r).expect("validated above"),
             spec.options.threads,
             spec.options.chunk,
+            Vec::new(),
             |_, _, s| {
                 stats = Some(s);
                 Ok(())
@@ -955,68 +911,54 @@ impl Experiment {
             metrics_full: spec.options.metrics_full,
             probe,
         };
-        sink.begin(&schema)?;
-
         let k = schema.policies.len();
         let b = spec.baseline;
 
-        // ---- write-ahead journal / resume -----------------------------
-        // The CLI flag wins; a scenario's own [journal] table journals
-        // without resuming (resume is an explicit, per-invocation act).
-        let journal_cfg = spec.journal.clone().or_else(|| {
-            spec.scenario.journal_dir.clone().map(|dir| JournalConfig {
-                dir,
-                resume: false,
-                fsync_every: spec
-                    .scenario
-                    .journal_fsync_every
-                    .unwrap_or(crate::journal::SYNC_EVERY),
-            })
-        });
-        let mut preloaded: Vec<Option<PointStats>> = vec![None; points.len() * k];
-        let mut journal: Option<RunJournal> = None;
-        if let Some(cfg) = &journal_cfg {
+        // ---- cell cache ------------------------------------------------
+        // One key per (point, policy) cell, point-major; cells already in
+        // the cache come in preloaded and are never re-simulated.
+        let mut keys: Vec<u64> = Vec::new();
+        let mut preloaded: Vec<Option<PointStats>> = Vec::new();
+        if let Some(dir) = &spec.cache {
             if probe {
-                return Err("the result journal does not capture probe telemetry; \
-                     drop --journal or disable probing"
-                    .into());
-            }
-            let (j, records) = RunJournal::open_with(
-                Path::new(&cfg.dir),
-                spec.digest(),
-                cfg.resume,
-                cfg.fsync_every,
-            )?;
-            for rec in records {
-                if rec.point >= points.len() || rec.policy >= k {
-                    return Err(format!(
-                        "journal {}: cell (point {}, policy {}) is outside the {}x{} grid",
-                        j.path().display(),
-                        rec.point,
-                        rec.policy,
-                        points.len(),
-                        k
-                    ));
+                return Err(ScenarioError {
+                    scenario: spec.scenario.name.clone(),
+                    kind: ScenarioErrorKind::CacheWithProbing,
                 }
-                let want = jobs[rec.point].reps as usize;
-                if rec.stats.completion_times.len() != want {
-                    return Err(format!(
-                        "journal {}: cell (point {}, policy {}) holds {} replications, \
-                         expected {}",
-                        j.path().display(),
-                        rec.point,
-                        rec.policy,
-                        rec.stats.completion_times.len(),
-                        want
-                    ));
-                }
-                preloaded[rec.point * k + rec.policy] = Some(rec.stats);
+                .into());
             }
-            journal = Some(j);
+            std::fs::create_dir_all(dir)
+                .map_err(|e| format!("cannot create cache dir `{}`: {e}", dir.display()))?;
+            for ((point, job), set) in points.iter().zip(&jobs).zip(&point_policies) {
+                for (v, policy) in set.iter().enumerate() {
+                    let key = cache::cell_digest(
+                        &point.scenario,
+                        &point.coords,
+                        &schema.policies[v],
+                        policy,
+                        job.seed,
+                        &StoppingRule::fixed(job.reps),
+                    );
+                    let cell = cache::load(dir, key)?;
+                    if let Some(stats) = &cell {
+                        if stats.completion_times.len() as u64 != job.reps {
+                            return Err(format!(
+                                "cell cache `{}`: holds {} replications, expected {} \
+                                 (delete the file to recompute)",
+                                cache::cell_path(dir, key).display(),
+                                stats.completion_times.len(),
+                                job.reps
+                            ));
+                        }
+                    }
+                    keys.push(key);
+                    preloaded.push(cell);
+                }
+            }
         }
-        // Which cells came from the journal — those must not be
-        // re-appended when the drain emits them.
-        let replayed: Vec<bool> = preloaded.iter().map(Option::is_some).collect();
+        // Which cells came from the cache — those are not stored again.
+        let cached: Vec<bool> = preloaded.iter().map(Option::is_some).collect();
+        sink.begin(&schema)?;
 
         let build_row = |p: usize, v: usize, est: &McEstimate, delta: Option<PairedDelta>| {
             let theory_mean = theory[p][v];
@@ -1068,7 +1010,7 @@ impl Experiment {
         // Cells of the current point awaiting the baseline cell (only
         // used with a non-first baseline).
         let mut held: Vec<(usize, McEstimate, Vec<f64>, Vec<u64>)> = Vec::new();
-        let report = run_grid_policies_resumable(
+        let report = run_grid(
             &jobs,
             k,
             &|p, v, r| {
@@ -1080,13 +1022,13 @@ impl Experiment {
             spec.options.chunk,
             preloaded,
             |p, v, stats| {
-                if let Some(j) = journal.as_mut() {
-                    // Write-ahead: the cell hits disk before any sink
-                    // sees it. Replayed cells are already on disk, and
-                    // quarantined cells are withheld so a resume retries
-                    // them instead of trusting placeholder slots.
-                    if !replayed[p * k + v] && stats.quarantined_reps.is_empty() {
-                        j.record(p, v, &stats)?;
+                if let Some(dir) = &spec.cache {
+                    // The cell hits disk before any sink sees it.
+                    // Quarantined cells are withheld so the next run
+                    // retries them instead of trusting placeholder slots.
+                    let idx = p * k + v;
+                    if !cached[idx] && stats.quarantined_reps.is_empty() {
+                        cache::store(dir, keys[idx], &stats)?;
                     }
                 }
                 let slot_times = stats.completion_times.clone();
@@ -1146,9 +1088,6 @@ impl Experiment {
                 Ok(())
             },
         )?;
-        if let Some(j) = journal.as_mut() {
-            j.finish()?;
-        }
         sink.finish()?;
         Ok((schema, report))
     }
@@ -1190,20 +1129,10 @@ mod tests {
 
     #[test]
     fn single_policy_experiment_matches_the_legacy_sweep_bytes() {
-        // The deprecated wrappers must keep their pinned bytes: a
-        // single-policy, no-theory experiment rendered as CSV equals the
-        // legacy sweep CSV byte for byte.
-        #[allow(deprecated)]
-        let legacy = crate::sweep::run_sweep(
-            &registry::get("mmpp-bursty").expect("preset"),
-            &[Axis {
-                param: AxisParam::Gain,
-                values: vec![0.25, 0.75],
-            }],
-            quick(4, 2),
-        )
-        .expect("legacy sweep runs")
-        .to_csv();
+        // A single-policy, no-theory experiment rendered as CSV is
+        // exactly the legacy sweep CSV: the base header and one base row
+        // per grid point, byte for byte (the pinned sweep digests rely
+        // on it).
         let result = Experiment::new(ExperimentSpec::sweep(
             registry::get("mmpp-bursty").expect("preset"),
             vec![Axis {
@@ -1214,7 +1143,12 @@ mod tests {
         ))
         .collect()
         .expect("experiment runs");
+        let mut legacy = crate::sweep::csv_header(&result.schema.axes);
+        for row in &result.rows {
+            legacy.push_str(&crate::sweep::csv_row("mmpp-bursty", &row.to_sweep_row()));
+        }
         assert_eq!(result.to_csv(), legacy);
+        assert_eq!(result.rows.len(), 2);
         assert!(!result.schema.paired);
         assert!(!result.schema.theory);
     }

@@ -19,8 +19,8 @@
 //!   speeds, hot-spare recovery, correlated/cascading failures, bursty
 //!   MMPP, diurnal and flash-crowd arrivals, volunteer churn.
 //! * [`sweep`] — grid expansion over axes (gain, failure/recovery scale,
-//!   arrival scale, delay, node count) plus the legacy `run_sweep*`
-//!   wrappers (deprecated; they keep their pinned bytes).
+//!   arrival scale, delay, node count), run options and the base CSV /
+//!   JSON-lines row renderers.
 //! * [`experiment`] — the first-class experiment API: an
 //!   [`ExperimentSpec`] (scenario × axes × **policy set** × options)
 //!   executed in one scheduler pass, streaming rows to [`RowSink`]s
@@ -28,12 +28,15 @@
 //!   point on **identical random-number streams**, so rows carry
 //!   CRN-paired deltas with t-based 95% CIs; two-node closed points join
 //!   the Eq. 4 theory mean ([`theory`]).
-//! * [`journal`] — crash safety: a write-ahead result journal keyed by a
-//!   content digest of the resolved spec, so interrupted campaigns resume
-//!   with byte-identical output (`--journal` / `--resume`).
+//! * [`cache`] — the one result store: a content-addressed file per
+//!   `(point, policy)` cell, shared by `--cache DIR` runs and campaigns,
+//!   so interrupted grids resume with byte-identical output.
+//! * [`campaign`] — a directory of specs run as one unit with adaptive
+//!   sequential stopping over the cell cache.
 //! * [`cli`] — the `churnbal-lab` binary:
-//!   `list | show | run | sweep | compare | stats` (the last a one-point
-//!   observability deep dive: counters, telemetry quantiles, runtime).
+//!   `list | show | run | sweep | compare | stats | campaign | report`
+//!   (`stats` is a one-point observability deep dive: counters, telemetry
+//!   quantiles, runtime).
 //!
 //! ```
 //! use churnbal_core::PolicySpec;
@@ -57,10 +60,10 @@
 //! assert!(result.rows[1].delta.is_some());
 //! ```
 
+pub mod cache;
 pub mod campaign;
 pub mod cli;
 pub mod experiment;
-pub mod journal;
 pub mod registry;
 pub mod scenario;
 pub mod sweep;
@@ -74,13 +77,9 @@ pub use experiment::{
     probe_jsonl_row, CollectSink, CsvSink, Experiment, ExperimentResult, ExperimentRow,
     ExperimentSchema, ExperimentSpec, JsonlSink, PairedDelta, PolicyEntry, RowSink,
 };
-pub use journal::{JournalConfig, JournalRecord, RunJournal};
 pub use scenario::{
     ArrivalsSpec, NetworkSpec, NodeSpec, Scenario, ScenarioError, ScenarioErrorKind, TopologySpec,
 };
 pub use sweep::{
-    apply_axis, csv_header, csv_row, expand_grid, jsonl_row, Axis, AxisParam, RunOptions,
-    SweepResult, SweepRow, SweepSchema,
+    apply_axis, csv_header, csv_row, expand_grid, jsonl_row, Axis, AxisParam, RunOptions, SweepRow,
 };
-#[allow(deprecated)]
-pub use sweep::{run_scenario, run_sweep, run_sweep_streaming};

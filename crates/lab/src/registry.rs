@@ -97,8 +97,6 @@ fn base(name: &str, description: &str, m0: [u32; 2], policy: PolicySpec) -> Scen
         seed: PAPER_SEED,
         deadline: None,
         probe_dt: None,
-        journal_dir: None,
-        journal_fsync_every: None,
         nodes: paper_nodes(m0),
         network: paper_network(),
         arrivals: ArrivalsSpec::None,
@@ -171,8 +169,6 @@ fn hetero_speeds() -> Scenario {
         seed: 7,
         deadline: None,
         probe_dt: None,
-        journal_dir: None,
-        journal_fsync_every: None,
         nodes: vec![
             NodeSpec::new(0.5, 1.0 / 30.0, 1.0 / 10.0, 240),
             NodeSpec::new(1.0, 1.0 / 30.0, 1.0 / 10.0, 0),
@@ -201,8 +197,6 @@ fn hot_spare() -> Scenario {
         seed: 8,
         deadline: None,
         probe_dt: None,
-        journal_dir: None,
-        journal_fsync_every: None,
         nodes: vec![
             NodeSpec::new(1.5, 1.0 / 12.0, 1.0 / 8.0, 200),
             NodeSpec::new(1.5, 1.0 / 12.0, 1.0 / 8.0, 200),
@@ -230,8 +224,6 @@ fn correlated_failures() -> Scenario {
         seed: 9,
         deadline: None,
         probe_dt: None,
-        journal_dir: None,
-        journal_fsync_every: None,
         nodes: vec![NodeSpec::new(1.2, 1.0 / 60.0, 1.0 / 8.0, 80).times(4)],
         network: paper_network(),
         arrivals: ArrivalsSpec::None,
@@ -257,8 +249,6 @@ fn cascading_failures() -> Scenario {
         seed: 10,
         deadline: None,
         probe_dt: None,
-        journal_dir: None,
-        journal_fsync_every: None,
         nodes: vec![NodeSpec::new(1.2, 1.0 / 40.0, 1.0 / 10.0, 80).times(4)],
         network: paper_network(),
         arrivals: ArrivalsSpec::None,
@@ -287,8 +277,6 @@ fn adversarial_churn() -> Scenario {
         seed: 12,
         deadline: None,
         probe_dt: None,
-        journal_dir: None,
-        journal_fsync_every: None,
         nodes: vec![NodeSpec::new(1.2, 1.0 / 60.0, 1.0 / 8.0, 80).times(4)],
         network: paper_network(),
         arrivals: ArrivalsSpec::None,
@@ -331,8 +319,6 @@ fn mmpp_bursty() -> Scenario {
         seed: 42,
         deadline: None,
         probe_dt: None,
-        journal_dir: None,
-        journal_fsync_every: None,
         nodes: paper_nodes([20, 20]),
         network: paper_network(),
         arrivals: ArrivalsSpec::Process(ArrivalProcess {
@@ -363,8 +349,6 @@ fn diurnal() -> Scenario {
         seed: 43,
         deadline: None,
         probe_dt: None,
-        journal_dir: None,
-        journal_fsync_every: None,
         nodes: paper_nodes([10, 10]),
         network: paper_network(),
         arrivals: ArrivalsSpec::Process(ArrivalProcess {
@@ -396,8 +380,6 @@ fn flash_crowd() -> Scenario {
         seed: 44,
         deadline: None,
         probe_dt: None,
-        journal_dir: None,
-        journal_fsync_every: None,
         nodes: paper_nodes([10, 10]),
         network: paper_network(),
         arrivals: ArrivalsSpec::Process(ArrivalProcess {
@@ -431,8 +413,6 @@ fn volunteer_grid() -> Scenario {
         seed: 11,
         deadline: None,
         probe_dt: None,
-        journal_dir: None,
-        journal_fsync_every: None,
         nodes: vec![
             NodeSpec::new(2.0, 0.0, 0.0, 300),
             NodeSpec::new(1.5, 0.0, 0.0, 250),
@@ -483,8 +463,6 @@ fn dynamic_arrivals() -> Scenario {
         seed: 17,
         deadline: None,
         probe_dt: None,
-        journal_dir: None,
-        journal_fsync_every: None,
         nodes: paper_nodes([30, 30]),
         network: paper_network(),
         arrivals: ArrivalsSpec::Fixed(dynamic_arrival_bursts()),
@@ -507,8 +485,6 @@ fn open_system() -> Scenario {
         seed: 45,
         deadline: None,
         probe_dt: None,
-        journal_dir: None,
-        journal_fsync_every: None,
         nodes: paper_nodes([0, 0]),
         network: paper_network(),
         arrivals: ArrivalsSpec::Process(ArrivalProcess::poisson(0.8, 90.0).with_batch(1, 4)),
@@ -541,8 +517,6 @@ fn ring() -> Scenario {
         seed: 51,
         deadline: None,
         probe_dt: None,
-        journal_dir: None,
-        journal_fsync_every: None,
         nodes: fleet_nodes(96, 15),
         network: paper_network(),
         arrivals: ArrivalsSpec::None,
@@ -565,8 +539,6 @@ fn torus() -> Scenario {
         seed: 52,
         deadline: None,
         probe_dt: None,
-        journal_dir: None,
-        journal_fsync_every: None,
         nodes: fleet_nodes(120, 23),
         network: paper_network(),
         arrivals: ArrivalsSpec::None,
@@ -590,8 +562,6 @@ fn rack_hierarchy() -> Scenario {
         seed: 53,
         deadline: None,
         probe_dt: None,
-        journal_dir: None,
-        journal_fsync_every: None,
         nodes: fleet_nodes(128, 15),
         network: paper_network(),
         arrivals: ArrivalsSpec::None,
@@ -622,8 +592,6 @@ fn rack_shocks() -> Scenario {
         seed: 54,
         deadline: None,
         probe_dt: None,
-        journal_dir: None,
-        journal_fsync_every: None,
         nodes: fleet_nodes(128, 15),
         network: paper_network(),
         arrivals: ArrivalsSpec::None,
@@ -662,8 +630,6 @@ fn lossy_fabric() -> Scenario {
         seed: 61,
         deadline: None,
         probe_dt: None,
-        journal_dir: None,
-        journal_fsync_every: None,
         nodes: fleet_nodes(120, 23),
         network: paper_network(),
         arrivals: ArrivalsSpec::None,
@@ -694,8 +660,6 @@ fn churn_storm_lossy() -> Scenario {
         seed: 62,
         deadline: None,
         probe_dt: None,
-        journal_dir: None,
-        journal_fsync_every: None,
         nodes: vec![NodeSpec::new(1.2, 1.0 / 60.0, 1.0 / 8.0, 80).times(4)],
         network: paper_network(),
         arrivals: ArrivalsSpec::None,
@@ -724,8 +688,6 @@ fn paper_system(name: &str, m0: [u32; 2], network: NetworkSpec) -> SystemConfig 
         seed: PAPER_SEED,
         deadline: None,
         probe_dt: None,
-        journal_dir: None,
-        journal_fsync_every: None,
         nodes: paper_nodes(m0),
         network,
         arrivals: ArrivalsSpec::None,

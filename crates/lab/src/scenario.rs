@@ -196,16 +196,6 @@ pub struct Scenario {
     /// telemetry samples; `[probe] dt = ...` in TOML). Probing is
     /// observational only — it never changes the trajectory.
     pub probe_dt: Option<f64>,
-    /// Optional write-ahead journal directory (`[journal] dir = ...` in
-    /// TOML): completed cells are recorded there for crash-safe resume —
-    /// see [`crate::journal`]. The CLI's `--journal` flag overrides it.
-    pub journal_dir: Option<String>,
-    /// Optional journal fsync cadence (`[journal] fsync_every = ...` in
-    /// TOML): the journal `fsync`s every this-many appended records
-    /// (default [`crate::journal::SYNC_EVERY`] = 32) and always flushes
-    /// on drop, so short campaigns don't lose tail records on clean exit.
-    /// Only meaningful alongside [`Scenario::journal_dir`].
-    pub journal_fsync_every: Option<u64>,
     /// Node templates (expanding to ≥ 2 nodes).
     pub nodes: Vec<NodeSpec>,
     /// Network parameters.
@@ -300,18 +290,15 @@ pub enum ScenarioErrorKind {
         /// Offending value.
         value: f64,
     },
-    /// A `[journal]` table with an empty `dir`.
-    EmptyJournalDir,
-    /// A `[journal]` table with `fsync_every = 0` (the cadence counts
-    /// appended records; it must be at least 1).
-    ZeroJournalFsync,
-    /// `[journal] fsync_every` configured without a journal `dir` to
-    /// apply it to.
-    JournalFsyncWithoutDir,
-    /// `--resume` passed without `--journal`: resume replays the
-    /// content-addressed journal, so it must know which directory holds
-    /// it.
-    ResumeWithoutJournal,
+    /// A removed crash-safety option (`--journal`, `--resume` or a
+    /// `[journal]` table): the cell cache (`--cache DIR`) replaced it.
+    RemovedJournalOption {
+        /// The option as written.
+        option: String,
+    },
+    /// `--cache` with probing armed: the cache stores result rows, not
+    /// probe telemetry.
+    CacheWithProbing,
     /// Churn-model parameter failure (message from
     /// [`ChurnModel::validate`]).
     Churn(String),
@@ -381,19 +368,15 @@ impl std::fmt::Display for ScenarioErrorKind {
             Self::NonPositiveProbeDt { value } => {
                 write!(f, "probe dt must be positive, got {value}")
             }
-            Self::EmptyJournalDir => write!(f, "journal dir must be non-empty"),
-            Self::ZeroJournalFsync => {
-                write!(f, "journal fsync_every must be >= 1 (it counts records)")
-            }
-            Self::JournalFsyncWithoutDir => {
-                write!(f, "journal fsync_every needs a journal dir to apply to")
-            }
-            Self::ResumeWithoutJournal => {
-                write!(
-                    f,
-                    "--resume needs --journal DIR to know where the journal lives"
-                )
-            }
+            Self::RemovedJournalOption { option } => write!(
+                f,
+                "`{option}` was removed: pass --cache DIR to store every completed \
+                 (point, policy) cell and reuse it on the next run"
+            ),
+            Self::CacheWithProbing => write!(
+                f,
+                "--cache does not store probe telemetry; drop --cache or disable probing"
+            ),
             Self::Churn(e)
             | Self::Channel(e)
             | Self::Arrivals(e)
@@ -514,19 +497,6 @@ impl Scenario {
                 return Err(fail(ScenarioErrorKind::NonPositiveProbeDt { value: dt }));
             }
         }
-        if let Some(dir) = &self.journal_dir {
-            if dir.is_empty() {
-                return Err(fail(ScenarioErrorKind::EmptyJournalDir));
-            }
-        }
-        if let Some(every) = self.journal_fsync_every {
-            if self.journal_dir.is_none() {
-                return Err(fail(ScenarioErrorKind::JournalFsyncWithoutDir));
-            }
-            if every == 0 {
-                return Err(fail(ScenarioErrorKind::ZeroJournalFsync));
-            }
-        }
         self.churn
             .validate()
             .map_err(|e| fail(ScenarioErrorKind::Churn(e)))?;
@@ -629,21 +599,6 @@ impl Scenario {
             let mut probe = Table::new();
             probe.set("dt", Value::Float(dt));
             doc.set_table("probe", probe);
-        }
-        // Likewise [journal]: only present when a journal directory is
-        // configured, so journal-free scenarios keep their exact bytes.
-        if let Some(dir) = &self.journal_dir {
-            let mut journal = Table::new();
-            journal.set("dir", Value::Str(dir.clone()));
-            // fsync_every only when configured, so pre-existing journal
-            // scenarios keep their exact bytes.
-            if let Some(every) = self.journal_fsync_every {
-                journal.set(
-                    "fsync_every",
-                    Value::Int(i64::try_from(every).unwrap_or(i64::MAX)),
-                );
-            }
-            doc.set_table("journal", journal);
         }
 
         let mut net = Table::new();
@@ -847,6 +802,18 @@ impl Scenario {
 
     fn from_doc(doc: &Doc) -> Result<Self, String> {
         let name = req_str(&doc.root, "", "name")?;
+        // Unknown tables are otherwise ignored; this one must not be, or
+        // a scenario that asked for crash safety would silently run
+        // without it.
+        if doc.table("journal").is_some() {
+            return Err(ScenarioError {
+                scenario: name,
+                kind: ScenarioErrorKind::RemovedJournalOption {
+                    option: "[journal]".into(),
+                },
+            }
+            .into());
+        }
         let description = opt_str(&doc.root, "description").unwrap_or_default();
         let reps = req_u64(&doc.root, "", "reps")?;
         // Inverse of the two's-complement serialization in `to_doc`:
@@ -856,13 +823,6 @@ impl Scenario {
         let probe_dt = match doc.table("probe") {
             None => None,
             Some(t) => Some(req_f64(t, "[probe]", "dt")?),
-        };
-        let (journal_dir, journal_fsync_every) = match doc.table("journal") {
-            None => (None, None),
-            Some(t) => (
-                Some(req_str(t, "[journal]", "dir")?),
-                opt_u64(t, "[journal]", "fsync_every")?,
-            ),
         };
 
         let net = doc
@@ -1018,8 +978,6 @@ impl Scenario {
             seed,
             deadline,
             probe_dt,
-            journal_dir,
-            journal_fsync_every,
             nodes,
             network,
             arrivals,
@@ -1165,20 +1123,6 @@ fn req_f64(t: &Table, ctx: &str, key: &str) -> Result<f64, String> {
     ))?;
     v.as_f64()
         .ok_or(format!("{}: expected a number", ctx_key(ctx, key)))
-}
-
-fn opt_u64(t: &Table, ctx: &str, key: &str) -> Result<Option<u64>, String> {
-    match t.get(key) {
-        None => Ok(None),
-        Some(v) => {
-            let i = v
-                .as_int()
-                .ok_or(format!("{}: expected an integer", ctx_key(ctx, key)))?;
-            u64::try_from(i)
-                .map(Some)
-                .map_err(|_| format!("{}: must be >= 0, got {i}", ctx_key(ctx, key)))
-        }
-    }
 }
 
 fn opt_f64(t: &Table, ctx: &str, key: &str) -> Result<Option<f64>, String> {
@@ -1353,13 +1297,6 @@ mod tests {
             ScenarioErrorKind::TooFewNodes { expanded: 1 }
         );
 
-        let mut sc = registry::get("paper-fig3").expect("preset");
-        sc.journal_dir = Some(String::new());
-        assert_eq!(
-            sc.validate().unwrap_err().kind,
-            ScenarioErrorKind::EmptyJournalDir
-        );
-
         // A gain outside [0, 1] lands in the Policy bucket.
         let mut sc = registry::get("paper-fig3").expect("preset");
         sc.policy = PolicySpec::Lbp2 { gain: 1.5 };
@@ -1372,18 +1309,26 @@ mod tests {
     }
 
     #[test]
-    fn journal_dir_round_trips_and_chaos_panic_parses() {
+    fn chaos_panic_round_trips_and_journal_table_is_rejected() {
         let mut sc = registry::get("paper-fig5").expect("preset");
-        sc.journal_dir = Some("out/journal".into());
         sc.policy = PolicySpec::ChaosPanic { rep: 3 };
         sc.axes.clear();
         let text = sc.to_toml();
-        assert!(text.contains("[journal]"), "{text}");
-        assert!(text.contains("dir = \"out/journal\""), "{text}");
         assert!(text.contains("kind = \"chaos-panic\""), "{text}");
         assert!(text.contains("rep = 3"), "{text}");
         let back = Scenario::from_toml(&text).expect("parses");
         assert_eq!(back, sc);
+        // The removed [journal] table is a typed error naming --cache,
+        // never silently ignored.
+        let err = Scenario::from_toml(&format!("{text}\n[journal]\ndir = \"out\"\n")).unwrap_err();
+        let want = ScenarioError {
+            scenario: sc.name.clone(),
+            kind: ScenarioErrorKind::RemovedJournalOption {
+                option: "[journal]".into(),
+            },
+        };
+        assert_eq!(err, want.to_string());
+        assert!(err.contains("--cache DIR"), "{err}");
     }
 
     #[test]

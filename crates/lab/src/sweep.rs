@@ -1,13 +1,11 @@
-//! Grid expansion and the deterministic parallel sweep runner.
+//! Grid expansion, run options and the base CSV/JSON-lines row renderers.
 //!
-//! A sweep takes a [`Scenario`], grid-expands it over axes (the scenario's
-//! baked-in [`Scenario::axes`] plus any extra ones), and runs the **whole
+//! A sweep takes a [`Scenario`] and grid-expands it over axes (the
+//! scenario's baked-in [`Scenario::axes`] plus any extra ones); an
+//! [`Experiment`](crate::experiment::Experiment) then runs the **whole
 //! flattened `(grid point, replication)` space** through the shared
-//! work-stealing scheduler of [`churnbal_cluster::exec`]: one worker pool
-//! spans the entire sweep, each worker reuses one simulator across every
-//! task it claims, and completed points drain through a reorder buffer so
-//! rows still stream out in grid order. Results render as CSV or
-//! JSON-lines.
+//! work-stealing scheduler of [`churnbal_cluster::exec`], and rows stream
+//! out in grid order.
 //!
 //! Two determinism guarantees, both pinned by tests:
 //!
@@ -18,7 +16,6 @@
 //!   numbers), so differences along an axis are not masked by sampling
 //!   noise — exactly how the paper compares policies across gains.
 
-use churnbal_cluster::mc::McEstimate;
 use churnbal_cluster::ArrivalKind;
 
 use crate::scenario::{ArrivalsSpec, Scenario};
@@ -299,28 +296,6 @@ impl RunOptions {
     }
 }
 
-/// Runs one (already rewritten) scenario and returns the raw estimate —
-/// a one-point grid through the shared scheduler, honouring both
-/// [`RunOptions::threads`] and [`RunOptions::chunk`]. The scenario's
-/// baked-in axes are ignored: this is the base-point primitive.
-///
-/// Deprecated: build an [`Experiment`](crate::experiment::Experiment)
-/// and call [`estimate`](crate::experiment::Experiment::estimate) (or
-/// `run` with a [`RowSink`](crate::experiment::RowSink) for rendered
-/// output); this wrapper remains for the pinned legacy call sites.
-///
-/// # Errors
-/// Propagates scenario/policy validation failures.
-#[deprecated(note = "use experiment::Experiment::estimate")]
-pub fn run_scenario(scenario: &Scenario, options: RunOptions) -> Result<McEstimate, String> {
-    crate::experiment::Experiment::new(crate::experiment::ExperimentSpec::sweep(
-        scenario.clone(),
-        Vec::new(),
-        options,
-    ))
-    .estimate()
-}
-
 /// One result row of a sweep.
 #[derive(Clone, Debug)]
 pub struct SweepRow {
@@ -352,17 +327,6 @@ pub struct SweepRow {
     pub incomplete: u64,
 }
 
-/// The full outcome of a sweep: the axis schema plus one row per point.
-#[derive(Clone, Debug)]
-pub struct SweepResult {
-    /// Scenario name.
-    pub scenario: String,
-    /// Axis parameters, in column order.
-    pub axes: Vec<AxisParam>,
-    /// One row per grid point, in grid order.
-    pub rows: Vec<SweepRow>,
-}
-
 /// Sample standard deviation (n − 1 denominator; 0 for n < 2).
 pub(crate) fn sample_sd(xs: impl Iterator<Item = f64> + Clone) -> f64 {
     let n = xs.clone().count();
@@ -372,87 +336,6 @@ pub(crate) fn sample_sd(xs: impl Iterator<Item = f64> + Clone) -> f64 {
     let mean = xs.clone().sum::<f64>() / n as f64;
     let ss: f64 = xs.map(|x| (x - mean) * (x - mean)).sum();
     (ss / (n - 1) as f64).sqrt()
-}
-
-/// The axis schema of a sweep, known before any grid point has run —
-/// what a streaming consumer needs to emit a header up front.
-#[derive(Clone, Debug)]
-pub struct SweepSchema {
-    /// Scenario name.
-    pub scenario: String,
-    /// Axis parameters, in column order.
-    pub axes: Vec<AxisParam>,
-    /// Number of grid points the sweep will run.
-    pub points: usize,
-}
-
-/// Grid-expands and runs a sweep, handing each completed row to `on_row`
-/// **as its grid point finishes** instead of buffering the whole grid.
-///
-/// Deprecated: this is now a thin adapter over
-/// [`Experiment::run`](crate::experiment::Experiment::run) with a
-/// single-policy spec and a closure sink — new code should build an
-/// [`ExperimentSpec`](crate::experiment::ExperimentSpec) directly, which
-/// also unlocks the policy axis, paired deltas and theory columns. The
-/// rows (and therefore the rendered bytes) are unchanged; the pinned
-/// sweep digests prove it.
-///
-/// # Errors
-/// Propagates expansion and execution failures, and anything `on_row`
-/// returns (e.g. an I/O error from a row writer).
-#[deprecated(note = "use experiment::Experiment::run with a RowSink")]
-pub fn run_sweep_streaming<F>(
-    scenario: &Scenario,
-    extra_axes: &[Axis],
-    options: RunOptions,
-    on_row: F,
-) -> Result<SweepSchema, String>
-where
-    F: FnMut(SweepRow) -> Result<(), String>,
-{
-    use crate::experiment::{Experiment, ExperimentRow, ExperimentSpec, RowSink};
-    struct Adapter<F> {
-        on_row: F,
-    }
-    impl<F: FnMut(SweepRow) -> Result<(), String>> RowSink for Adapter<F> {
-        fn row(&mut self, row: &ExperimentRow) -> Result<(), String> {
-            (self.on_row)(row.to_sweep_row())
-        }
-    }
-    let schema = Experiment::new(ExperimentSpec::sweep(
-        scenario.clone(),
-        extra_axes.to_vec(),
-        options,
-    ))
-    .run(&mut Adapter { on_row })?;
-    Ok(schema.to_sweep_schema())
-}
-
-/// Grid-expands and runs a sweep, collecting every row.
-///
-/// Deprecated: use
-/// [`Experiment::collect`](crate::experiment::Experiment::collect), which
-/// returns the richer [`ExperimentResult`](crate::experiment::ExperimentResult).
-///
-/// # Errors
-/// Propagates expansion and execution failures.
-#[deprecated(note = "use experiment::Experiment::collect")]
-pub fn run_sweep(
-    scenario: &Scenario,
-    extra_axes: &[Axis],
-    options: RunOptions,
-) -> Result<SweepResult, String> {
-    let mut rows = Vec::new();
-    #[allow(deprecated)]
-    let schema = run_sweep_streaming(scenario, extra_axes, options, |row| {
-        rows.push(row);
-        Ok(())
-    })?;
-    Ok(SweepResult {
-        scenario: schema.scenario,
-        axes: schema.axes,
-        rows,
-    })
 }
 
 /// Formats a float for machine-readable output: Rust's shortest
@@ -509,8 +392,8 @@ pub fn csv_header(axes: &[AxisParam]) -> String {
 }
 
 /// One CSV data line (with trailing newline) for `row` of `scenario`.
-/// [`SweepResult::to_csv`] and the streaming writers share this renderer,
-/// so streamed bytes are identical to buffered bytes by construction.
+/// Every experiment renderer builds on it, so streamed bytes are
+/// identical to buffered bytes by construction.
 #[must_use]
 pub fn csv_row(scenario: &str, r: &SweepRow) -> String {
     let mut out = csv_field(scenario);
@@ -571,36 +454,20 @@ pub fn jsonl_row(scenario: &str, r: &SweepRow) -> String {
     out
 }
 
-impl SweepResult {
-    /// Renders the sweep as CSV (header + one line per grid point).
-    #[must_use]
-    pub fn to_csv(&self) -> String {
-        let mut out = csv_header(&self.axes);
-        for r in &self.rows {
-            out.push_str(&csv_row(&self.scenario, r));
-        }
-        out
-    }
-
-    /// Renders the sweep as JSON-lines (one object per grid point).
-    #[must_use]
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for r in &self.rows {
-            out.push_str(&jsonl_row(&self.scenario, r));
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    // These tests deliberately exercise the deprecated wrappers: they pin
-    // the legacy entry points' behaviour (and bytes) until removal.
-    #![allow(deprecated)]
-
     use super::*;
+    use crate::experiment::{
+        CollectSink, CsvSink, Experiment, ExperimentResult, ExperimentRow, ExperimentSpec,
+        JsonlSink, RowSink,
+    };
     use crate::registry;
+
+    fn collect(sc: &Scenario, axes: &[Axis], options: RunOptions) -> ExperimentResult {
+        Experiment::new(ExperimentSpec::sweep(sc.clone(), axes.to_vec(), options))
+            .collect()
+            .expect("sweep runs")
+    }
 
     #[test]
     fn grid_expansion_is_row_major_with_last_axis_fastest() {
@@ -690,14 +557,16 @@ mod tests {
         let point = apply_axis(&sc, AxisParam::DelayPerTask, 0.02).expect("ok");
         let mut plain = point.clone();
         plain.axes.clear();
-        let est = run_scenario(
-            &plain,
+        let est = Experiment::new(ExperimentSpec::sweep(
+            plain,
+            Vec::new(),
             RunOptions {
                 reps: Some(16),
                 threads: 2,
                 ..RunOptions::default()
             },
-        )
+        ))
+        .estimate()
         .expect("runs");
         let mut cfg = SystemConfig::paper([100, 60]);
         cfg.network = churnbal_cluster::NetworkConfig::exponential(0.02);
@@ -726,7 +595,7 @@ mod tests {
             },
         ];
         let csv = |threads: usize| {
-            run_sweep(
+            collect(
                 &sc,
                 &axes,
                 RunOptions {
@@ -735,7 +604,6 @@ mod tests {
                     ..RunOptions::default()
                 },
             )
-            .expect("sweep runs")
             .to_csv()
         };
         let one = csv(1);
@@ -752,7 +620,7 @@ mod tests {
     #[test]
     fn jsonl_has_one_parseable_looking_object_per_point() {
         let sc = registry::get("paper-fig3").expect("preset");
-        let result = run_sweep(
+        let result = collect(
             &sc,
             &[],
             RunOptions {
@@ -760,8 +628,7 @@ mod tests {
                 threads: 1,
                 ..RunOptions::default()
             },
-        )
-        .expect("sweep runs");
+        );
         let jsonl = result.to_jsonl();
         assert_eq!(jsonl.lines().count(), 21, "one line per gain value");
         for line in jsonl.lines() {
@@ -775,7 +642,7 @@ mod tests {
     fn hostile_scenario_names_are_escaped_in_csv_and_jsonl() {
         let mut sc = registry::get("paper-fig5").expect("preset");
         sc.name = "run \"A\", phase\n2".into();
-        let result = run_sweep(
+        let result = collect(
             &sc,
             &[],
             RunOptions {
@@ -783,8 +650,7 @@ mod tests {
                 threads: 1,
                 ..RunOptions::default()
             },
-        )
-        .expect("runs");
+        );
         let csv = result.to_csv();
         let data_line = csv.lines().nth(1).expect("one data row").to_string()
             + "\n"
@@ -803,8 +669,8 @@ mod tests {
 
     #[test]
     fn streaming_rows_reproduce_the_buffered_bytes() {
-        // The streaming path must emit exactly the bytes of the buffered
-        // renderers, row for row, and deliver rows in grid order.
+        // The streaming sinks must emit exactly the bytes of the buffered
+        // renderers, and deliver rows in grid order.
         let sc = registry::get("mmpp-bursty").expect("preset");
         let axes = vec![Axis {
             param: AxisParam::Gain,
@@ -815,23 +681,17 @@ mod tests {
             threads: 2,
             ..RunOptions::default()
         };
-        let buffered = run_sweep(&sc, &axes, options).expect("buffered runs");
-        let mut streamed_csv = String::new();
-        let mut streamed_jsonl = String::new();
-        let mut indices = Vec::new();
-        let schema = run_sweep_streaming(&sc, &axes, options, |row| {
-            if streamed_csv.is_empty() {
-                let axes: Vec<AxisParam> = row.coords.iter().map(|&(a, _)| a).collect();
-                streamed_csv.push_str(&csv_header(&axes));
-            }
-            streamed_csv.push_str(&csv_row(&sc.name, &row));
-            streamed_jsonl.push_str(&jsonl_row(&sc.name, &row));
-            indices.push(row.index);
-            Ok(())
-        })
-        .expect("streaming runs");
-        assert_eq!(streamed_csv, buffered.to_csv());
-        assert_eq!(streamed_jsonl, buffered.to_jsonl());
+        let buffered = collect(&sc, &axes, options);
+        let experiment = Experiment::new(ExperimentSpec::sweep(sc, axes, options));
+        let mut csv = CsvSink::new(Vec::new());
+        let schema = experiment.run(&mut csv).expect("csv streaming runs");
+        let mut jsonl = JsonlSink::new(Vec::new());
+        experiment.run(&mut jsonl).expect("jsonl streaming runs");
+        assert_eq!(csv.into_inner(), buffered.to_csv().into_bytes());
+        assert_eq!(jsonl.into_inner(), buffered.to_jsonl().into_bytes());
+        let mut rows = CollectSink::new();
+        experiment.run(&mut rows).expect("collecting runs");
+        let indices: Vec<usize> = rows.rows.iter().map(|r| r.index).collect();
         assert_eq!(indices, vec![0, 1], "rows must arrive in grid order");
         assert_eq!(schema.points, 2);
         assert_eq!(schema.axes, vec![AxisParam::Gain]);
@@ -839,17 +699,23 @@ mod tests {
 
     #[test]
     fn streaming_propagates_sink_errors() {
+        struct Full;
+        impl RowSink for Full {
+            fn row(&mut self, _row: &ExperimentRow) -> Result<(), String> {
+                Err("disk full".to_string())
+            }
+        }
         let sc = registry::get("paper-fig5").expect("preset");
-        let err = run_sweep_streaming(
-            &sc,
-            &[],
+        let err = Experiment::new(ExperimentSpec::sweep(
+            sc,
+            Vec::new(),
             RunOptions {
                 reps: Some(2),
                 threads: 1,
                 ..RunOptions::default()
             },
-            |_| Err("disk full".to_string()),
-        )
+        ))
+        .run(&mut Full)
         .unwrap_err();
         assert_eq!(err, "disk full");
     }

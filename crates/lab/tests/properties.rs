@@ -315,12 +315,6 @@ fn scenario() -> BoxedStrategy<Scenario> {
         ],
         prop_oneof![Just(None), (1.0..500.0f64).prop_map(Some)],
         prop_oneof![Just(None), (0.05..10.0f64).prop_map(Some)],
-        prop_oneof![
-            Just((None, None)),
-            Just((Some("journals".to_string()), None)),
-            Just((Some("journals".to_string()), Some(1u64))),
-            Just((Some("out/run λ".to_string()), Some(128u64))),
-        ],
     );
     let body = (
         prop::collection::vec(node_spec(), 1..4),
@@ -339,7 +333,7 @@ fn scenario() -> BoxedStrategy<Scenario> {
     (head, body)
         .prop_map(
             |(
-                (name, description, reps, seed, deadline, probe_dt, (journal_dir, journal_fsync)),
+                (name, description, reps, seed, deadline, probe_dt),
                 (nodes, (fixed, per_task), law, arrivals, (churn, channel), topology, policy, axes),
             )| Scenario {
                 name,
@@ -348,8 +342,6 @@ fn scenario() -> BoxedStrategy<Scenario> {
                 seed,
                 deadline,
                 probe_dt,
-                journal_dir,
-                journal_fsync_every: journal_fsync,
                 nodes,
                 network: NetworkSpec {
                     fixed,

@@ -10,8 +10,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use churnbal::cluster::{
-    run_grid_streaming, ChurnModel, NetworkConfig, NodeConfig, PointJob, SimOptions, Simulator,
-    SystemConfig,
+    run_grid, ChurnModel, NetworkConfig, NodeConfig, PointJob, SimOptions, Simulator, SystemConfig,
 };
 use churnbal::core::Lbp2;
 use churnbal::desim::EventQueue;
@@ -152,10 +151,18 @@ fn assert_warm_sweep_point_is_allocation_free(reps: u64) {
     };
     let count_run = |jobs: &[PointJob<'_>]| -> u64 {
         count_allocs(|| {
-            run_grid_streaming(jobs, &|_, _| Lbp2::new(1.0), 1, 0, |_, stats| {
-                assert!(!stats.completion_times.is_empty());
-                Ok(())
-            })
+            run_grid(
+                jobs,
+                1,
+                &|_, _, _| Lbp2::new(1.0),
+                1,
+                0,
+                Vec::new(),
+                |_, _, stats| {
+                    assert!(!stats.completion_times.is_empty());
+                    Ok(())
+                },
+            )
             .expect("grid runs");
         })
     };

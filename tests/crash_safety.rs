@@ -1,12 +1,14 @@
-//! Integration: crash safety end to end. A campaign interrupted mid-grid
-//! resumes from its write-ahead journal to byte-identical output — across
-//! thread counts — and a panicking replication is quarantined without
-//! taking down, or perturbing, any other cell.
+//! Integration: crash safety end to end. A grid interrupted mid-run
+//! resumes from the content-addressed cell cache (`--cache DIR`) to
+//! byte-identical output — across thread counts — a torn cell file is
+//! refused by path, and a panicking replication is quarantined without
+//! taking down, perturbing, or being cached alongside any other cell.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-use churnbal::lab::cli;
+use churnbal::core::PolicySpec;
+use churnbal::lab::{cli, registry, Experiment, ExperimentSpec, PolicyEntry, RunOptions};
 
 fn call(args: &[&str]) -> Result<String, String> {
     cli::run(&args.iter().map(|s| (*s).to_string()).collect::<Vec<_>>())
@@ -15,29 +17,29 @@ fn call(args: &[&str]) -> Result<String, String> {
 fn fresh_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(name);
     let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).expect("tmp dir");
     dir
 }
 
-/// The single journal file a run left in `dir`.
-fn journal_file(dir: &PathBuf) -> PathBuf {
+/// The cell files a run left in `dir`, sorted.
+fn cell_files(dir: &Path) -> Vec<PathBuf> {
     let mut files: Vec<PathBuf> = fs::read_dir(dir)
-        .expect("journal dir readable")
+        .expect("cache dir readable")
         .map(|e| e.expect("entry").path())
-        .filter(|p| p.to_string_lossy().ends_with(".journal.jsonl"))
+        .filter(|p| p.to_string_lossy().ends_with(".cell.jsonl"))
         .collect();
-    assert_eq!(files.len(), 1, "expected exactly one journal in {dir:?}");
-    files.pop().expect("one file")
+    files.sort();
+    files
 }
 
-/// A 5-point x 2-policy compare grid: big enough that a truncated journal
-/// leaves genuinely unfinished cells, small enough to run in seconds.
-fn grid_args<'a>(journal: Option<&'a str>, resume: bool, threads: &'a str) -> Vec<&'a str> {
+/// A 5-point x 2-policy compare grid: big enough that a half-deleted
+/// cache leaves genuinely unfinished cells, small enough to run in
+/// seconds.
+fn grid_args<'a>(policies: &'a str, cache: Option<&'a str>, threads: &'a str) -> Vec<&'a str> {
     let mut args = vec![
         "compare",
         "paper-delay-crossover",
         "--policies",
-        "lbp1,none",
+        policies,
         "--reps",
         "3",
         "--format",
@@ -45,13 +47,37 @@ fn grid_args<'a>(journal: Option<&'a str>, resume: bool, threads: &'a str) -> Ve
         "--threads",
         threads,
     ];
-    if let Some(dir) = journal {
-        args.extend(["--journal", dir]);
-        if resume {
-            args.push("--resume");
-        }
+    if let Some(dir) = cache {
+        args.extend(["--cache", dir]);
     }
     args
+}
+
+/// The same grid through the library, returning the tasks simulated.
+fn tasks_run(policies: &[&str], cache: &Path) -> u64 {
+    let scenario = registry::get("paper-delay-crossover").expect("preset");
+    let entries = policies
+        .iter()
+        .map(|name| {
+            let spec = PolicySpec::parse(name, &scenario.policy).expect("known policy");
+            PolicyEntry::named(*name, spec)
+        })
+        .collect();
+    let mut spec = ExperimentSpec::compare(
+        scenario,
+        Vec::new(),
+        entries,
+        RunOptions {
+            reps: Some(3),
+            threads: 2,
+            ..RunOptions::default()
+        },
+    );
+    spec.cache = Some(cache.to_path_buf());
+    let (_, report) = Experiment::new(spec)
+        .run_with_report(&mut churnbal::lab::CollectSink::new())
+        .expect("cached grid runs");
+    report.totals().tasks
 }
 
 #[test]
@@ -59,96 +85,77 @@ fn kill_and_resume_reproduces_identical_bytes_across_threads() {
     let dir = fresh_dir("churnbal_crash_safety_resume");
     let dir_str = dir.to_str().expect("utf8");
 
-    // The ground truth: the same grid with no journal involved at all.
-    let reference = call(&grid_args(None, false, "1")).expect("clean run");
+    // The ground truth: the same grid with no cache involved at all.
+    let reference = call(&grid_args("lbp1,none", None, "1")).expect("clean run");
 
-    // Journaling must not change the output bytes.
-    let journaled = call(&grid_args(Some(dir_str), false, "1")).expect("journaled run");
-    assert_eq!(journaled, reference, "journaling changed the output bytes");
+    // Caching must not change the output bytes.
+    let cached = call(&grid_args("lbp1,none", Some(dir_str), "1")).expect("cached run");
+    assert_eq!(cached, reference, "--cache changed the output bytes");
+    let files = cell_files(&dir);
+    assert_eq!(files.len(), 10, "one file per (point, policy) cell");
 
-    // Simulate a crash mid-grid: keep the header and the first 4 of the
-    // 10 cell records, plus a torn half-record the crash left behind.
-    let path = journal_file(&dir);
-    let full = fs::read_to_string(&path).expect("journal readable");
-    assert_eq!(full.lines().count(), 11, "header + 10 cells:\n{full}");
-    let keep: Vec<&str> = full.lines().take(5).collect();
-    let truncated = format!("{}\n{{\"point\":2,\"pol", keep.join("\n"));
-    fs::write(&path, truncated).expect("truncate journal");
-
-    // Resume on a different thread count than the original run: replayed
-    // cells come from the journal, the rest recompute, and CRN plus
-    // stable replication slots make the bytes identical anyway.
-    for threads in ["4", "1"] {
-        let resumed = call(&grid_args(Some(dir_str), true, threads)).expect("resumed run");
-        assert_eq!(
-            resumed, reference,
-            "resume with --threads {threads} changed the output bytes"
-        );
+    // Simulate a crash mid-grid: 6 of the 10 cells never made it to
+    // disk, and a temporary file of an interrupted write lies around.
+    for path in files.iter().step_by(2).chain(files.iter().skip(1).take(1)) {
+        fs::remove_file(path).expect("delete cell");
     }
+    assert_eq!(cell_files(&dir).len(), 4);
+    fs::write(dir.join("0123456789abcdef.cell.tmp"), "{\"kind\":").expect("stray tmp");
 
-    // The second resume above replayed a journal the first resume had
-    // healed and completed: it must again hold all 10 cells.
-    let healed = fs::read_to_string(&path).expect("journal readable");
-    assert_eq!(healed.lines().count(), 11, "self-healed journal:\n{healed}");
+    // Resume on a different thread count than the original run: cached
+    // cells replay, the rest recompute, and CRN plus stable replication
+    // slots make the bytes identical anyway.
+    let resumed = call(&grid_args("lbp1,none", Some(dir_str), "4")).expect("resumed run");
+    assert_eq!(
+        resumed, reference,
+        "resume on --threads 4 changed the bytes"
+    );
+    assert_eq!(cell_files(&dir), files, "the cache is whole again");
+
+    // A fully warm rerun simulates nothing.
+    assert_eq!(tasks_run(&["lbp1", "none"], &dir), 0);
 }
 
 #[test]
-fn journal_from_a_different_spec_is_rejected() {
-    let dir = fresh_dir("churnbal_crash_safety_mismatch");
+fn truncated_cell_file_is_rejected_naming_its_path() {
+    let dir = fresh_dir("churnbal_crash_safety_torn");
     let dir_str = dir.to_str().expect("utf8");
-    call(&grid_args(Some(dir_str), false, "1")).expect("journaled run");
+    call(&grid_args("lbp1,none", Some(dir_str), "1")).expect("cached run");
 
-    // Corrupt the header's spec digest, as if the file were copied over
-    // from another campaign. Resume must refuse rather than mix results.
-    let path = journal_file(&dir);
-    let full = fs::read_to_string(&path).expect("journal readable");
-    let (header, rest) = full.split_once('\n').expect("header line");
-    let forged = format!(
-        "{}\n{rest}",
-        header.replace(
-            header.split("\"spec\":\"").nth(1).expect("spec field")[..16]
-                .to_string()
-                .as_str(),
-            "0123456789abcdef",
-        )
-    );
-    assert_ne!(forged, full, "forgery must actually change the digest");
-    fs::write(&path, forged).expect("forge journal");
+    // Cut one cell file short, as a crash inside a non-atomic copy would.
+    let path = cell_files(&dir).swap_remove(3);
+    let full = fs::read_to_string(&path).expect("cell readable");
+    fs::write(&path, &full[..full.len() / 2]).expect("truncate cell");
 
-    let err = call(&grid_args(Some(dir_str), true, "1")).unwrap_err();
-    assert!(err.contains("spec changed"), "{err}");
+    let err = call(&grid_args("lbp1,none", Some(dir_str), "1")).unwrap_err();
+    assert!(err.contains(path.to_str().expect("utf8")), "{err}");
+    assert!(err.contains("delete the file to recompute"), "{err}");
+}
+
+#[test]
+fn quarantined_cells_are_never_cached_and_rerun() {
+    let dir = fresh_dir("churnbal_crash_safety_chaos");
+    let dir_str = dir.to_str().expect("utf8");
+    let first = call(&grid_args("lbp1,chaos-panic@1", Some(dir_str), "2"))
+        .expect("a panicking policy must not kill the run");
+    // Only the 5 clean lbp1 cells are stored; every chaos cell lost a
+    // replication and is withheld.
+    assert_eq!(cell_files(&dir).len(), 5);
+    // The next run replays the clean cells and retries the chaos ones
+    // (5 cells x 3 replications), with the same bytes.
+    assert_eq!(tasks_run(&["lbp1", "chaos-panic@1"], &dir), 15);
+    let again = call(&grid_args("lbp1,chaos-panic@1", Some(dir_str), "1")).expect("rerun");
+    assert_eq!(again, first);
+    assert_eq!(cell_files(&dir).len(), 5);
 }
 
 #[test]
 fn panic_injection_quarantines_one_cell_and_leaves_the_rest_bit_exact() {
     // A clean two-policy run, then the same grid with a chaos policy
     // wedged in between that panics on replication 1 of every point.
-    let clean = call(&[
-        "compare",
-        "paper-delay-crossover",
-        "--policies",
-        "lbp1,none",
-        "--reps",
-        "3",
-        "--format",
-        "csv",
-        "--threads",
-        "2",
-    ])
-    .expect("clean compare");
-    let chaotic = call(&[
-        "compare",
-        "paper-delay-crossover",
-        "--policies",
-        "lbp1,chaos-panic@1,none",
-        "--reps",
-        "3",
-        "--format",
-        "csv",
-        "--threads",
-        "2",
-    ])
-    .expect("a panicking policy must not kill the campaign");
+    let clean = call(&grid_args("lbp1,none", None, "2")).expect("clean compare");
+    let chaotic = call(&grid_args("lbp1,chaos-panic@1,none", None, "2"))
+        .expect("a panicking policy must not kill the campaign");
 
     // Every non-chaos row survives byte-for-byte: same CRN streams, same
     // baseline, same deltas. Only the policy roster differs.

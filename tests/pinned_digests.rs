@@ -10,15 +10,10 @@
 //! experiment. If a drift is *intended*, re-pin the digests in the same PR
 //! and say why.
 
-// The deprecated `run_scenario`/`run_sweep` wrappers are exercised here on
-// purpose: their bytes must stay identical to the pre-Experiment output
-// (the API-redesign acceptance gate), so the digests pin them directly.
-use churnbal::cluster::QueueBackend;
+use churnbal::cluster::{McEstimate, QueueBackend};
 use churnbal::lab::{
-    registry, Axis, AxisParam, Experiment, ExperimentSpec, PolicyEntry, RunOptions,
+    registry, Axis, AxisParam, Experiment, ExperimentSpec, PolicyEntry, RunOptions, Scenario,
 };
-#[allow(deprecated)]
-use churnbal::lab::{run_scenario, run_sweep};
 use churnbal::prelude::PolicySpec;
 use churnbal::stochastic::{digest_f64s, fnv1a_bytes};
 
@@ -26,19 +21,25 @@ use churnbal::stochastic::{digest_f64s, fnv1a_bytes};
 /// transfers and multi-node paths, cheap enough for every `cargo test`.
 const REPS: u64 = 24;
 
-#[allow(deprecated)]
-fn scenario_digest(name: &str) -> u64 {
-    let scenario = registry::get(name).unwrap_or_else(|| panic!("preset {name} missing"));
-    let est = run_scenario(
-        &scenario,
+/// The raw Monte-Carlo estimate of a scenario's base point (baked-in axes
+/// ignored) at `REPS` replications.
+fn estimate(scenario: &Scenario, threads: usize) -> McEstimate {
+    Experiment::new(ExperimentSpec::sweep(
+        scenario.clone(),
+        Vec::new(),
         RunOptions {
             reps: Some(REPS),
-            threads: 3,
+            threads,
             ..RunOptions::default()
         },
-    )
-    .unwrap_or_else(|e| panic!("{name}: {e}"));
-    digest_f64s(&est.completion_times)
+    ))
+    .estimate()
+    .unwrap_or_else(|e| panic!("{}: {e}", scenario.name))
+}
+
+fn scenario_digest(name: &str) -> u64 {
+    let scenario = registry::get(name).unwrap_or_else(|| panic!("preset {name} missing"));
+    digest_f64s(&estimate(&scenario, 3).completion_times)
 }
 
 #[test]
@@ -73,18 +74,18 @@ fn volunteer_grid_sample_paths_are_pinned() {
 /// completion-time digests above: it additionally pins the grid
 /// expansion, the row ordering of the sweep scheduler's reorder buffer,
 /// the derived statistics arithmetic and the exact rendering.
-#[allow(deprecated)]
 fn sweep_csv_digest(name: &str, extra: &[Axis], threads: usize) -> u64 {
     let scenario = registry::get(name).unwrap_or_else(|| panic!("preset {name} missing"));
-    let result = run_sweep(
-        &scenario,
-        extra,
+    let result = Experiment::new(ExperimentSpec::sweep(
+        scenario,
+        extra.to_vec(),
         RunOptions {
             reps: Some(6),
             threads,
             ..RunOptions::default()
         },
-    )
+    ))
+    .collect()
     .unwrap_or_else(|e| panic!("{name}: {e}"));
     fnv1a_bytes(result.to_csv().as_bytes())
 }
@@ -302,7 +303,6 @@ const PINNED_PROBE_JSONL_DIGEST: u64 = 0x4c4e_4e48_2a11_549a;
 /// thread-invariance assertion below pins that the retry machinery leaks
 /// no scheduling dependence into the sampled paths.
 #[test]
-#[allow(deprecated)]
 fn lossy_fabric_sample_paths_are_pinned_and_thread_invariant() {
     let digest = scenario_digest("lossy-fabric");
     assert_eq!(
@@ -310,18 +310,7 @@ fn lossy_fabric_sample_paths_are_pinned_and_thread_invariant() {
         "lossy-fabric trajectories drifted (digest {digest:#018x})"
     );
     let scenario = registry::get("lossy-fabric").expect("preset");
-    let run = |threads: usize| {
-        run_scenario(
-            &scenario,
-            RunOptions {
-                reps: Some(REPS),
-                threads,
-                ..RunOptions::default()
-            },
-        )
-        .expect("runs")
-        .completion_times
-    };
+    let run = |threads: usize| estimate(&scenario, threads).completion_times;
     assert_eq!(
         digest_f64s(&run(1)),
         digest_f64s(&run(7)),
@@ -335,20 +324,8 @@ const PINNED_LOSSY_FABRIC_DIGEST: u64 = 0x1f95_93b6_f075_8478;
 /// The digests above must not depend on the worker-thread count — pin the
 /// invariance itself so the gate cannot be weakened by a scheduling leak.
 #[test]
-#[allow(deprecated)]
 fn pinned_digests_are_thread_invariant() {
     let scenario = registry::get("cascading-failures").expect("preset");
-    let run = |threads: usize| {
-        run_scenario(
-            &scenario,
-            RunOptions {
-                reps: Some(REPS),
-                threads,
-                ..RunOptions::default()
-            },
-        )
-        .expect("runs")
-        .completion_times
-    };
+    let run = |threads: usize| estimate(&scenario, threads).completion_times;
     assert_eq!(digest_f64s(&run(1)), digest_f64s(&run(7)));
 }

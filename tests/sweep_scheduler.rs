@@ -4,7 +4,7 @@
 //!
 //! Three layers, from the scheduler core outwards:
 //!
-//! * raw [`run_grid_streaming`] point stats over grids with **wildly
+//! * raw [`run_grid`] point stats over grids with **wildly
 //!   unequal replication counts**, across thread counts {1, 3, 8} and
 //!   several chunk sizes (property-based);
 //! * the lab's buffered CSV/JSONL renderings of a real multi-axis sweep;
@@ -12,18 +12,14 @@
 //!   the buffered stdout bytes for every thread/chunk combination.
 
 use churnbal::cluster::{
-    run_grid_streaming, NetworkConfig, NodeConfig, PointJob, PointStats, SimOptions, SystemConfig,
+    run_grid, NetworkConfig, NodeConfig, PointJob, PointStats, SimOptions, SystemConfig,
 };
 use churnbal::core::Lbp2;
-// `run_sweep` is deprecated but deliberately exercised here: this file
-// pins the legacy wrapper's bytes across schedules until it is removed.
-#[allow(deprecated)]
-use churnbal::lab::run_sweep;
-use churnbal::lab::{registry, Axis, AxisParam, RunOptions};
+use churnbal::lab::{registry, Axis, AxisParam, Experiment, ExperimentSpec, RunOptions};
 use proptest::prelude::*;
 
 /// Runs a grid and returns per-point stats, in grid order.
-fn run_grid(
+fn grid_stats(
     configs: &[SystemConfig],
     reps: &[u64],
     threads: usize,
@@ -42,11 +38,19 @@ fn run_grid(
         })
         .collect();
     let mut out = Vec::new();
-    run_grid_streaming(&jobs, &|_, _| Lbp2::new(1.0), threads, chunk, |p, stats| {
-        assert_eq!(p, out.len(), "points must drain in grid order");
-        out.push(stats);
-        Ok(())
-    })
+    run_grid(
+        &jobs,
+        1,
+        &|_, _, _| Lbp2::new(1.0),
+        threads,
+        chunk,
+        Vec::new(),
+        |p, _, stats| {
+            assert_eq!(p, out.len(), "points must drain in grid order");
+            out.push(stats);
+            Ok(())
+        },
+    )
     .expect("grid runs");
     out
 }
@@ -99,10 +103,10 @@ proptest! {
         let last = reps.len() - 1;
         reps[last] = 40;
 
-        let reference = render(&run_grid(&configs, &reps, 1, 0));
+        let reference = render(&grid_stats(&configs, &reps, 1, 0));
         for threads in [3usize, 8] {
             for chunk in [0usize, 1, 5, 64] {
-                let got = render(&run_grid(&configs, &reps, threads, chunk));
+                let got = render(&grid_stats(&configs, &reps, threads, chunk));
                 prop_assert_eq!(
                     &reference,
                     &got,
@@ -118,7 +122,6 @@ proptest! {
 /// The real renderers: a two-axis sweep's CSV and JSONL bytes are
 /// identical for every thread/chunk combination.
 #[test]
-#[allow(deprecated)]
 fn sweep_csv_and_jsonl_bytes_are_scheduling_invariant() {
     let sc = registry::get("mmpp-bursty").expect("preset");
     let axes = vec![
@@ -132,16 +135,17 @@ fn sweep_csv_and_jsonl_bytes_are_scheduling_invariant() {
         },
     ];
     let run = |threads: usize, chunk: usize| {
-        let result = run_sweep(
-            &sc,
-            &axes,
+        let result = Experiment::new(ExperimentSpec::sweep(
+            sc.clone(),
+            axes.clone(),
             RunOptions {
                 reps: Some(5),
                 threads,
                 chunk,
                 ..RunOptions::default()
             },
-        )
+        ))
+        .collect()
         .expect("sweep runs");
         (result.to_csv(), result.to_jsonl())
     };
