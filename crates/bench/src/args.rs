@@ -44,14 +44,6 @@ impl Args {
     /// # Errors
     /// Names the offending flag or value.
     pub fn parse_from<I: IntoIterator<Item = String>>(iter: I) -> Result<Self, String> {
-        fn value<T: std::str::FromStr>(
-            flag: &str,
-            it: &mut impl Iterator<Item = String>,
-        ) -> Result<T, String> {
-            let v = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
-            v.parse()
-                .map_err(|_| format!("{flag} must be an integer, got `{v}`"))
-        }
         let mut args = Self::default();
         let mut it = iter.into_iter();
         while let Some(flag) = it.next() {
@@ -77,6 +69,16 @@ impl Args {
             default
         }
     }
+}
+
+/// Reads the integer value following `flag`.
+pub(crate) fn value<T: std::str::FromStr>(
+    flag: &str,
+    it: &mut impl Iterator<Item = String>,
+) -> Result<T, String> {
+    let v = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
+    v.parse()
+        .map_err(|_| format!("{flag} must be an integer, got `{v}`"))
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 //! regeneration paths work:
 //!
 //! ```text
-//! cargo run -p churnbal-bench --release --bin all
+//! cargo run -p churnbal_bench --release --bin all
 //! ```
 //!
 //! For the real numbers, run the individual binaries (fig1 … table3).

@@ -1,376 +1,69 @@
-//! Deterministic wall-clock perf harness: events/sec on the named engine
-//! workloads, with pinned completion-time digests and a machine-readable
-//! JSON report.
+//! Deterministic wall-clock perf harness: every row of the perf table
+//! (`churnbal_bench::perf::ROWS`) timed, its output digests checked
+//! against their pins, its gate judged, and the JSON report printed.
 //!
 //! ```text
-//! cargo run -p churnbal_bench --release --bin perfreport             # full
-//! cargo run -p churnbal_bench --release --bin perfreport -- --quick  # CI smoke
+//! cargo run -p churnbal_bench --release --bin perfreport -- --out BENCH_N.json  # full
+//! cargo run -p churnbal_bench --release --bin perfreport -- --quick             # CI smoke
 //! ```
 //!
-//! Flags: `--quick` (CI replication counts; shrinks `large-fleet` to a
-//! 50×50 torus), `--threads T` (0 = auto; default 1 for stable throughput
-//! numbers; the `sweep-grid` comparison always runs both modes at its own
-//! fixed thread count), `--repeat N` (measurement rounds per workload,
-//! fastest kept; default 3 — one-sided scheduling noise makes min-of-N
-//! the stable estimator), `--seed S` (non-default seeds skip digest
-//! assertions), `--out PATH` (default `BENCH_10.json`), `--no-write`
-//! (print only).
+//! Flags: `--quick` (CI sizes), `--threads T` (workers of the
+//! replication-runner rows, 0 = auto; default 1 for stable numbers),
+//! `--repeat N` (runs per row, fastest kept; default 3), `--seed S`
+//! (non-default seeds skip the pin check), `--out PATH` (write the report
+//! there; without it the report is only printed). A bad flag prints the
+//! usage line and exits 2.
 //!
-//! The digests make the harness a regression *gate*, not just a meter: a
-//! refactor that changes any sampled trajectory fails here before its perf
-//! numbers can be mistaken for a like-for-like comparison.
+//! A drifted digest or a failed gate exits 1, and the report is then not
+//! written: a sampling regression must never overwrite the reference the
+//! pins protect, one `git add` away from being re-pinned.
 
-use churnbal_bench::perf::{
-    expected_campaign_cache_digest, expected_compare_grid_digest, expected_digest,
-    expected_large_fleet_baseline_digest, expected_large_fleet_digest, expected_sweep_grid_digest,
-    measure_campaign_cache, measure_channel_overhead, measure_compare_grid, measure_large_fleet,
-    measure_probe_overhead, measure_repeated, measure_sweep_grid, to_json, workloads,
-    ExtraSections, RunInfo, PERF_SEED, PROBE_OVERHEAD_DT,
-};
-
-struct Options {
-    quick: bool,
-    threads: usize,
-    seed: u64,
-    repeat: u32,
-    out: String,
-    write: bool,
-}
-
-fn parse_args() -> Options {
-    let mut opts = Options {
-        quick: false,
-        threads: 1,
-        seed: PERF_SEED,
-        repeat: 3,
-        out: "BENCH_10.json".to_string(),
-        write: true,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--quick" => opts.quick = true,
-            "--threads" => {
-                let v = it.next().expect("--threads needs a value");
-                opts.threads = v.parse().expect("--threads must be an integer");
-            }
-            "--seed" => {
-                let v = it.next().expect("--seed needs a value");
-                opts.seed = v.parse().expect("--seed must be an integer");
-            }
-            "--repeat" => {
-                let v = it.next().expect("--repeat needs a value");
-                opts.repeat = v.parse().expect("--repeat must be a positive integer");
-                assert!(opts.repeat > 0, "--repeat must be a positive integer");
-            }
-            "--out" => opts.out = it.next().expect("--out needs a path"),
-            "--no-write" => opts.write = false,
-            other => panic!(
-                "unknown flag {other}; supported: --quick --threads T --repeat N --seed S --out PATH --no-write"
-            ),
-        }
-    }
-    opts
-}
+use churnbal_bench::perf::{measure, parse_args, to_json, Measured, ROWS, USAGE};
 
 fn main() {
-    let opts = parse_args();
-    let suite = workloads();
-    let mut measurements = Vec::with_capacity(suite.len());
-    let mut drifted = false;
+    let (settings, out) = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("error: {e}\n{USAGE}");
+        std::process::exit(2)
+    });
     println!(
-        "perfreport ({} mode, {} threads, seed {})",
-        if opts.quick { "quick" } else { "full" },
-        if opts.threads == 0 {
+        "perfreport ({} mode, {} threads, seed {}, {} runs per row)",
+        if settings.quick { "quick" } else { "full" },
+        if settings.threads == 0 {
             "auto".to_string()
         } else {
-            opts.threads.to_string()
+            settings.threads.to_string()
         },
-        opts.seed
+        settings.seed,
+        settings.repeat
     );
     println!(
-        "{:<16} {:>6} {:>12} {:>10} {:>14}  digest",
-        "workload", "reps", "events", "wall (s)", "events/sec"
+        "{:<20} {:>6} {:>12} {:>10} {:>14}  digest",
+        "row", "reps", "events", "wall (s)", "events/sec"
     );
-    for w in &suite {
-        let m = measure_repeated(w, opts.quick, opts.threads, opts.seed, opts.repeat);
-        let verdict = if opts.seed == PERF_SEED {
-            let expected = expected_digest(m.name, opts.quick).expect("pinned");
-            if m.digest == expected {
-                "ok"
-            } else {
-                drifted = true;
-                "DRIFT"
-            }
-        } else {
-            "unpinned"
-        };
-        println!(
-            "{:<16} {:>6} {:>12} {:>10.3} {:>14.0}  {:#018x} {}",
-            m.name,
-            m.reps,
-            m.events,
-            m.wall_seconds,
-            m.events_per_sec(),
-            m.digest,
-            verdict
-        );
-        measurements.push(m);
-    }
-    let events: u64 = measurements.iter().map(|m| m.events).sum();
-    let wall: f64 = measurements.iter().map(|m| m.wall_seconds).sum();
-    println!(
-        "{:<16} {:>6} {:>12} {:>10.3} {:>14.0}",
-        "total",
-        "",
-        events,
-        wall,
-        events as f64 / wall
-    );
-
-    // The scheduler workload: same grid through the flattened scheduler
-    // and the sequential-point baseline (both at its fixed thread count);
-    // `measure_sweep_grid` cross-checks the two modes bit-exactly.
-    let sweep = measure_sweep_grid(opts.quick, opts.seed, opts.repeat);
-    let sweep_verdict = if opts.seed == PERF_SEED {
-        if sweep.digest == expected_sweep_grid_digest(opts.quick) {
-            "ok"
-        } else {
-            drifted = true;
-            "DRIFT"
-        }
-    } else {
-        "unpinned"
-    };
-    println!(
-        "{:<16} {:>6} {:>12} {:>10.3} {:>14.0}  {:#018x} {} ({} pts, {:.2}x vs sequential points at {} threads)",
-        "sweep-grid",
-        sweep.reps,
-        sweep.events,
-        sweep.wall_seconds,
-        sweep.events_per_sec(),
-        sweep.digest,
-        sweep_verdict,
-        sweep.points,
-        sweep.speedup(),
-        sweep.threads,
-    );
-
-    // The policy-axis workload: the same grid × a 3-policy comparison
-    // set, one shared (point, policy, replication) pass vs K sequential
-    // single-policy sweeps; `measure_compare_grid` cross-checks the two
-    // modes bit-exactly (the measured CRN invariant).
-    let compare = measure_compare_grid(opts.quick, opts.seed, opts.repeat);
-    let compare_verdict = if opts.seed == PERF_SEED {
-        if compare.digest == expected_compare_grid_digest(opts.quick) {
-            "ok"
-        } else {
-            drifted = true;
-            "DRIFT"
-        }
-    } else {
-        "unpinned"
-    };
-    println!(
-        "{:<16} {:>6} {:>12} {:>10.3} {:>14.0}  {:#018x} {} ({} pts x {} policies, {:.2}x vs {} sequential sweeps at {} threads)",
-        "compare-grid",
-        compare.reps,
-        compare.events,
-        compare.wall_seconds,
-        compare.events_per_sec(),
-        compare.digest,
-        compare_verdict,
-        compare.points,
-        compare.policies,
-        compare.speedup(),
-        compare.policies,
-        compare.threads,
-    );
-
-    // The massive-fleet workload: the same torus fleet through the
-    // topology path (neighbor-local scans + calendar queue) and through
-    // the global-scan/heap path; the reported speedup is the throughput
-    // ratio between the two per-event regimes.
-    let large = measure_large_fleet(opts.quick, opts.seed, opts.repeat);
-    let large_verdict = if opts.seed == PERF_SEED {
-        if large.digest == expected_large_fleet_digest(opts.quick)
-            && large.baseline_digest == expected_large_fleet_baseline_digest(opts.quick)
-        {
-            "ok"
-        } else {
-            drifted = true;
-            "DRIFT"
-        }
-    } else {
-        "unpinned"
-    };
-    println!(
-        "{:<16} {:>6} {:>12} {:>10.3} {:>14.0}  {:#018x} {} ({} nodes, {:.2}x vs global-scan/heap at {:.0} ev/s)",
-        "large-fleet",
-        large.reps,
-        large.events,
-        large.wall_seconds,
-        large.events_per_sec(),
-        large.digest,
-        large_verdict,
-        large.nodes,
-        large.speedup(),
-        large.baseline_events_per_sec(),
-    );
-    // The acceptance floor: the topology path (neighbor-local scans +
-    // calendar queue) must beat the global-scan/heap path by ≥ 5× on the
-    // sparse fleet. Holds with wide margin in both modes (≈16× quick,
-    // ≈47× full on the reference machine).
-    assert!(
-        large.speedup() >= 5.0,
-        "large-fleet speedup {:.2}x fell below the 5x floor",
-        large.speedup()
-    );
-
-    // The observability workload: the longest engine workload with probes
-    // off vs a coarse probe cadence armed, interleaved. The digest
-    // cross-check inside the measurement is the probe's no-RNG contract;
-    // the overhead gate below is the zero-cost-when-disabled contract —
-    // at a coarse cadence the armed run is off-path work plus the
-    // per-event probe branch, and the disabled branch does strictly less.
-    let probe = measure_probe_overhead(opts.quick, opts.threads, opts.seed, opts.repeat);
-    let probe_verdict = if opts.seed == PERF_SEED {
-        if Some(probe.digest) == expected_digest("cascading-churn", opts.quick) {
-            "ok"
-        } else {
-            drifted = true;
-            "DRIFT"
-        }
-    } else {
-        "unpinned"
-    };
-    println!(
-        "{:<16} {:>6} {:>12} {:>10.3} {:>14.0}  {:#018x} {} ({} ticks at dt {}, {:+.2}% armed overhead)",
-        "probe-overhead",
-        probe.reps,
-        probe.events,
-        probe.off_wall_seconds,
-        probe.events_per_sec(),
-        probe.digest,
-        probe_verdict,
-        probe.probe_ticks,
-        PROBE_OVERHEAD_DT,
-        probe.overhead() * 100.0,
-    );
-    // The acceptance ceiling: the coarse-cadence armed run must cost
-    // < 2% wall clock over probes-off — and the disabled probe branch,
-    // which only tests an Option, strictly less than that.
-    assert!(
-        probe.overhead() < 0.02,
-        "probe overhead {:+.2}% exceeded the 2% ceiling",
-        probe.overhead() * 100.0
-    );
-
-    // The channel workload: the same engine workload under the default
-    // reliable channel vs an armed-but-zero-loss lossy channel. The
-    // digest cross-check inside the measurement is the dedicated-stream
-    // contract (arming the model perturbs no legacy trajectory); the
-    // gate below bounds what a Reliable run pays for the channel
-    // machinery existing at all.
-    let channel = measure_channel_overhead(opts.quick, opts.threads, opts.seed, opts.repeat);
-    let channel_verdict = if opts.seed == PERF_SEED {
-        if Some(channel.digest) == expected_digest("cascading-churn", opts.quick) {
-            "ok"
-        } else {
-            drifted = true;
-            "DRIFT"
-        }
-    } else {
-        "unpinned"
-    };
-    println!(
-        "{:<16} {:>6} {:>12} {:>10.3} {:>14.0}  {:#018x} {} ({:+.2}% zero-loss overhead)",
-        "channel-overhead",
-        channel.reps,
-        channel.events,
-        channel.reliable_wall_seconds,
-        channel.events_per_sec(),
-        channel.digest,
-        channel_verdict,
-        channel.overhead() * 100.0,
-    );
-    // The acceptance ceiling: the zero-loss lossy run must cost < 2%
-    // wall clock over the reliable channel — and the reliable path,
-    // which only matches one enum variant per arrival, strictly less.
-    assert!(
-        channel.overhead() < 0.02,
-        "channel overhead {:+.2}% exceeded the 2% ceiling",
-        channel.overhead() * 100.0
-    );
-
-    // The campaign workload: a campaign directory run cold (fresh cache)
-    // and warm (unchanged inputs). The inner assertion is the cache
-    // contract — a warm run simulates zero replications; the digest is
-    // the byte-identity contract — the warm CSV equals the cold one; the
-    // gate below is the economics — a warm re-run must be ≥ 10× faster.
-    let campaign = measure_campaign_cache(opts.quick, opts.seed, opts.repeat);
-    let campaign_verdict = if opts.seed == PERF_SEED {
-        if campaign.digest == expected_campaign_cache_digest(opts.quick) {
-            "ok"
-        } else {
-            drifted = true;
-            "DRIFT"
-        }
-    } else {
-        "unpinned"
-    };
-    println!(
-        "{:<16} {:>6} {:>12} {:>10.3} {:>14}  {:#018x} {} ({} cells, warm {:.4}s, {:.0}x cold/warm at {} threads)",
-        "campaign-cache",
-        campaign.reps,
-        "",
-        campaign.cold_wall_seconds,
-        "",
-        campaign.digest,
-        campaign_verdict,
-        campaign.cells,
-        campaign.warm_wall_seconds,
-        campaign.speedup(),
-        campaign.threads,
-    );
-    // The acceptance floor: serving every cell from the content-addressed
-    // cache must beat re-simulating by ≥ 10×.
-    assert!(
-        campaign.speedup() >= 10.0,
-        "campaign-cache warm speedup {:.2}x fell below the 10x floor",
-        campaign.speedup()
-    );
-
-    let json = to_json(
-        &measurements,
-        &ExtraSections {
-            sweep: Some(&sweep),
-            compare: Some(&compare),
-            large: Some(&large),
-            probe: Some(&probe),
-            channel: Some(&channel),
-            campaign: Some(&campaign),
-        },
-        RunInfo {
-            quick: opts.quick,
-            threads: opts.threads,
-            seed: opts.seed,
-            repeat: opts.repeat,
-        },
-    );
+    let measured: Vec<Measured<'_>> = ROWS
+        .iter()
+        .map(|row| {
+            let m = measure(row, &settings);
+            println!("{m}");
+            m
+        })
+        .collect();
+    let json = to_json(&measured, &settings);
     println!("\n{json}");
-    // Refuse to touch the committed baseline file with a drifted report —
-    // otherwise a sampling regression would overwrite the very reference
-    // the digest gate protects, one `git add` away from being re-pinned.
-    if opts.write && !drifted {
-        std::fs::write(&opts.out, &json)
-            .unwrap_or_else(|e| panic!("cannot write {}: {e}", opts.out));
-        println!("wrote {}", opts.out);
+
+    let failures: Vec<String> = measured.iter().filter_map(Measured::failure).collect();
+    if !failures.is_empty() {
+        for failure in &failures {
+            eprintln!("error: {failure}");
+        }
+        eprintln!("the report was not written");
+        std::process::exit(1);
     }
-    assert!(
-        !drifted,
-        "completion-time digests drifted from their pinned values: the engine's \
-         sample paths changed; the report was NOT written. Re-pin deliberately \
-         if the change is intended"
-    );
+    if let Some(path) = out {
+        if let Err(e) = std::fs::write(&path, &json) {
+            eprintln!("error: cannot write {path}: {e}");
+            std::process::exit(1);
+        }
+        println!("wrote {path}");
+    }
 }

@@ -1,108 +1,728 @@
-//! The `perfreport` harness: named engine workloads, wall-clock
-//! measurement, pinned completion-time digests, and the machine-readable
-//! `BENCH_*.json` report.
+//! The `perfreport` harness: one table of timed rows, each with pinned
+//! output digests and an optional gate, rendered as the `BENCH_*.json`
+//! report.
 //!
-//! Three engine workloads span the per-event regimes:
+//! Every row of [`ROWS`] has the same parts: a name, a run function that
+//! times one run and returns an [`Outcome`], pinned `(quick, full)`
+//! digests of its output, and an optional [`Gate`]. A row may time a
+//! second mode — the same work done another way, either a baseline shape
+//! or the same run with a feature armed — and its [`Outcome::ratio`] is
+//! then the second mode's wall clock per event over the primary's.
+//! [`measure`] runs a row `--repeat` times, keeps each mode's fastest wall
+//! clock, checks the digests against the pins and judges the gate.
 //!
-//! * `paper-fig3` — the paper's two-node LBP-1 system (service-dominated:
-//!   throughput of the plain event loop and the replication runner);
-//! * `shock-storm` — 32 nodes under correlated environmental shocks
-//!   (bursts of simultaneous failures, each cancelling pending service and
-//!   failure events);
-//! * `cascading-churn` — 24 nodes with load-dependent failure
-//!   amplification, where every churn transition cancels and redraws every
-//!   other node's pending failure — the cancel-heavy path the indexed
-//!   event queue exists for.
+//! The rows cover three kinds of work:
 //!
-//! A fourth workload, `sweep-grid`, measures the *sweep scheduler* rather
-//! than the event loop: a fine-grained grid of many small points with
-//! mixed replication counts, run both through one flattened
-//! `(point, replication)` scheduler pass and through the sequential-point
-//! baseline (one scheduler invocation per point — the pre-scheduler sweep
-//! shape, with its per-point spawn/join barrier) at the same thread
-//! count. The engine code is identical in both modes; the measured gap is
-//! exactly the per-point orchestration cost the flattened pass removes.
+//! * engine workloads through the replication runner: `paper-fig3` (the
+//!   paper's two-node LBP-1 system), `shock-storm` (32 nodes under
+//!   correlated shocks) and `cascading-churn` (24 nodes whose every churn
+//!   transition cancels and redraws the other nodes' failure events);
+//! * execution shapes timed against a baseline shape or an armed feature:
+//!   `sweep-grid` and `compare-grid` (the flattened scheduler against
+//!   per-point and per-policy passes), `large-fleet` (neighbor-local scans
+//!   and the calendar queue against global scans and the heap),
+//!   `probe-overhead` and `channel-overhead` (an armed probe and a
+//!   zero-loss lossy channel against plain runs) and `campaign-cache` (a
+//!   warm campaign re-run against the cold run);
+//! * the analytic kernels behind the paper's Eq. 4 mean and Eq. 5 CDF and
+//!   their CTMC cross-check.
 //!
-//! A fifth workload, `compare-grid`, measures the **policy axis**: the
-//! same grid × a 3-policy comparison set, run once through a single
-//! `(point, policy, replication)` scheduler pass (how `churnbal-lab
-//! compare` executes) and once as K sequential single-policy sweeps (how
-//! the comparison had to be asked before). The bit-exact cross-check of
-//! the two modes doubles as a measured proof of the common-random-numbers
-//! invariant.
+//! Adding a row means writing its run function and one entry of [`ROWS`];
+//! the report, the pin check, the gates and the tests pick it up.
 //!
-//! Wall-clock numbers are measurements; the *sample paths* are pinned: the
-//! digest of each workload's completion-time vector is asserted against a
-//! committed value, so a refactor that silently changes sampling fails the
-//! report rather than producing an incomparable number.
+//! Wall-clock numbers are measurements; the *outputs* are pinned. A
+//! refactor that silently changes a sample path or a kernel's result fails
+//! the report instead of producing an incomparable number.
 
+use std::fmt;
+use std::hint::black_box;
 use std::time::Instant;
 
 use churnbal_cluster::exec::{run_grid, PointJob};
-use churnbal_cluster::{run_replications, ChurnModel, McEstimate, QueueBackend, SimOptions};
 use churnbal_cluster::{
-    ChannelModel, DownPolicy, NetworkConfig, NodeConfig, SystemConfig, Topology,
+    run_replications, ChannelModel, ChurnModel, DownPolicy, McEstimate, NetworkConfig, NodeConfig,
+    Policy, QueueBackend, SimOptions, SystemConfig, Topology,
 };
 use churnbal_core::{Lbp2, PolicySpec};
-use churnbal_stochastic::digest_f64s;
+use churnbal_model::bridge::{self, TwoNodeSysState};
+use churnbal_model::{lbp1_cdf, optimize_lbp1, HatTable, TwoNodeParams, WorkState};
+use churnbal_stochastic::{digest_f64s, fnv1a_bytes};
 
-/// Master seed shared by every perf workload (digests are pinned to it).
+use crate::args::value;
+
+/// Master seed shared by every row (digests are pinned to it).
 pub const PERF_SEED: u64 = 20060425;
 
-/// One named engine workload: a system, a policy, and replication counts.
-#[derive(Clone, Debug)]
-pub struct Workload {
-    /// Stable workload name (JSON key, digest-table key).
-    pub name: &'static str,
-    /// The system under test.
-    pub config: SystemConfig,
-    /// The policy driving it.
-    pub policy: PolicySpec,
-    /// Replications in a full run.
-    pub reps: u64,
-    /// Replications in a `--quick` run.
-    pub quick_reps: u64,
+/// The `schema` tag of the JSON report.
+const SCHEMA: &str = "churnbal-perfreport/8";
+
+/// The one-line usage `perfreport` prints on a bad flag.
+pub const USAGE: &str =
+    "usage: perfreport [--quick] [--threads T] [--repeat N] [--seed S] [--out PATH]";
+
+/// The run-level settings every row reads.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Settings {
+    /// Quick (CI) sizes instead of full ones.
+    pub quick: bool,
+    /// Worker threads of the replication-runner rows (0 = auto); the rows
+    /// that compare execution shapes fix their own thread counts.
+    pub threads: usize,
+    /// Master seed; only [`PERF_SEED`] is pinned.
+    pub seed: u64,
+    /// Runs per row, fastest kept. Wall-clock noise on a shared machine is
+    /// one-sided — preemption and frequency dips only ever add time — so
+    /// min-of-N is the stable estimator.
+    pub repeat: u32,
 }
 
-/// The perf suite, in report order.
-#[must_use]
-pub fn workloads() -> Vec<Workload> {
-    vec![
-        Workload {
-            name: "paper-fig3",
-            config: SystemConfig::paper([100, 60]),
-            policy: PolicySpec::Lbp1 {
-                sender: 0,
-                receiver: 1,
-                gain: 0.35,
-            },
-            reps: 500,
-            quick_reps: 50,
-        },
-        Workload {
-            name: "shock-storm",
-            config: shock_storm_config(),
-            policy: PolicySpec::Lbp2 { gain: 1.0 },
-            reps: 200,
-            quick_reps: 20,
-        },
-        Workload {
-            name: "cascading-churn",
-            config: cascading_churn_config(),
-            policy: PolicySpec::UponFailureOnly,
-            reps: 200,
-            quick_reps: 20,
-        },
-    ]
+impl Default for Settings {
+    fn default() -> Self {
+        Self {
+            quick: false,
+            threads: 1,
+            seed: PERF_SEED,
+            repeat: 3,
+        }
+    }
 }
+
+/// Parses `perfreport`'s flags into the settings and the `--out` path the
+/// report is written to (none: print only).
+///
+/// # Errors
+/// Names the offending flag or value.
+pub fn parse_args<I: IntoIterator<Item = String>>(
+    iter: I,
+) -> Result<(Settings, Option<String>), String> {
+    let mut s = Settings::default();
+    let mut out = None;
+    let mut it = iter.into_iter();
+    while let Some(flag) = it.next() {
+        match flag.as_str() {
+            "--quick" => s.quick = true,
+            "--threads" => s.threads = value(&flag, &mut it)?,
+            "--seed" => s.seed = value(&flag, &mut it)?,
+            "--repeat" => {
+                s.repeat = value(&flag, &mut it)?;
+                if s.repeat == 0 {
+                    return Err("--repeat must be at least 1".to_string());
+                }
+            }
+            "--out" => out = Some(it.next().ok_or("--out needs a path")?),
+            other => return Err(format!("unknown flag `{other}`")),
+        }
+    }
+    Ok((s, out))
+}
+
+/// One mode of a row, as measured.
+#[derive(Clone, Copy, Debug)]
+pub struct Mode {
+    /// Wall-clock seconds (the fastest run, once runs are merged).
+    pub wall_seconds: f64,
+    /// The unit the row's rate is quoted in: engine events, kernel calls,
+    /// or campaign cells.
+    pub events: u64,
+    /// FNV-1a digest of the mode's output.
+    pub digest: u64,
+}
+
+impl Mode {
+    /// Events per wall-clock second.
+    #[must_use]
+    pub fn rate(&self) -> f64 {
+        self.events as f64 / self.wall_seconds
+    }
+}
+
+/// What one run of a row measured.
+#[derive(Clone, Copy, Debug)]
+pub struct Outcome {
+    /// Replications one run simulated per mode (kernel rows: calls;
+    /// `campaign-cache`: the cold mode's, as the warm mode simulates none).
+    pub reps: u64,
+    /// The mode under test.
+    pub primary: Mode,
+    /// The same work timed another way, if the row has a second mode.
+    pub second: Option<Mode>,
+}
+
+impl Outcome {
+    /// The second mode's wall clock per event over the primary's: a
+    /// speedup when the second mode is a baseline shape, `1 + overhead`
+    /// when it arms a feature.
+    #[must_use]
+    pub fn ratio(&self) -> Option<f64> {
+        let per_event = |m: Mode| m.wall_seconds / m.events as f64;
+        self.second.map(|b| per_event(b) / per_event(self.primary))
+    }
+
+    /// Folds another run of the same row in: each mode keeps its fastest
+    /// wall clock, and every run must have done the same work.
+    fn merge(mut self, run: Self, name: &str) -> Self {
+        let work = |m: Mode| (m.events, m.digest);
+        assert_eq!(
+            (self.reps, work(self.primary), self.second.map(work)),
+            (run.reps, work(run.primary), run.second.map(work)),
+            "{name}: runs disagree"
+        );
+        self.primary.wall_seconds = self.primary.wall_seconds.min(run.primary.wall_seconds);
+        if let (Some(a), Some(b)) = (&mut self.second, run.second) {
+            a.wall_seconds = a.wall_seconds.min(b.wall_seconds);
+        }
+        self
+    }
+}
+
+/// A row's acceptance gate, judged on its [`Outcome::ratio`].
+#[derive(Clone, Copy, Debug)]
+pub enum Gate {
+    /// The primary mode must be at least this many times cheaper per event
+    /// than the second mode, on the fastest runs.
+    Speedup(f64),
+    /// The second mode must cost less than this fraction more than the
+    /// primary, on the 95% confidence interval of the median of paired,
+    /// order-mirrored rounds.
+    Overhead(f64),
+}
+
+impl fmt::Display for Gate {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::Speedup(floor) => write!(f, "speedup >= {floor}x"),
+            Self::Overhead(ceiling) => write!(f, "overhead < {}%", ceiling * 100.0),
+        }
+    }
+}
+
+/// A pinned `(quick, full)` digest pair, for [`PERF_SEED`].
+pub type Pin = (u64, u64);
+
+/// One row of the perf table.
+#[derive(Clone, Copy, Debug)]
+pub struct Row {
+    /// Stable row name (console and JSON key).
+    pub name: &'static str,
+    /// Times one run. `mirrored` asks a row with two independent modes
+    /// to run its second mode first, so a drift in machine speed biases
+    /// neither mode.
+    pub run: fn(&Settings, bool) -> Outcome,
+    /// Pinned digests of the primary mode's output.
+    pub pin: Pin,
+    /// Pinned digests of the second mode's output where it samples other
+    /// paths; otherwise the second mode must match `pin`.
+    pub second_pin: Option<Pin>,
+    /// The acceptance gate, if any.
+    pub gate: Option<Gate>,
+}
+
+impl Row {
+    /// A row with one pin for every mode and no gate.
+    const fn new(name: &'static str, run: fn(&Settings, bool) -> Outcome, pin: Pin) -> Self {
+        Self {
+            name,
+            run,
+            pin,
+            second_pin: None,
+            gate: None,
+        }
+    }
+
+    /// Checks an outcome's digests against this row's pins.
+    fn check(&self, o: &Outcome, s: &Settings) -> PinCheck {
+        if s.seed != PERF_SEED {
+            return PinCheck::Unpinned;
+        }
+        let second_pin = pick(s, self.second_pin.unwrap_or(self.pin));
+        let second_ok = o.second.is_none_or(|m| m.digest == second_pin);
+        if o.primary.digest == pick(s, self.pin) && second_ok {
+            PinCheck::Ok
+        } else {
+            PinCheck::Drift
+        }
+    }
+}
+
+/// The `cascading-churn` pin. Both overhead rows time `cascading-churn`
+/// twice, and neither arming a probe nor a zero-loss channel may move one
+/// sampled value, so their modes share it.
+const CASCADING_CHURN_PIN: Pin = (0xa6dd_59e7_2da6_9095, 0xfbf3_672e_d885_7e79);
+
+/// The perf table, in report order. Change a pin deliberately or not at
+/// all, and say in the change which outputs moved and why.
+#[rustfmt::skip]
+pub const ROWS: &[Row] = &[
+    Row::new("paper-fig3", paper_fig3, (0x2c94_8cc7_508e_4943, 0x23ce_c6b9_6177_7e3f)),
+    Row::new("shock-storm", shock_storm, (0x652b_fe99_eae3_59e7, 0xafa7_2471_119b_5837)),
+    Row::new("cascading-churn", cascading_churn, CASCADING_CHURN_PIN),
+    Row::new("sweep-grid", sweep_grid_row, (0x5117_9065_1d66_93b9, 0x647f_3dce_b148_4c05)),
+    Row::new("compare-grid", compare_grid, (0x0098_fd56_7fda_0769, 0x6d97_8a9a_9f7a_3d4d)),
+    Row {
+        second_pin: Some((0x1624_d456_4450_ab9c, 0x09f0_8430_eb04_6aa7)),
+        gate: Some(Gate::Speedup(5.0)),
+        ..Row::new("large-fleet", large_fleet, (0x09df_cb9f_e3b8_6f66, 0x655c_0ac6_d0f3_3bb2))
+    },
+    Row {
+        gate: Some(Gate::Overhead(0.02)),
+        ..Row::new("probe-overhead", probe_overhead, CASCADING_CHURN_PIN)
+    },
+    Row {
+        gate: Some(Gate::Overhead(0.02)),
+        ..Row::new("channel-overhead", channel_overhead, CASCADING_CHURN_PIN)
+    },
+    Row {
+        gate: Some(Gate::Speedup(10.0)),
+        ..Row::new("campaign-cache", campaign_cache, (0xbc4d_9e85_1830_3116, 0x892a_76a4_41c1_cde4))
+    },
+    Row::new("eq4-hat-table", eq4_hat_table, (0x8462_ad19_1e86_21e9, 0xc78c_a832_b62c_87f2)),
+    Row::new("lbp1-optimize", lbp1_optimize, (0x7a6f_d49d_69d5_2997, 0x2eab_33ef_9949_2ff2)),
+    Row::new("eq5-cdf", eq5_cdf, (0xc7a0_4e04_39c1_9754, 0x6da5_b643_7e43_5004)),
+    Row::new("ctmc-mean", ctmc_mean, (0xf56d_0cde_f4bf_2735, 0xb97f_5ce8_e523_e5d1)),
+    Row::new("ctmc-uniformization", uniformization, (0xb9bb_102e_70a6_ead3, 0x5885_d4f9_4954_49af)),
+];
+
+/// A gate's verdict.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Verdict {
+    /// The bound holds.
+    Pass,
+    /// The bound is broken: a regression.
+    Fail,
+    /// The round cap was reached with the bound still inside the
+    /// confidence interval: the machine is too noisy to decide.
+    Noisy,
+}
+
+impl fmt::Display for Verdict {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Self::Pass => "ok",
+            Self::Fail => "FAIL",
+            Self::Noisy => "NOISY",
+        })
+    }
+}
+
+/// A gate's reading on one measured row.
+#[derive(Clone, Copy, Debug)]
+pub struct Reading {
+    /// The ratio judged: the fastest runs' [`Outcome::ratio`] for a
+    /// speedup gate, the median paired ratio for an overhead gate.
+    pub ratio: f64,
+    /// Runs measured for a speedup gate, paired rounds for an overhead
+    /// gate.
+    pub rounds: usize,
+    /// 95% confidence interval of the median paired ratio (overhead gates).
+    pub ci: Option<(f64, f64)>,
+    /// The verdict.
+    pub verdict: Verdict,
+}
+
+impl Reading {
+    fn describe(&self, gate: Gate) -> String {
+        let pct = |r: f64| (r - 1.0) * 100.0;
+        match (gate, self.ci) {
+            (Gate::Overhead(_), Some((lo, hi))) => format!(
+                "{:+.2}% [{:+.2}%, {:+.2}%] in {} rounds",
+                pct(self.ratio),
+                pct(lo),
+                pct(hi),
+                self.rounds
+            ),
+            _ => format!("{:.2}x", self.ratio),
+        }
+    }
+}
+
+/// The round cap of [`paired_overhead`].
+const MAX_PAIRED_ROUNDS: usize = 256;
+
+/// Runs of an overhead row that one paired round sums, `(quick, full)`.
+/// A quick `cascading-churn` run takes 0.1–0.2 s, and on a shared 2-core
+/// machine the ratio of one such pair of runs carries ~8% noise: the
+/// interval around a 2% ceiling then needs about as many rounds as the cap
+/// allows. Four alternately mirrored runs per round roughly halve that
+/// noise and give the cap four times the data; a full run already does ten
+/// times the work of a quick one.
+const OVERHEAD_ROUND_RUNS: (usize, usize) = (4, 1);
+
+/// The overhead estimator: paired per-round ratios (second mode's wall
+/// over the primary's, from `next_ratio(round)`) are added two rounds at a
+/// time, at least `min_rounds` of them (capped at [`MAX_PAIRED_ROUNDS`]),
+/// until the 95% confidence interval of their median lies wholly below
+/// `1 + ceiling` (pass) or wholly above it (fail). At
+/// [`MAX_PAIRED_ROUNDS`] an undecided interval is [`Verdict::Noisy`].
+///
+/// The per-round pairing cancels machine-speed drift that min-of-N walls
+/// would charge to one mode, and the interval keeps a noisy median from
+/// passing or failing the ceiling by chance.
+fn paired_overhead(
+    ceiling: f64,
+    min_rounds: usize,
+    mut next_ratio: impl FnMut(usize) -> f64,
+) -> Reading {
+    let bound = 1.0 + ceiling;
+    let min_rounds = min_rounds.min(MAX_PAIRED_ROUNDS);
+    let mut ratios = Vec::new();
+    loop {
+        for _ in 0..2 {
+            let ratio = next_ratio(ratios.len());
+            ratios.push(ratio);
+        }
+        if ratios.len() < min_rounds {
+            continue;
+        }
+        let mut sorted = ratios.clone();
+        sorted.sort_by(f64::total_cmp);
+        let Some((lo, hi)) = median_ci95(&sorted) else {
+            continue;
+        };
+        let verdict = if hi < bound {
+            Verdict::Pass
+        } else if lo > bound {
+            Verdict::Fail
+        } else if sorted.len() >= MAX_PAIRED_ROUNDS {
+            Verdict::Noisy
+        } else {
+            continue;
+        };
+        let mid = sorted.len() / 2;
+        return Reading {
+            ratio: (sorted[mid - 1] + sorted[mid]) / 2.0,
+            rounds: sorted.len(),
+            ci: Some((lo, hi)),
+            verdict,
+        };
+    }
+}
+
+/// The distribution-free 95% confidence interval of the median of
+/// `sorted`: order statistics `x(k)` and `x(n+1−k)` for the largest `k`
+/// with `P(Bin(n, ½) < k) ≤ 2.5%`. `None` below six samples, where no such
+/// `k` exists.
+fn median_ci95(sorted: &[f64]) -> Option<(f64, f64)> {
+    let n = sorted.len();
+    let mut pmf = 0.5f64.powi(i32::try_from(n).expect("few rounds")); // P(X = 0)
+    let mut cdf = 0.0;
+    let mut k = 0;
+    while k < n / 2 {
+        cdf += pmf; // P(X ≤ k)
+        if cdf > 0.025 {
+            break;
+        }
+        k += 1;
+        pmf *= (n - k + 1) as f64 / k as f64; // P(X = k)
+    }
+    (k > 0).then(|| (sorted[k - 1], sorted[n - k]))
+}
+
+/// Whether a row's output matched its pins.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PinCheck {
+    /// Every mode's digest matched.
+    Ok,
+    /// Some digest differs from its pin.
+    Drift,
+    /// A non-default seed: nothing is pinned.
+    Unpinned,
+}
+
+impl fmt::Display for PinCheck {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Self::Ok => "ok",
+            Self::Drift => "DRIFT",
+            Self::Unpinned => "unpinned",
+        })
+    }
+}
+
+fn pick<T>(s: &Settings, (quick, full): (T, T)) -> T {
+    if s.quick {
+        quick
+    } else {
+        full
+    }
+}
+
+/// One measured row.
+#[derive(Clone, Copy, Debug)]
+pub struct Measured<'a> {
+    /// The row.
+    pub row: &'a Row,
+    /// Its runs, merged.
+    pub outcome: Outcome,
+    /// The pin check.
+    pub pin: PinCheck,
+    /// The gate's reading, if the row has a gate.
+    pub reading: Option<Reading>,
+}
+
+/// Measures one row: `--repeat` runs, merged, with odd runs mirrored. An
+/// overhead gate takes at least twice as many rounds of
+/// [`OVERHEAD_ROUND_RUNS`] runs (up to its cap) and keeps adding rounds
+/// until the interval of its median paired ratio decides.
+///
+/// # Panics
+/// Panics if a run does different work than the first, or if a gated row
+/// has no second mode (a bug in the table).
+#[must_use]
+pub fn measure<'a>(row: &'a Row, s: &Settings) -> Measured<'a> {
+    let repeat = s.repeat as usize;
+    let mut merged: Option<Outcome> = None;
+    let mut run = |i: usize| {
+        let o = (row.run)(s, i % 2 == 1);
+        merged = Some(merged.map_or(o, |m| m.merge(o, row.name)));
+        o
+    };
+    let paired = match row.gate {
+        Some(Gate::Overhead(ceiling)) => {
+            let runs = pick(s, OVERHEAD_ROUND_RUNS);
+            Some(paired_overhead(ceiling, 2 * repeat, |round| {
+                let mut sum = run(round * runs);
+                for i in round * runs + 1..(round + 1) * runs {
+                    let o = run(i);
+                    sum.primary.wall_seconds += o.primary.wall_seconds;
+                    if let (Some(a), Some(b)) = (&mut sum.second, o.second) {
+                        a.wall_seconds += b.wall_seconds;
+                    }
+                }
+                sum.ratio().expect("an overhead row has a second mode")
+            }))
+        }
+        _ => {
+            for i in 0..repeat {
+                run(i);
+            }
+            None
+        }
+    };
+    let outcome = merged.expect("at least one run");
+    let reading = match row.gate {
+        Some(Gate::Speedup(floor)) => {
+            let ratio = outcome.ratio().expect("a speedup row has a second mode");
+            let verdict = if ratio >= floor {
+                Verdict::Pass
+            } else {
+                Verdict::Fail
+            };
+            Some(Reading {
+                ratio,
+                rounds: repeat,
+                ci: None,
+                verdict,
+            })
+        }
+        _ => paired,
+    };
+    Measured {
+        row,
+        outcome,
+        pin: row.check(&outcome, s),
+        reading,
+    }
+}
+
+impl Measured<'_> {
+    /// Why this row fails the report, if it does.
+    #[must_use]
+    pub fn failure(&self) -> Option<String> {
+        let name = self.row.name;
+        if self.pin == PinCheck::Drift {
+            return Some(format!(
+                "{name}: output digests drifted from their pins: the sampled paths or \
+                 kernel results changed. Re-pin deliberately if the change is intended"
+            ));
+        }
+        let (gate, r) = (self.row.gate?, self.reading?);
+        let reading = r.describe(gate);
+        match r.verdict {
+            Verdict::Pass => None,
+            Verdict::Fail => Some(format!("{name}: {reading} breaks the gate ({gate})")),
+            Verdict::Noisy => Some(format!(
+                "{name}: {reading} still straddles the gate ({gate}) at the round cap: \
+                 the machine is too noisy to decide"
+            )),
+        }
+    }
+
+    /// The row as one JSON object.
+    fn json(&self) -> String {
+        let mode = |m: Mode| {
+            format!(
+                "\"events\": {}, \"wall_seconds\": {:?}, \"events_per_sec\": {:.0}, \
+                 \"digest\": \"{:#018x}\"",
+                m.events,
+                m.wall_seconds,
+                m.rate(),
+                m.digest
+            )
+        };
+        let o = &self.outcome;
+        let mut out = format!(
+            "{{\"name\": \"{}\", \"reps\": {}, {}, \"pin\": \"{}\"",
+            self.row.name,
+            o.reps,
+            mode(o.primary),
+            self.pin
+        );
+        if let (Some(second), Some(ratio)) = (o.second, o.ratio()) {
+            out += &format!(", \"second\": {{{}}}, \"ratio\": {ratio:.4}", mode(second));
+        }
+        if let (Some(gate), Some(r)) = (self.row.gate, self.reading) {
+            let (kind, bound) = match gate {
+                Gate::Speedup(floor) => ("speedup", floor),
+                Gate::Overhead(ceiling) => ("overhead", ceiling),
+            };
+            out += &format!(
+                ", \"gate\": {{\"kind\": \"{kind}\", \"bound\": {bound:?}, \"ratio\": {:.4}, \
+                 \"rounds\": {}",
+                r.ratio, r.rounds
+            );
+            if let Some((lo, hi)) = r.ci {
+                out += &format!(", \"ci\": [{lo:.4}, {hi:.4}]");
+            }
+            out += &format!(", \"verdict\": \"{}\"}}", r.verdict);
+        }
+        out + "}"
+    }
+}
+
+impl fmt::Display for Measured<'_> {
+    /// One console line: the primary mode's numbers and pin check, then
+    /// the second mode's wall and ratio, then the gate's reading.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let o = &self.outcome;
+        let p = o.primary;
+        write!(
+            f,
+            "{:<20} {:>6} {:>12} {:>10.4} {:>14.0}  {:#018x} {}",
+            self.row.name,
+            o.reps,
+            p.events,
+            p.wall_seconds,
+            p.rate(),
+            p.digest,
+            self.pin
+        )?;
+        if let (Some(second), Some(ratio)) = (o.second, o.ratio()) {
+            write!(
+                f,
+                "  (second {:.4}s, ratio {ratio:.3})",
+                second.wall_seconds
+            )?;
+        }
+        if let (Some(gate), Some(r)) = (self.row.gate, self.reading) {
+            write!(f, "  {gate}: {} {}", r.describe(gate), r.verdict)?;
+        }
+        Ok(())
+    }
+}
+
+/// Renders the report as pretty-printed JSON (no external deps; every
+/// field is a number or a fixed-format string).
+#[must_use]
+pub fn to_json(measured: &[Measured<'_>], s: &Settings) -> String {
+    let rows: Vec<String> = measured.iter().map(Measured::json).collect();
+    format!(
+        "{{\n  \"schema\": \"{SCHEMA}\",\n  \"mode\": \"{}\",\n  \"threads\": {},\n  \
+         \"seed\": {},\n  \"repeat\": {},\n  \"rows\": [\n    {}\n  ]\n}}\n",
+        pick(s, ("quick", "full")),
+        s.threads,
+        s.seed,
+        s.repeat,
+        rows.join(",\n    ")
+    )
+}
+
+// ---------------------------------------------------------------------------
+// Run functions: each times one run of its row.
+// ---------------------------------------------------------------------------
+
+fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    let start = Instant::now();
+    let out = f();
+    (out, start.elapsed().as_secs_f64())
+}
+
+/// Runs `a` and `b` — `b` first when `mirrored` — and returns their
+/// results in `(a, b)` order.
+fn in_order<A, B>(mirrored: bool, a: impl FnOnce() -> A, b: impl FnOnce() -> B) -> (A, B) {
+    if mirrored {
+        let b = b();
+        (a(), b)
+    } else {
+        let a = a();
+        (a, b())
+    }
+}
+
+/// The outcome of a row whose two modes sampled the same `times` (the
+/// caller asserts that bit-exactly before trusting either wall clock).
+fn same_paths(reps: u64, times: &[f64], events: u64, walls: (f64, f64)) -> Outcome {
+    let digest = digest_f64s(times);
+    let mode = |wall_seconds| Mode {
+        wall_seconds,
+        events,
+        digest,
+    };
+    Outcome {
+        reps,
+        primary: mode(walls.0),
+        second: Some(mode(walls.1)),
+    }
+}
+
+/// Times `reps` replications of `config` under `policy`, rebuilt per
+/// replication through the same declarative path the lab uses.
+fn replications(
+    s: &Settings,
+    config: &SystemConfig,
+    policy: &PolicySpec,
+    reps: u64,
+    options: SimOptions,
+) -> (McEstimate, f64) {
+    let make = |_| policy.build(config).expect("perf rows are self-consistent");
+    timed(|| run_replications(config, &make, reps, s.seed, s.threads, options))
+}
+
+/// An engine row: `(quick, full)` replications of one system.
+fn engine(s: &Settings, config: &SystemConfig, policy: &PolicySpec, reps: (u64, u64)) -> Outcome {
+    let reps = pick(s, reps);
+    let (est, wall_seconds) = replications(s, config, policy, reps, SimOptions::default());
+    Outcome {
+        reps,
+        primary: Mode {
+            wall_seconds,
+            events: est.total_events,
+            digest: digest_f64s(&est.completion_times),
+        },
+        second: None,
+    }
+}
+
+/// Replications of the `paper-fig3` system, `(quick, full)`.
+const PAPER_FIG3_REPS: (u64, u64) = (50, 500);
+
+fn paper_fig3(s: &Settings, _: bool) -> Outcome {
+    let policy = PolicySpec::Lbp1 {
+        sender: 0,
+        receiver: 1,
+        gain: 0.35,
+    };
+    engine(s, &SystemConfig::paper([100, 60]), &policy, PAPER_FIG3_REPS)
+}
+
+/// Replications of the `shock-storm` system, `(quick, full)`.
+const SHOCK_STORM_REPS: (u64, u64) = (20, 200);
 
 /// 32 heterogeneous nodes hit by correlated shocks: each shock downs about
 /// half the fleet at one instant, cancelling every victim's pending
 /// service and failure events.
-#[must_use]
-pub fn shock_storm_config() -> SystemConfig {
+fn shock_storm(s: &Settings, _: bool) -> Outcome {
     let rates = [0.8, 1.2, 1.6, 2.0];
-    SystemConfig::new(
+    let config = SystemConfig::new(
         (0..32)
             .map(|i| NodeConfig::new(rates[i % rates.len()], 0.02, 0.4, 30))
             .collect(),
@@ -111,14 +731,18 @@ pub fn shock_storm_config() -> SystemConfig {
     .with_churn_model(ChurnModel::CorrelatedShocks {
         shock_rate: 0.25,
         hit_probability: 0.5,
-    })
+    });
+    let policy = PolicySpec::Lbp2 { gain: 1.0 };
+    engine(s, &config, &policy, SHOCK_STORM_REPS)
 }
+
+/// Replications of the `cascading-churn` system, `(quick, full)`.
+const CASCADING_CHURN_REPS: (u64, u64) = (20, 200);
 
 /// 24 nodes with cascading failure amplification: every failure and
 /// recovery changes every other up node's hazard, so the engine cancels
 /// and redraws up to `n − 1` pending failure events per churn transition.
-#[must_use]
-pub fn cascading_churn_config() -> SystemConfig {
+fn cascading_churn_config() -> SystemConfig {
     SystemConfig::new(
         (0..24)
             .map(|_| NodeConfig::new(1.0, 0.06, 0.5, 40))
@@ -128,18 +752,20 @@ pub fn cascading_churn_config() -> SystemConfig {
     .with_churn_model(ChurnModel::Cascading { amplification: 3.0 })
 }
 
-/// Thread count of the `sweep-grid` comparison: both the flattened
-/// scheduler and the sequential-point baseline run with this many
-/// workers, so the measured speedup isolates scheduling, not parallelism.
-pub const SWEEP_GRID_THREADS: usize = 4;
+fn cascading_churn(s: &Settings, _: bool) -> Outcome {
+    let policy = PolicySpec::UponFailureOnly;
+    engine(s, &cascading_churn_config(), &policy, CASCADING_CHURN_REPS)
+}
 
-/// The `sweep-grid` workload: a fine-grained grid of small two-node
-/// systems with mixed replication counts (many points with fewer
-/// replications than workers — the shape that leaves cores idle under
-/// per-point parallelism). Returns the configs and the per-point rep
-/// counts.
-#[must_use]
-pub fn sweep_grid(quick: bool) -> (Vec<SystemConfig>, Vec<u64>) {
+/// Worker threads of both `sweep-grid` modes and both `compare-grid`
+/// modes, so their ratios isolate orchestration, not parallelism.
+const SWEEP_GRID_THREADS: usize = 4;
+
+/// The `sweep-grid` systems: a fine-grained grid of small two-node systems
+/// with mixed replication counts (many points with fewer replications than
+/// workers — the shape that leaves cores idle under per-point
+/// parallelism). Returns the configs and the per-point rep counts.
+fn sweep_grid(quick: bool) -> (Vec<SystemConfig>, Vec<u64>) {
     let points = if quick { 32 } else { 96 };
     // Mixed on purpose: singleton points pay the worst idle-core cost
     // under per-point parallelism, multi-rep points pay the per-point
@@ -163,57 +789,10 @@ pub fn sweep_grid(quick: bool) -> (Vec<SystemConfig>, Vec<u64>) {
     (configs, reps)
 }
 
-/// Result of measuring the `sweep-grid` workload.
-#[derive(Clone, Debug)]
-pub struct SweepGridMeasurement {
-    /// Grid points run.
-    pub points: usize,
-    /// Total replications across the grid.
-    pub reps: u64,
-    /// Total engine events (identical in both execution modes).
-    pub events: u64,
-    /// Wall-clock seconds through the flattened scheduler.
-    pub wall_seconds: f64,
-    /// Wall-clock seconds through the sequential-point baseline.
-    pub sequential_wall_seconds: f64,
-    /// Worker threads used by both modes.
-    pub threads: usize,
-    /// FNV-1a digest of the flattened completion-time vector (all points
-    /// in grid order) — asserted identical between the two modes before
-    /// either wall-clock number is reported.
-    pub digest: u64,
-}
-
-impl SweepGridMeasurement {
-    /// Sequential-point wall clock over scheduler wall clock.
-    #[must_use]
-    pub fn speedup(&self) -> f64 {
-        self.sequential_wall_seconds / self.wall_seconds
-    }
-
-    /// Events per second through the scheduler.
-    #[must_use]
-    pub fn events_per_sec(&self) -> f64 {
-        self.events as f64 / self.wall_seconds
-    }
-}
-
-/// Measures the `sweep-grid` workload: the same grid through the
-/// flattened scheduler and through the sequential-point baseline, with
-/// the sample paths cross-checked bit-exactly before timing is trusted.
-/// Each mode keeps its fastest of `repeat` rounds (see
-/// [`measure_repeated`] for why minimum-of-N is the right estimator).
-///
-/// # Panics
-/// Panics if `repeat == 0` or the two execution modes disagree on any
-/// sampled value (a scheduler determinism bug).
-#[must_use]
-pub fn measure_sweep_grid(quick: bool, seed: u64, repeat: u32) -> SweepGridMeasurement {
-    assert!(repeat > 0, "need at least one measurement round");
-    let (configs, reps) = sweep_grid(quick);
-    let jobs: Vec<PointJob<'_>> = configs
+fn grid_jobs<'a>(configs: &'a [SystemConfig], reps: &[u64], seed: u64) -> Vec<PointJob<'a>> {
+    configs
         .iter()
-        .zip(&reps)
+        .zip(reps)
         .map(|(config, &reps)| PointJob {
             config,
             reps,
@@ -222,41 +801,46 @@ pub fn measure_sweep_grid(quick: bool, seed: u64, repeat: u32) -> SweepGridMeasu
             antithetic: false,
             options: SimOptions::default(),
         })
-        .collect();
+        .collect()
+}
 
-    let mut times = Vec::new();
-    let mut events = 0u64;
-    let mut wall_seconds = f64::INFINITY;
-    let mut sequential_wall_seconds = f64::INFINITY;
-    for round in 0..repeat {
-        // Flattened scheduler: one pool over every (point, rep) task.
-        let mut round_times = Vec::new();
-        let mut round_events = 0u64;
-        let start = Instant::now();
-        run_grid(
-            &jobs,
-            1,
-            &|_, _, _| Lbp2::new(1.0),
-            SWEEP_GRID_THREADS,
-            0,
-            Vec::new(),
-            |_, _, stats| {
-                round_times.extend_from_slice(&stats.completion_times);
-                round_events += stats.total_events;
-                Ok(())
-            },
-        )
-        .expect("sweep-grid scheduler run");
-        wall_seconds = wall_seconds.min(start.elapsed().as_secs_f64());
+/// One [`run_grid`] pass over `jobs` × `policies` variants at
+/// [`SWEEP_GRID_THREADS`]: the completion times per cell in `(point,
+/// policy)` order, and the events dispatched.
+fn grid_pass<P: Policy>(
+    jobs: &[PointJob<'_>],
+    policies: usize,
+    make: &(impl Fn(usize, usize, u64) -> P + Sync),
+) -> (Vec<Vec<f64>>, u64) {
+    let mut cells = Vec::with_capacity(jobs.len() * policies);
+    let mut events = 0;
+    run_grid(
+        jobs,
+        policies,
+        make,
+        SWEEP_GRID_THREADS,
+        0,
+        Vec::new(),
+        |_, _, stats| {
+            events += stats.total_events;
+            cells.push(stats.completion_times);
+            Ok(())
+        },
+    )
+    .expect("perf grid pass");
+    (cells, events)
+}
 
-        // Sequential-point baseline: the pre-scheduler sweep *shape* —
-        // one scheduler invocation per point (replication-parallel
-        // within it), paying a worker-pool spawn/join barrier between
-        // points. Same engine code either way; only the orchestration
-        // differs.
-        let mut seq_times = Vec::new();
-        let mut seq_events = 0u64;
-        let start = Instant::now();
+/// `sweep-grid`: the grid through one flattened scheduler pass, against
+/// the sequential-point baseline — one scheduler invocation per point,
+/// paying a worker-pool spawn/join barrier between points. The engine code
+/// is identical in both modes; only the orchestration differs.
+fn sweep_grid_row(s: &Settings, mirrored: bool) -> Outcome {
+    let (configs, reps) = sweep_grid(s.quick);
+    let jobs = grid_jobs(&configs, &reps, s.seed);
+    let sequential = || {
+        let mut cells = Vec::with_capacity(jobs.len());
+        let mut events = 0;
         for job in &jobs {
             let est = run_replications(
                 job.config,
@@ -266,42 +850,27 @@ pub fn measure_sweep_grid(quick: bool, seed: u64, repeat: u32) -> SweepGridMeasu
                 SWEEP_GRID_THREADS,
                 job.options,
             );
-            seq_times.extend_from_slice(&est.completion_times);
-            seq_events += est.total_events;
+            cells.push(est.completion_times);
+            events += est.total_events;
         }
-        sequential_wall_seconds = sequential_wall_seconds.min(start.elapsed().as_secs_f64());
-
-        assert_eq!(
-            round_times, seq_times,
-            "sweep-grid: scheduler and sequential-point baseline sampled \
-             different trajectories"
-        );
-        assert_eq!(
-            round_events, seq_events,
-            "sweep-grid: event counts diverged"
-        );
-        if round == 0 {
-            times = round_times;
-            events = round_events;
-        } else {
-            assert_eq!(times, round_times, "sweep-grid: rounds disagree");
-        }
-    }
-    SweepGridMeasurement {
-        points: configs.len(),
-        reps: reps.iter().sum(),
-        events,
-        wall_seconds,
-        sequential_wall_seconds,
-        threads: SWEEP_GRID_THREADS,
-        digest: digest_f64s(&times),
-    }
+        (cells, events)
+    };
+    let (((cells, events), wall), ((seq_cells, seq_events), seq_wall)) = in_order(
+        mirrored,
+        || timed(|| grid_pass(&jobs, 1, &|_, _, _| Lbp2::new(1.0))),
+        || timed(sequential),
+    );
+    assert_eq!(
+        cells, seq_cells,
+        "sweep-grid: scheduler and sequential-point baseline sampled different trajectories"
+    );
+    assert_eq!(events, seq_events, "sweep-grid: event counts diverged");
+    same_paths(reps.iter().sum(), &cells.concat(), events, (wall, seq_wall))
 }
 
 /// The policy set of the `compare-grid` workload, in baseline-first
 /// order — the same declarative specs the lab's `compare` resolves.
-#[must_use]
-pub fn compare_grid_policies() -> Vec<PolicySpec> {
+fn compare_grid_policies() -> Vec<PolicySpec> {
     vec![
         PolicySpec::Lbp2 { gain: 1.0 },
         PolicySpec::UponFailureOnly,
@@ -309,191 +878,50 @@ pub fn compare_grid_policies() -> Vec<PolicySpec> {
     ]
 }
 
-/// Result of measuring the `compare-grid` workload: the sweep grid ×
-/// a 3-policy set through one shared scheduler pass vs K sequential
-/// single-policy sweeps.
-#[derive(Clone, Debug)]
-pub struct CompareGridMeasurement {
-    /// Grid points run.
-    pub points: usize,
-    /// Policies evaluated per point.
-    pub policies: usize,
-    /// Total replications across `points × policies`.
-    pub reps: u64,
-    /// Total engine events (identical in both execution modes).
-    pub events: u64,
-    /// Wall-clock seconds through the single shared pass.
-    pub wall_seconds: f64,
-    /// Wall-clock seconds through K sequential single-policy sweeps.
-    pub sequential_wall_seconds: f64,
-    /// Worker threads used by both modes.
-    pub threads: usize,
-    /// FNV-1a digest of the flattened completion-time vector (cells in
-    /// `(point, policy)` order) — asserted identical between the two
-    /// modes before either wall-clock number is reported.
-    pub digest: u64,
-}
-
-impl CompareGridMeasurement {
-    /// K-sequential-sweeps wall clock over shared-pass wall clock.
-    #[must_use]
-    pub fn speedup(&self) -> f64 {
-        self.sequential_wall_seconds / self.wall_seconds
-    }
-
-    /// Events per second through the shared pass.
-    #[must_use]
-    pub fn events_per_sec(&self) -> f64 {
-        self.events as f64 / self.wall_seconds
-    }
-}
-
-/// Measures the `compare-grid` workload: the `sweep_grid` systems × the
-/// 3-policy comparison set, once through a single 3-policy [`run_grid`]
-/// pass (the lab `compare` execution shape) and once as K sequential
-/// single-policy [`run_grid`] sweeps (the
-/// pre-policy-axis way to answer the same question). Sample paths are
-/// cross-checked bit-exactly between the modes before timing is trusted —
-/// which is also the common-random-numbers invariant, measured instead of
-/// assumed. Each mode keeps its fastest of `repeat` rounds.
-///
-/// # Panics
-/// Panics if `repeat == 0` or the two execution modes disagree on any
-/// sampled value (a scheduler determinism bug).
-#[must_use]
-pub fn measure_compare_grid(quick: bool, seed: u64, repeat: u32) -> CompareGridMeasurement {
-    assert!(repeat > 0, "need at least one measurement round");
-    let (configs, reps) = sweep_grid(quick);
+/// `compare-grid`: the `sweep-grid` systems × a 3-policy set through one
+/// shared `(point, policy, replication)` pass — how `churnbal-lab compare`
+/// executes — against K sequential single-policy sweeps. The bit-exact
+/// cross-check of the two modes is the common-random-numbers invariant,
+/// measured instead of assumed.
+fn compare_grid(s: &Settings, mirrored: bool) -> Outcome {
+    let (configs, reps) = sweep_grid(s.quick);
+    let jobs = grid_jobs(&configs, &reps, s.seed);
     let policies = compare_grid_policies();
-    for (config, policy) in configs
-        .iter()
-        .flat_map(|c| policies.iter().map(move |p| (c, p)))
-    {
-        policy
-            .validate_for(config)
-            .expect("compare-grid policies fit every point");
-    }
-    let jobs: Vec<PointJob<'_>> = configs
-        .iter()
-        .zip(&reps)
-        .map(|(config, &reps)| PointJob {
-            config,
-            reps,
-            seed,
-            rep_base: 0,
-            antithetic: false,
-            options: SimOptions::default(),
-        })
-        .collect();
     let k = policies.len();
-
-    let mut times = Vec::new();
-    let mut events = 0u64;
-    let mut wall_seconds = f64::INFINITY;
-    let mut sequential_wall_seconds = f64::INFINITY;
-    for round in 0..repeat {
-        // Shared pass: one pool over every (point, policy, rep) task.
-        let mut round_times = Vec::new();
-        let mut round_events = 0u64;
-        let start = Instant::now();
-        run_grid(
-            &jobs,
-            k,
-            &|p, v, _| policies[v].build(jobs[p].config).expect("validated"),
-            SWEEP_GRID_THREADS,
-            0,
-            Vec::new(),
-            |_, _, stats| {
-                round_times.extend_from_slice(&stats.completion_times);
-                round_events += stats.total_events;
-                Ok(())
-            },
-        )
-        .expect("compare-grid shared pass");
-        wall_seconds = wall_seconds.min(start.elapsed().as_secs_f64());
-
-        // Baseline: K sequential sweeps, one full scheduler pass per
-        // policy — same engine code, same per-policy task order; only the
-        // orchestration differs. Results land per policy and are then
-        // interleaved into the shared pass's (point, policy) cell order
-        // for the bit-exact cross-check.
-        let mut per_policy: Vec<Vec<Vec<f64>>> = Vec::with_capacity(k);
-        let mut seq_events = 0u64;
-        let start = Instant::now();
-        for policy in &policies {
-            let mut cells: Vec<Vec<f64>> = Vec::with_capacity(jobs.len());
-            run_grid(
-                &jobs,
-                1,
-                &|p, _, _| policy.build(jobs[p].config).expect("validated"),
-                SWEEP_GRID_THREADS,
-                0,
-                Vec::new(),
-                |_, _, stats| {
-                    seq_events += stats.total_events;
-                    cells.push(stats.completion_times);
-                    Ok(())
-                },
-            )
-            .expect("compare-grid sequential sweep");
-            per_policy.push(cells);
-        }
-        sequential_wall_seconds = sequential_wall_seconds.min(start.elapsed().as_secs_f64());
-        let mut seq_times = Vec::with_capacity(round_times.len());
-        for p in 0..jobs.len() {
-            for cells in &per_policy {
-                seq_times.extend_from_slice(&cells[p]);
-            }
-        }
-
-        assert_eq!(
-            round_times, seq_times,
-            "compare-grid: shared pass and sequential sweeps sampled \
-             different trajectories (CRN invariant broken)"
-        );
-        assert_eq!(
-            round_events, seq_events,
-            "compare-grid: event counts diverged"
-        );
-        if round == 0 {
-            times = round_times;
-            events = round_events;
-        } else {
-            assert_eq!(times, round_times, "compare-grid: rounds disagree");
-        }
-    }
-    CompareGridMeasurement {
-        points: configs.len(),
-        policies: k,
-        reps: reps.iter().sum::<u64>() * k as u64,
-        events,
-        wall_seconds,
-        sequential_wall_seconds,
-        threads: SWEEP_GRID_THREADS,
-        digest: digest_f64s(&times),
-    }
-}
-
-/// Pinned `(quick, full)` digests of the `compare-grid` flattened
-/// completion-time vector for [`PERF_SEED`]. Change them deliberately or
-/// not at all.
-pub const EXPECTED_COMPARE_GRID_DIGESTS: (u64, u64) =
-    (0x0098_fd56_7fda_0769, 0x6d97_8a9a_9f7a_3d4d);
-
-/// The pinned `compare-grid` digest for the given mode.
-#[must_use]
-pub fn expected_compare_grid_digest(quick: bool) -> u64 {
-    if quick {
-        EXPECTED_COMPARE_GRID_DIGESTS.0
-    } else {
-        EXPECTED_COMPARE_GRID_DIGESTS.1
-    }
+    let build = |p: usize, v: usize| {
+        policies[v]
+            .build(jobs[p].config)
+            .expect("compare-grid policies fit every point")
+    };
+    let sequential = || {
+        let passes: Vec<_> = (0..k)
+            .map(|v| grid_pass(&jobs, 1, &|p, _, _| build(p, v)))
+            .collect();
+        let events = passes.iter().map(|(_, e)| e).sum::<u64>();
+        // Interleave into the shared pass's (point, policy) cell order.
+        let cells: Vec<Vec<f64>> = (0..jobs.len())
+            .flat_map(|p| passes.iter().map(move |(cells, _)| cells[p].clone()))
+            .collect();
+        (cells, events)
+    };
+    let (((cells, events), wall), ((seq_cells, seq_events), seq_wall)) = in_order(
+        mirrored,
+        || timed(|| grid_pass(&jobs, k, &|p, v, _| build(p, v))),
+        || timed(sequential),
+    );
+    assert_eq!(
+        cells, seq_cells,
+        "compare-grid: shared pass and sequential sweeps sampled different trajectories \
+         (CRN invariant broken)"
+    );
+    assert_eq!(events, seq_events, "compare-grid: event counts diverged");
+    let reps = reps.iter().sum::<u64>() * k as u64;
+    same_paths(reps, &cells.concat(), events, (wall, seq_wall))
 }
 
 /// Torus dimensions of the `large-fleet` workload: `100 × 100` (10⁴
 /// nodes) in full mode, `50 × 50` in `--quick`.
-#[must_use]
-pub fn large_fleet_dims(quick: bool) -> (usize, usize) {
+fn large_fleet_dims(quick: bool) -> (usize, usize) {
     if quick {
         (50, 50)
     } else {
@@ -503,54 +931,36 @@ pub fn large_fleet_dims(quick: bool) -> (usize, usize) {
 
 /// Simulated-time horizon of the `large-fleet` workload. The fleet
 /// carries ~40 initial tasks per node — more than it can drain before
-/// this deadline — so both execution modes measure a steady churn-plus-
-/// service regime instead of a drain tail.
-pub const LARGE_FLEET_DEADLINE: f64 = 25.0;
+/// this deadline — so both modes measure a steady churn-plus-service
+/// regime instead of a drain tail.
+const LARGE_FLEET_DEADLINE: f64 = 25.0;
 
-fn large_fleet_nodes(n: usize) -> Vec<NodeConfig> {
+/// The `large-fleet` system without a topology: a `rows × cols` fleet
+/// whose racks (one per torus row) are struck by rack-correlated shocks
+/// with per-rack probabilities cycled over four reliability classes.
+/// Every policy scan falls back to the global O(n) walk.
+fn large_fleet_global_config(quick: bool) -> SystemConfig {
+    let (rows, cols) = large_fleet_dims(quick);
     let rates = [0.9, 1.0, 1.1, 1.2];
-    (0..n)
-        .map(|i| NodeConfig::new(rates[i % rates.len()], 0.002, 0.1, 40 + (i as u32 % 3)))
-        .collect()
-}
-
-fn large_fleet_churn(cols: usize) -> ChurnModel {
-    // One rack per torus row; shocks strike whole racks with per-rack
-    // probabilities cycled over four reliability classes.
-    ChurnModel::RackShocks {
+    SystemConfig::new(
+        (0..rows * cols)
+            .map(|i| NodeConfig::new(rates[i % rates.len()], 0.002, 0.1, 40 + (i as u32 % 3)))
+            .collect(),
+        NetworkConfig::exponential(0.05),
+    )
+    .with_churn_model(ChurnModel::RackShocks {
         shock_rate: 2.0,
         group_size: cols as u32,
         hit_probabilities: vec![0.10, 0.40, 0.20, 0.60],
-    }
+    })
 }
 
-/// The `large-fleet` system: a `rows × cols` torus (each rack is one
-/// torus row) under rack-correlated shock churn, balanced by LBP-2 with
-/// **neighbor-local** O(degree) policy scans and the **calendar-queue**
-/// event backend.
-#[must_use]
-pub fn large_fleet_config(quick: bool) -> SystemConfig {
+/// The same fleet on its `rows × cols` torus, so LBP-2 scans only a
+/// node's neighbors.
+fn large_fleet_config(quick: bool) -> SystemConfig {
     let (rows, cols) = large_fleet_dims(quick);
-    SystemConfig::new(
-        large_fleet_nodes(rows * cols),
-        NetworkConfig::exponential(0.05),
-    )
-    .with_churn_model(large_fleet_churn(cols))
-    .with_topology(Topology::torus(rows, cols).expect("torus dims are valid"))
-}
-
-/// The identical fleet with **no topology installed**: every policy scan
-/// falls back to the global O(n) walk and the event queue is forced onto
-/// the binary heap — the pre-topology execution shape the `large-fleet`
-/// speedup is measured against.
-#[must_use]
-pub fn large_fleet_global_config(quick: bool) -> SystemConfig {
-    let (rows, cols) = large_fleet_dims(quick);
-    SystemConfig::new(
-        large_fleet_nodes(rows * cols),
-        NetworkConfig::exponential(0.05),
-    )
-    .with_churn_model(large_fleet_churn(cols))
+    large_fleet_global_config(quick)
+        .with_topology(Topology::torus(rows, cols).expect("torus dims are valid"))
 }
 
 /// Trajectory digest of a deadline-bounded replication run. The
@@ -558,8 +968,7 @@ pub fn large_fleet_global_config(quick: bool) -> SystemConfig {
 /// the digest folds in the per-replication failure and shipment counts
 /// plus the total event count — any drifted trajectory moves at least
 /// one of them.
-#[must_use]
-pub fn deadline_run_digest(est: &McEstimate) -> u64 {
+fn deadline_run_digest(est: &McEstimate) -> u64 {
     let mut values = est.completion_times.clone();
     values.extend(est.failures_per_rep.iter().map(|&f| f as f64));
     values.extend(est.tasks_shipped_per_rep.iter().map(|&s| s as f64));
@@ -567,644 +976,134 @@ pub fn deadline_run_digest(est: &McEstimate) -> u64 {
     digest_f64s(&values)
 }
 
-/// Result of measuring the `large-fleet` workload: the same ≥10⁴-node
-/// fleet once through the topology path (neighbor-local scans + calendar
-/// queue) and once through the global path (O(n) scans + binary heap).
-#[derive(Clone, Debug)]
-pub struct LargeFleetMeasurement {
-    /// Fleet size (torus rows × cols).
-    pub nodes: usize,
-    /// Replications per mode.
-    pub reps: u64,
-    /// Engine events through the topology path.
-    pub events: u64,
-    /// Wall-clock seconds through the topology path.
-    pub wall_seconds: f64,
-    /// Engine events through the global-scan/heap path.
-    pub baseline_events: u64,
-    /// Wall-clock seconds through the global-scan/heap path.
-    pub baseline_wall_seconds: f64,
-    /// [`deadline_run_digest`] of the topology-path run.
-    pub digest: u64,
-    /// [`deadline_run_digest`] of the global-path run.
-    pub baseline_digest: u64,
-}
-
-impl LargeFleetMeasurement {
-    /// Events per second through the topology path.
-    #[must_use]
-    pub fn events_per_sec(&self) -> f64 {
-        self.events as f64 / self.wall_seconds
-    }
-
-    /// Events per second through the global-scan/heap path.
-    #[must_use]
-    pub fn baseline_events_per_sec(&self) -> f64 {
-        self.baseline_events as f64 / self.baseline_wall_seconds
-    }
-
-    /// Topology-path throughput over global-path throughput. The two
-    /// modes sample different trajectories (the topology changes where
-    /// transfers may go), so this is a throughput ratio, not a same-work
-    /// wall-clock ratio.
-    #[must_use]
-    pub fn speedup(&self) -> f64 {
-        self.events_per_sec() / self.baseline_events_per_sec()
-    }
-}
-
-/// Measures the `large-fleet` workload: one deadline-bounded replication
-/// of the torus fleet per mode, fastest of `repeat` rounds per mode, with
-/// both trajectory digests asserted stable across rounds. Single-threaded
-/// on purpose — the contrast under measurement is per-event policy-scan
-/// and queue cost, not parallelism.
-///
-/// # Panics
-/// Panics if `repeat == 0` or any round samples a different trajectory.
-#[must_use]
-pub fn measure_large_fleet(quick: bool, seed: u64, repeat: u32) -> LargeFleetMeasurement {
-    assert!(repeat > 0, "need at least one measurement round");
-    let (rows, cols) = large_fleet_dims(quick);
-    let local_cfg = large_fleet_config(quick);
-    let global_cfg = large_fleet_global_config(quick);
-    let local_opts = SimOptions {
-        deadline: Some(LARGE_FLEET_DEADLINE),
-        backend: QueueBackend::Calendar,
-        ..SimOptions::default()
-    };
-    let global_opts = SimOptions {
-        deadline: Some(LARGE_FLEET_DEADLINE),
-        backend: QueueBackend::Heap,
-        ..SimOptions::default()
-    };
-    let reps = 1;
-    let mut m: Option<LargeFleetMeasurement> = None;
-    for _ in 0..repeat {
-        let start = Instant::now();
-        let local = run_replications(&local_cfg, &|_| Lbp2::new(1.0), reps, seed, 1, local_opts);
-        let wall_seconds = start.elapsed().as_secs_f64();
-        let start = Instant::now();
-        let global = run_replications(&global_cfg, &|_| Lbp2::new(1.0), reps, seed, 1, global_opts);
-        let baseline_wall_seconds = start.elapsed().as_secs_f64();
-        let round = LargeFleetMeasurement {
-            nodes: rows * cols,
-            reps,
-            events: local.total_events,
+/// `large-fleet`: one deadline-bounded replication of the torus fleet
+/// through neighbor-local scans and the calendar queue, against the same
+/// fleet through global scans and the binary heap. The topology changes
+/// where transfers may go, so the modes sample different paths and the
+/// ratio is a throughput ratio. Single-threaded on purpose: the contrast
+/// under measurement is per-event scan and queue cost, not parallelism.
+fn large_fleet(s: &Settings, mirrored: bool) -> Outcome {
+    let run = |config: SystemConfig, backend| {
+        let options = SimOptions {
+            deadline: Some(LARGE_FLEET_DEADLINE),
+            backend,
+            ..SimOptions::default()
+        };
+        let (est, wall_seconds) =
+            timed(|| run_replications(&config, &|_| Lbp2::new(1.0), 1, s.seed, 1, options));
+        Mode {
             wall_seconds,
-            baseline_events: global.total_events,
-            baseline_wall_seconds,
-            digest: deadline_run_digest(&local),
-            baseline_digest: deadline_run_digest(&global),
-        };
-        m = match m {
-            None => Some(round),
-            Some(mut prev) => {
-                assert_eq!(prev.digest, round.digest, "large-fleet: rounds disagree");
-                assert_eq!(
-                    prev.baseline_digest, round.baseline_digest,
-                    "large-fleet: baseline rounds disagree"
-                );
-                prev.wall_seconds = prev.wall_seconds.min(round.wall_seconds);
-                prev.baseline_wall_seconds =
-                    prev.baseline_wall_seconds.min(round.baseline_wall_seconds);
-                Some(prev)
-            }
-        };
-    }
-    m.expect("repeat >= 1")
-}
-
-/// Pinned `(quick, full)` [`deadline_run_digest`]s of the `large-fleet`
-/// topology-path run for [`PERF_SEED`].
-pub const EXPECTED_LARGE_FLEET_DIGESTS: (u64, u64) = (0x09df_cb9f_e3b8_6f66, 0x655c_0ac6_d0f3_3bb2);
-
-/// Pinned `(quick, full)` [`deadline_run_digest`]s of the `large-fleet`
-/// global-scan/heap baseline run for [`PERF_SEED`].
-pub const EXPECTED_LARGE_FLEET_BASELINE_DIGESTS: (u64, u64) =
-    (0x1624_d456_4450_ab9c, 0x09f0_8430_eb04_6aa7);
-
-/// The pinned `large-fleet` topology-path digest for the given mode.
-#[must_use]
-pub fn expected_large_fleet_digest(quick: bool) -> u64 {
-    if quick {
-        EXPECTED_LARGE_FLEET_DIGESTS.0
-    } else {
-        EXPECTED_LARGE_FLEET_DIGESTS.1
-    }
-}
-
-/// The pinned `large-fleet` baseline digest for the given mode.
-#[must_use]
-pub fn expected_large_fleet_baseline_digest(quick: bool) -> u64 {
-    if quick {
-        EXPECTED_LARGE_FLEET_BASELINE_DIGESTS.0
-    } else {
-        EXPECTED_LARGE_FLEET_BASELINE_DIGESTS.1
-    }
-}
-
-/// Result of measuring one workload.
-#[derive(Clone, Debug)]
-pub struct Measurement {
-    /// Workload name.
-    pub name: &'static str,
-    /// Replications run.
-    pub reps: u64,
-    /// Total engine events dispatched.
-    pub events: u64,
-    /// Wall-clock seconds for the whole replication run.
-    pub wall_seconds: f64,
-    /// Mean completion time (a sanity anchor, not a perf number).
-    pub mean_completion: f64,
-    /// FNV-1a digest of the completion-time vector.
-    pub digest: u64,
-}
-
-impl Measurement {
-    /// Events per wall-clock second.
-    #[must_use]
-    pub fn events_per_sec(&self) -> f64 {
-        self.events as f64 / self.wall_seconds
-    }
-}
-
-/// Pinned completion-time digests: `(workload, quick digest, full digest)`
-/// for the default seed. Any engine change that alters a sample path must
-/// update these deliberately (and justify it in the PR).
-pub const EXPECTED_DIGESTS: &[(&str, u64, u64)] = &[
-    ("paper-fig3", 0x2c94_8cc7_508e_4943, 0x23ce_c6b9_6177_7e3f),
-    ("shock-storm", 0x652b_fe99_eae3_59e7, 0xafa7_2471_119b_5837),
-    (
-        "cascading-churn",
-        0xa6dd_59e7_2da6_9095,
-        0xfbf3_672e_d885_7e79,
-    ),
-];
-
-/// Looks up the pinned digest for a workload in the given mode.
-#[must_use]
-pub fn expected_digest(name: &str, quick: bool) -> Option<u64> {
-    EXPECTED_DIGESTS
-        .iter()
-        .find(|(n, _, _)| *n == name)
-        .map(|&(_, q, f)| if quick { q } else { f })
-}
-
-/// Pinned `(quick, full)` digests of the `sweep-grid` flattened
-/// completion-time vector for [`PERF_SEED`]. Change them deliberately or
-/// not at all.
-pub const EXPECTED_SWEEP_GRID_DIGESTS: (u64, u64) = (0x5117_9065_1d66_93b9, 0x647f_3dce_b148_4c05);
-
-/// The pinned `sweep-grid` digest for the given mode.
-#[must_use]
-pub fn expected_sweep_grid_digest(quick: bool) -> u64 {
-    if quick {
-        EXPECTED_SWEEP_GRID_DIGESTS.0
-    } else {
-        EXPECTED_SWEEP_GRID_DIGESTS.1
-    }
-}
-
-/// Runs one workload and measures it. `threads` follows the
-/// replication-runner convention (0 = auto); digests are thread-invariant.
-/// Equivalent to [`measure_repeated`] with a single round.
-///
-/// # Panics
-/// Panics if the workload's policy does not build against its config
-/// (a bug in the workload table).
-#[must_use]
-pub fn measure(w: &Workload, quick: bool, threads: usize, seed: u64) -> Measurement {
-    measure_repeated(w, quick, threads, seed, 1)
-}
-
-/// Runs one workload `repeat` times and keeps the fastest round's wall
-/// clock. Wall-clock noise on a shared machine is one-sided — scheduler
-/// preemption and frequency dips only ever *add* time — so the minimum
-/// over a few rounds estimates the unloaded throughput far more stably
-/// than any single shot (the standard microbenchmark practice). Events,
-/// digest and mean are identical across rounds (asserted), so only the
-/// timing varies.
-///
-/// # Panics
-/// Panics if `repeat == 0`, if the workload's policy does not build, or
-/// if any round samples a different trajectory (a determinism bug).
-#[must_use]
-pub fn measure_repeated(
-    w: &Workload,
-    quick: bool,
-    threads: usize,
-    seed: u64,
-    repeat: u32,
-) -> Measurement {
-    assert!(repeat > 0, "need at least one measurement round");
-    let reps = if quick { w.quick_reps } else { w.reps };
-    // Policies are rebuilt per replication through the same declarative
-    // path the lab uses, so the measurement covers the production loop.
-    w.policy
-        .validate_for(&w.config)
-        .expect("perf workload must be self-consistent");
-    let mut best: Option<Measurement> = None;
-    for _ in 0..repeat {
-        let start = Instant::now();
-        let est = run_replications(
-            &w.config,
-            &|_| w.policy.build(&w.config).expect("validated"),
-            reps,
-            seed,
-            threads,
-            SimOptions::default(),
-        );
-        let wall_seconds = start.elapsed().as_secs_f64();
-        let m = Measurement {
-            name: w.name,
-            reps,
             events: est.total_events,
-            wall_seconds,
-            mean_completion: est.mean(),
-            digest: digest_f64s(&est.completion_times),
-        };
-        best = match best {
-            None => Some(m),
-            Some(prev) => {
-                assert_eq!(prev.digest, m.digest, "{}: rounds disagree", w.name);
-                assert_eq!(prev.events, m.events, "{}: rounds disagree", w.name);
-                Some(if m.wall_seconds < prev.wall_seconds {
-                    m
-                } else {
-                    prev
-                })
-            }
-        };
-    }
-    best.expect("repeat >= 1")
-}
-
-/// Simulation-time probe cadence of the `probe-overhead` measurement.
-/// Deliberately coarse: a handful of ticks per replication against ~10⁴
-/// events, so the armed run isolates the **per-event probe branch** —
-/// the cost the disabled path pays — instead of the per-tick sampling
-/// work, whose price scales with the cadence the user chose.
-pub const PROBE_OVERHEAD_DT: f64 = 50.0;
-
-/// Result of measuring the observability cost on the `cascading-churn`
-/// engine workload: the identical run with probes off and with a
-/// [`PROBE_OVERHEAD_DT`]-cadence probe armed.
-#[derive(Clone, Debug)]
-pub struct ProbeOverheadMeasurement {
-    /// Replications per mode.
-    pub reps: u64,
-    /// Engine events (identical in both modes — probing dispatches no
-    /// extra events).
-    pub events: u64,
-    /// Probe ticks emitted across every replication of the armed mode.
-    pub probe_ticks: u64,
-    /// Wall-clock seconds with probes off (fastest round).
-    pub off_wall_seconds: f64,
-    /// Wall-clock seconds with the probe armed (fastest round).
-    pub armed_wall_seconds: f64,
-    /// Median over rounds of the paired per-round `armed / off` wall
-    /// ratio. Each round times both modes back to back and every other
-    /// round mirrors the order, so ambient machine-speed drift cancels
-    /// out of the pairing instead of biasing one mode — the robust
-    /// overhead estimator on shared hardware.
-    pub median_armed_ratio: f64,
-    /// Completion-time digest — asserted identical between the two modes
-    /// (the probe draws no random numbers).
-    pub digest: u64,
-}
-
-impl ProbeOverheadMeasurement {
-    /// Median paired armed-over-off wall ratio, minus one. The off path
-    /// differs from the armed path only by skipping tick flushes and
-    /// histogram records, so this is an upper bound on what the disabled
-    /// probe branch can cost.
-    #[must_use]
-    pub fn overhead(&self) -> f64 {
-        self.median_armed_ratio - 1.0
-    }
-
-    /// Events per second with probes off.
-    #[must_use]
-    pub fn events_per_sec(&self) -> f64 {
-        self.events as f64 / self.off_wall_seconds
+            digest: deadline_run_digest(&est),
+        }
+    };
+    let (local, global) = in_order(
+        mirrored,
+        || run(large_fleet_config(s.quick), QueueBackend::Calendar),
+        || run(large_fleet_global_config(s.quick), QueueBackend::Heap),
+    );
+    Outcome {
+        reps: 1,
+        primary: local,
+        second: Some(global),
     }
 }
 
-/// Measures the probe overhead: the `cascading-churn` workload (the
-/// longest wall clock of the suite — the most stable timing base) with
-/// probes off and with a coarse [`PROBE_OVERHEAD_DT`] cadence armed,
-/// interleaved within each round so both modes see the same machine
-/// state, over `2 × repeat` rounds with the mode order mirrored every
-/// other round. Reported walls are the per-mode minima; the reported
-/// overhead is the **median of the paired per-round ratios**, which a
-/// monotone machine-speed drift straddles symmetrically instead of
-/// biasing. The two modes' completion-time digests are asserted
-/// identical — the probe's no-RNG contract, measured.
-///
-/// # Panics
-/// Panics if `repeat == 0`, if the two modes sample different
-/// trajectories, or if the armed mode emits no ticks.
-#[must_use]
-pub fn measure_probe_overhead(
-    quick: bool,
-    threads: usize,
-    seed: u64,
-    repeat: u32,
-) -> ProbeOverheadMeasurement {
-    assert!(repeat > 0, "need at least one measurement round");
-    let w = workloads()
-        .into_iter()
-        .find(|w| w.name == "cascading-churn")
-        .expect("cascading-churn is in the suite");
-    let reps = if quick { w.quick_reps } else { w.reps };
-    let policy = |_: u64| w.policy.build(&w.config).expect("validated");
-    let armed_opts = SimOptions {
+/// Simulation-time probe cadence of `probe-overhead`. Deliberately coarse:
+/// a handful of ticks per replication against ~10⁴ events, so the armed
+/// run isolates the per-event probe branch — the cost the disabled path
+/// pays — instead of the per-tick sampling work, whose price scales with
+/// the cadence the user chose.
+const PROBE_OVERHEAD_DT: f64 = 50.0;
+
+/// `probe-overhead`: `cascading-churn` with probes off against a coarse
+/// probe armed. The armed run does strictly more than the disabled probe
+/// branch, so its overhead bounds what that branch costs; the two modes
+/// must sample bit-identical trajectories (the probe draws no random
+/// numbers).
+fn probe_overhead(s: &Settings, mirrored: bool) -> Outcome {
+    let config = cascading_churn_config();
+    let reps = pick(s, CASCADING_CHURN_REPS);
+    let policy = PolicySpec::UponFailureOnly;
+    let armed = SimOptions {
         probe_dt: Some(PROBE_OVERHEAD_DT),
         ..SimOptions::default()
     };
-    let mut m: Option<ProbeOverheadMeasurement> = None;
-    let mut ratios: Vec<f64> = Vec::new();
-    // Twice the requested rounds, mirroring the mode order every other
-    // round: a monotone machine-speed drift (the dominant noise on shared
-    // containers) then biases neither mode's min-of-N, and the per-round
-    // paired ratios below straddle the true overhead symmetrically.
-    for round in 0..repeat * 2 {
-        let timed = |opts: SimOptions| {
-            let start = Instant::now();
-            let est = run_replications(&w.config, &policy, reps, seed, threads, opts);
-            (est, start.elapsed().as_secs_f64())
-        };
-        let (off, off_wall_seconds, armed, armed_wall_seconds) = if round % 2 == 0 {
-            let (off, off_wall) = timed(SimOptions::default());
-            let (armed, armed_wall) = timed(armed_opts);
-            (off, off_wall, armed, armed_wall)
-        } else {
-            let (armed, armed_wall) = timed(armed_opts);
-            let (off, off_wall) = timed(SimOptions::default());
-            (off, off_wall, armed, armed_wall)
-        };
-        assert_eq!(
-            off.completion_times, armed.completion_times,
-            "probe-overhead: arming the probe changed the sampled trajectories"
-        );
-        assert_eq!(
-            off.total_events, armed.total_events,
-            "probe-overhead: arming the probe changed the event count"
-        );
-        let probe_ticks: u64 = armed.probes.iter().map(|r| r.samples.len() as u64).sum();
-        assert!(
-            probe_ticks > 0,
-            "probe-overhead: armed mode emitted no ticks"
-        );
-        ratios.push(armed_wall_seconds / off_wall_seconds);
-        let round = ProbeOverheadMeasurement {
-            reps,
-            events: off.total_events,
-            probe_ticks,
-            off_wall_seconds,
-            armed_wall_seconds,
-            median_armed_ratio: 0.0, // filled in below, once every round is in
-            digest: digest_f64s(&off.completion_times),
-        };
-        m = match m {
-            None => Some(round),
-            Some(mut prev) => {
-                assert_eq!(prev.digest, round.digest, "probe-overhead: rounds disagree");
-                prev.off_wall_seconds = prev.off_wall_seconds.min(round.off_wall_seconds);
-                prev.armed_wall_seconds = prev.armed_wall_seconds.min(round.armed_wall_seconds);
-                Some(prev)
-            }
-        };
-    }
-    let mut m = m.expect("repeat >= 1");
-    ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite wall ratios"));
-    let mid = ratios.len() / 2;
-    m.median_armed_ratio = if ratios.len().is_multiple_of(2) {
-        (ratios[mid - 1] + ratios[mid]) / 2.0
-    } else {
-        ratios[mid]
-    };
-    m
+    let ((off, off_wall), (armed, armed_wall)) = in_order(
+        mirrored,
+        || replications(s, &config, &policy, reps, SimOptions::default()),
+        || replications(s, &config, &policy, reps, armed),
+    );
+    assert_eq!(
+        off.completion_times, armed.completion_times,
+        "probe-overhead: arming the probe changed the sampled trajectories"
+    );
+    assert_eq!(
+        off.total_events, armed.total_events,
+        "probe-overhead: arming the probe changed the event count"
+    );
+    assert!(
+        armed.probes.iter().any(|r| !r.samples.is_empty()),
+        "probe-overhead: armed mode emitted no ticks"
+    );
+    same_paths(
+        reps,
+        &off.completion_times,
+        off.total_events,
+        (off_wall, armed_wall),
+    )
 }
 
-/// Result of measuring the channel-model cost on the `cascading-churn`
-/// engine workload: the identical run under [`ChannelModel::Reliable`]
-/// and under an armed-but-zero-loss [`ChannelModel::Lossy`].
-///
-/// Zero loss is the right probe: the lossy branch draws one uniform per
-/// transfer arrival and takes the verdict match, but never retries or
-/// dead-letters — so the paired ratio isolates the **per-arrival channel
-/// branch**, the only cost a reliable run could ever pay.
-#[derive(Clone, Debug)]
-pub struct ChannelOverheadMeasurement {
-    /// Replications per mode.
-    pub reps: u64,
-    /// Engine events (identical in both modes — zero loss redelivers
-    /// nothing).
-    pub events: u64,
-    /// Wall-clock seconds under the reliable channel (fastest round).
-    pub reliable_wall_seconds: f64,
-    /// Wall-clock seconds under the zero-loss lossy channel (fastest
-    /// round).
-    pub lossy_wall_seconds: f64,
-    /// Median over rounds of the paired per-round `lossy / reliable`
-    /// wall ratio (mirrored mode order, like
-    /// [`ProbeOverheadMeasurement::median_armed_ratio`]).
-    pub median_lossy_ratio: f64,
-    /// Completion-time digest — asserted identical between the two modes
-    /// (the channel stream is drawn lazily, so a zero-loss channel still
-    /// consumes coins but never alters any legacy stream).
-    pub digest: u64,
-}
-
-impl ChannelOverheadMeasurement {
-    /// Median paired lossy-over-reliable wall ratio, minus one — the
-    /// per-arrival cost of arming the channel fault machinery at all.
-    #[must_use]
-    pub fn overhead(&self) -> f64 {
-        self.median_lossy_ratio - 1.0
-    }
-
-    /// Events per second under the reliable channel.
-    #[must_use]
-    pub fn events_per_sec(&self) -> f64 {
-        self.events as f64 / self.reliable_wall_seconds
-    }
-}
-
-/// Measures the channel overhead: the `cascading-churn` workload under
-/// the default reliable channel and under a zero-loss lossy channel,
-/// interleaved within each round with the mode order mirrored every
-/// other round (see [`measure_probe_overhead`] for why). The two modes'
-/// completion-time digests are asserted identical — the dedicated-
-/// channel-stream contract, measured: arming the model must not perturb
-/// one legacy trajectory.
-///
-/// # Panics
-/// Panics if `repeat == 0` or the two modes sample different
-/// trajectories.
-#[must_use]
-pub fn measure_channel_overhead(
-    quick: bool,
-    threads: usize,
-    seed: u64,
-    repeat: u32,
-) -> ChannelOverheadMeasurement {
-    assert!(repeat > 0, "need at least one measurement round");
-    let w = workloads()
-        .into_iter()
-        .find(|w| w.name == "cascading-churn")
-        .expect("cascading-churn is in the suite");
-    let reps = if quick { w.quick_reps } else { w.reps };
-    let lossy_config = w.config.clone().with_channel_model(ChannelModel::Lossy {
+/// `channel-overhead`: `cascading-churn` under the reliable channel
+/// against an armed-but-zero-loss lossy channel. Zero loss draws one
+/// uniform per transfer arrival but never retries or dead-letters, so the
+/// ratio isolates the per-arrival channel branch. The two modes must
+/// sample bit-identical trajectories: the channel draws from its own
+/// stream, so arming it perturbs no other.
+fn channel_overhead(s: &Settings, mirrored: bool) -> Outcome {
+    let reliable = cascading_churn_config();
+    let lossy = reliable.clone().with_channel_model(ChannelModel::Lossy {
         loss_probability: 0.0,
         on_down: DownPolicy::Enqueue,
         max_retries: 0,
         retry_backoff: 0.1,
     });
-    let opts = SimOptions::default();
-    let mut m: Option<ChannelOverheadMeasurement> = None;
-    let mut ratios: Vec<f64> = Vec::new();
-    for round in 0..repeat * 2 {
-        let timed = |config: &SystemConfig| {
-            let start = Instant::now();
-            let est = run_replications(
-                config,
-                &|_| w.policy.build(config).expect("validated"),
-                reps,
-                seed,
-                threads,
-                opts,
-            );
-            (est, start.elapsed().as_secs_f64())
-        };
-        let (reliable, reliable_wall, lossy, lossy_wall) = if round % 2 == 0 {
-            let (reliable, rw) = timed(&w.config);
-            let (lossy, lw) = timed(&lossy_config);
-            (reliable, rw, lossy, lw)
-        } else {
-            let (lossy, lw) = timed(&lossy_config);
-            let (reliable, rw) = timed(&w.config);
-            (reliable, rw, lossy, lw)
-        };
-        assert_eq!(
-            reliable.completion_times, lossy.completion_times,
-            "channel-overhead: arming a zero-loss channel changed the \
-             sampled trajectories"
-        );
-        assert_eq!(
-            reliable.total_events, lossy.total_events,
-            "channel-overhead: arming a zero-loss channel changed the \
-             event count"
-        );
-        assert!(
-            lossy.mean_tasks_lost == 0.0 && lossy.mean_retries == 0.0,
-            "zero-loss lossy mode must lose and retry nothing"
-        );
-        ratios.push(lossy_wall / reliable_wall);
-        let round = ChannelOverheadMeasurement {
-            reps,
-            events: reliable.total_events,
-            reliable_wall_seconds: reliable_wall,
-            lossy_wall_seconds: lossy_wall,
-            median_lossy_ratio: 0.0, // filled in below, once every round is in
-            digest: digest_f64s(&reliable.completion_times),
-        };
-        m = match m {
-            None => Some(round),
-            Some(mut prev) => {
-                assert_eq!(
-                    prev.digest, round.digest,
-                    "channel-overhead: rounds disagree"
-                );
-                prev.reliable_wall_seconds =
-                    prev.reliable_wall_seconds.min(round.reliable_wall_seconds);
-                prev.lossy_wall_seconds = prev.lossy_wall_seconds.min(round.lossy_wall_seconds);
-                Some(prev)
-            }
-        };
-    }
-    let mut m = m.expect("repeat >= 1");
-    ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite wall ratios"));
-    let mid = ratios.len() / 2;
-    m.median_lossy_ratio = if ratios.len().is_multiple_of(2) {
-        (ratios[mid - 1] + ratios[mid]) / 2.0
-    } else {
-        ratios[mid]
-    };
-    m
+    let reps = pick(s, CASCADING_CHURN_REPS);
+    let policy = PolicySpec::UponFailureOnly;
+    let options = SimOptions::default();
+    let ((reliable, reliable_wall), (lossy, lossy_wall)) = in_order(
+        mirrored,
+        || replications(s, &reliable, &policy, reps, options),
+        || replications(s, &lossy, &policy, reps, options),
+    );
+    assert_eq!(
+        reliable.completion_times, lossy.completion_times,
+        "channel-overhead: arming a zero-loss channel changed the sampled trajectories"
+    );
+    assert_eq!(
+        reliable.total_events, lossy.total_events,
+        "channel-overhead: arming a zero-loss channel changed the event count"
+    );
+    assert!(
+        lossy.mean_tasks_lost == 0.0 && lossy.mean_retries == 0.0,
+        "zero-loss lossy mode must lose and retry nothing"
+    );
+    same_paths(
+        reps,
+        &reliable.completion_times,
+        reliable.total_events,
+        (reliable_wall, lossy_wall),
+    )
 }
 
-/// The run-level flags a report records alongside its measurements.
-#[derive(Clone, Copy, Debug)]
-pub struct RunInfo {
-    /// Quick (CI) replication counts vs full.
-    pub quick: bool,
-    /// Worker threads (0 = auto).
-    pub threads: usize,
-    /// Master seed of every workload.
-    pub seed: u64,
-    /// Measurement rounds per workload (fastest kept).
-    pub repeat: u32,
-}
+/// Worker threads of both `campaign-cache` runs: the invariant under test
+/// is what runs (no replication when warm), not scheduling, so a small
+/// fixed pool keeps the walls comparable across machines.
+const CAMPAIGN_CACHE_THREADS: usize = 4;
 
-/// Fixed thread count of the campaign-cache workload: the invariant
-/// under test is *what* runs (zero cells warm), not scheduling, so a
-/// small fixed pool keeps the wall numbers comparable across machines.
-pub const CAMPAIGN_CACHE_THREADS: usize = 4;
-
-/// The campaign-cache workload's cold vs warm comparison: a campaign
-/// directory built from scratch and run to completion (cold), then
-/// re-run unchanged (warm — the content-addressed cache must satisfy
-/// every cell, simulating **zero** replications).
-#[derive(Clone, Debug)]
-pub struct CampaignCacheMeasurement {
-    /// Cells in the campaign grid.
-    pub cells: usize,
-    /// Replications the cold run simulated.
-    pub reps: u64,
-    /// Replications the warm run simulated (the cache contract: 0).
-    pub warm_reps: u64,
-    /// Worker threads ([`CAMPAIGN_CACHE_THREADS`]).
-    pub threads: usize,
-    /// Cold wall clock (best of `repeat` fresh-directory runs).
-    pub cold_wall_seconds: f64,
-    /// Warm wall clock (best of `repeat` re-runs on the finished dir).
-    pub warm_wall_seconds: f64,
-    /// FNV-1a digest of the final CSV bytes (byte-identical cold/warm).
-    pub digest: u64,
-}
-
-impl CampaignCacheMeasurement {
-    /// Cold-over-warm wall-clock ratio — the value the ≥ 10× acceptance
-    /// floor gates.
-    #[must_use]
-    pub fn speedup(&self) -> f64 {
-        if self.warm_wall_seconds > 0.0 {
-            self.cold_wall_seconds / self.warm_wall_seconds
-        } else {
-            f64::INFINITY
-        }
-    }
-}
-
-/// Pinned campaign-cache CSV digests, `(quick, full)`.
-pub const EXPECTED_CAMPAIGN_CACHE_DIGESTS: (u64, u64) =
-    (0xbc4d_9e85_1830_3116, 0x892a_76a4_41c1_cde4);
-
-/// The pinned campaign-cache digest for the mode.
-#[must_use]
-pub fn expected_campaign_cache_digest(quick: bool) -> u64 {
-    if quick {
-        EXPECTED_CAMPAIGN_CACHE_DIGESTS.0
-    } else {
-        EXPECTED_CAMPAIGN_CACHE_DIGESTS.1
-    }
-}
-
-/// The campaign spec of the campaign-cache workload: paper-fig5 swept
-/// over a failure-rate axis with a 2-policy set under tight sequential
-/// stopping, so the cold run caps out and the cell count is stable.
+/// The `campaign-cache` spec: paper-fig5 swept over a failure-rate axis
+/// with a 2-policy set under tight sequential stopping, so the cold run
+/// caps out and the cell count is stable.
 fn campaign_cache_spec(quick: bool, seed: u64) -> String {
     let (r0, max_reps) = if quick { (8, 64) } else { (16, 256) };
     format!(
@@ -1223,453 +1122,471 @@ fn campaign_cache_spec(quick: bool, seed: u64) -> String {
     )
 }
 
-/// Measures the campaign cache: best-of-`repeat` cold runs (fresh
-/// directory each time) against best-of-`repeat` warm re-runs of the
-/// finished directory, with the final CSV digested for the drift gate.
-///
-/// # Panics
-/// On campaign failures, or if a warm run simulates any replication.
-#[must_use]
-pub fn measure_campaign_cache(quick: bool, seed: u64, repeat: u32) -> CampaignCacheMeasurement {
+/// `campaign-cache`: a campaign re-run warm on its content-addressed cache
+/// — which must simulate zero replications — against the cold run from a
+/// fresh directory. Both modes digest the final CSV bytes and count the
+/// campaign's cells as their events; the replications reported are the
+/// cold run's.
+fn campaign_cache(s: &Settings, _: bool) -> Outcome {
     use churnbal_lab::campaign::{Campaign, CampaignRunOptions};
 
     let dir = std::env::temp_dir().join(format!(
         "churnbal-campaign-cache-{}-{}",
-        if quick { "quick" } else { "full" },
+        pick(s, ("quick", "full")),
         std::process::id()
     ));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create campaign dir");
+    std::fs::write(
+        dir.join("campaign-cache.toml"),
+        campaign_cache_spec(s.quick, s.seed),
+    )
+    .expect("write spec");
     let opts = CampaignRunOptions {
         threads: CAMPAIGN_CACHE_THREADS,
         chunk: 0,
         max_cells: None,
     };
-    let spec = campaign_cache_spec(quick, seed);
-
-    let mut cells = 0;
-    let mut reps = 0;
-    let mut cold_wall_seconds = f64::INFINITY;
-    for _ in 0..repeat.max(1) {
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("create campaign dir");
-        std::fs::write(dir.join("campaign-cache.toml"), &spec).expect("write spec");
-        let start = Instant::now();
-        let mut campaign = Campaign::load(&dir).expect("campaign loads");
-        let report = campaign.run(&opts).expect("cold campaign run");
-        cold_wall_seconds = cold_wall_seconds.min(start.elapsed().as_secs_f64());
-        assert_eq!(report.cells_done, report.cells_total, "cold run finishes");
-        cells = report.cells_total;
-        reps = report.reps_run;
-    }
-
-    let mut warm_reps = 0;
-    let mut warm_wall_seconds = f64::INFINITY;
-    for _ in 0..repeat.max(1) {
-        let start = Instant::now();
-        let mut campaign = Campaign::load(&dir).expect("campaign reloads");
-        let report = campaign.run(&opts).expect("warm campaign run");
-        warm_wall_seconds = warm_wall_seconds.min(start.elapsed().as_secs_f64());
-        assert_eq!(
-            report.reps_run, 0,
-            "warm re-run must simulate zero replications"
-        );
-        warm_reps = report.reps_run;
-    }
-
-    let csv = std::fs::read(dir.join("out").join("campaign-cache.csv")).expect("campaign csv");
-    let mut h = churnbal_stochastic::Fnv1a::new();
-    h.update(&csv);
-    let digest = h.finish();
+    let run = || {
+        let (report, wall_seconds) = timed(|| {
+            let mut campaign = Campaign::load(&dir).expect("campaign loads");
+            campaign.run(&opts).expect("campaign run")
+        });
+        assert_eq!(report.cells_done, report.cells_total, "campaign finishes");
+        let csv = std::fs::read(dir.join("out").join("campaign-cache.csv")).expect("campaign csv");
+        let mode = Mode {
+            wall_seconds,
+            events: report.cells_total as u64,
+            digest: fnv1a_bytes(&csv),
+        };
+        (mode, report.reps_run)
+    };
+    let (cold, cold_reps) = run();
+    let (warm, warm_reps) = run();
     let _ = std::fs::remove_dir_all(&dir);
-    CampaignCacheMeasurement {
-        cells,
-        reps,
-        warm_reps,
-        threads: CAMPAIGN_CACHE_THREADS,
-        cold_wall_seconds,
-        warm_wall_seconds,
-        digest,
+    assert!(cold_reps > 0, "the cold run must simulate replications");
+    assert_eq!(warm_reps, 0, "warm re-run must simulate zero replications");
+    Outcome {
+        reps: cold_reps,
+        primary: warm,
+        second: Some(cold),
     }
 }
 
-/// The optional per-workload sections of the JSON report, one slot per
-/// specialized workload; a slot is `Some` when its workload ran.
-#[derive(Default)]
-pub struct ExtraSections<'a> {
-    pub sweep: Option<&'a SweepGridMeasurement>,
-    pub compare: Option<&'a CompareGridMeasurement>,
-    pub large: Option<&'a LargeFleetMeasurement>,
-    pub probe: Option<&'a ProbeOverheadMeasurement>,
-    pub channel: Option<&'a ChannelOverheadMeasurement>,
-    pub campaign: Option<&'a CampaignCacheMeasurement>,
+/// Times one call of an analytic kernel; `values` reads the output whose
+/// digest is pinned.
+fn kernel<T>(run: impl FnOnce() -> T, values: impl FnOnce(&T) -> Vec<f64>) -> Outcome {
+    let (out, wall_seconds) = timed(run);
+    Outcome {
+        reps: 1,
+        primary: Mode {
+            wall_seconds,
+            events: 1,
+            digest: digest_f64s(&values(&out)),
+        },
+        second: None,
+    }
 }
 
-/// Renders the report as pretty-printed JSON (no external deps; every
-/// field is a number or a fixed-format string).
-#[must_use]
-pub fn to_json(measurements: &[Measurement], extras: &ExtraSections<'_>, info: RunInfo) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"churnbal-perfreport/7\",\n");
-    out.push_str(&format!(
-        "  \"mode\": \"{}\",\n",
-        if info.quick { "quick" } else { "full" }
-    ));
-    out.push_str(&format!("  \"threads\": {},\n", info.threads));
-    out.push_str(&format!("  \"seed\": {},\n", info.seed));
-    out.push_str(&format!("  \"repeat\": {},\n", info.repeat));
-    out.push_str("  \"workloads\": [\n");
-    for (i, m) in measurements.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"reps\": {}, \"events\": {}, \"wall_seconds\": {:?}, \
-             \"events_per_sec\": {:.0}, \"mean_completion\": {:?}, \"digest\": \"{:#018x}\"}}{}\n",
-            m.name,
-            m.reps,
-            m.events,
-            m.wall_seconds,
-            m.events_per_sec(),
-            m.mean_completion,
-            m.digest,
-            if i + 1 < measurements.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    if let Some(s) = extras.sweep {
-        out.push_str(&format!(
-            "  \"sweep_grid\": {{\"points\": {}, \"reps\": {}, \"events\": {}, \
-             \"threads\": {}, \"wall_seconds\": {:?}, \"sequential_wall_seconds\": {:?}, \
-             \"speedup\": {:.2}, \"digest\": \"{:#018x}\"}},\n",
-            s.points,
-            s.reps,
-            s.events,
-            s.threads,
-            s.wall_seconds,
-            s.sequential_wall_seconds,
-            s.speedup(),
-            s.digest,
-        ));
-    }
-    if let Some(c) = extras.compare {
-        out.push_str(&format!(
-            "  \"compare_grid\": {{\"points\": {}, \"policies\": {}, \"reps\": {}, \
-             \"events\": {}, \"threads\": {}, \"wall_seconds\": {:?}, \
-             \"sequential_wall_seconds\": {:?}, \"speedup\": {:.2}, \
-             \"digest\": \"{:#018x}\"}},\n",
-            c.points,
-            c.policies,
-            c.reps,
-            c.events,
-            c.threads,
-            c.wall_seconds,
-            c.sequential_wall_seconds,
-            c.speedup(),
-            c.digest,
-        ));
-    }
-    if let Some(l) = extras.large {
-        out.push_str(&format!(
-            "  \"large_fleet\": {{\"nodes\": {}, \"reps\": {}, \"events\": {}, \
-             \"wall_seconds\": {:?}, \"events_per_sec\": {:.0}, \"baseline_events\": {}, \
-             \"baseline_wall_seconds\": {:?}, \"baseline_events_per_sec\": {:.0}, \
-             \"speedup\": {:.2}, \"digest\": \"{:#018x}\", \"baseline_digest\": \"{:#018x}\"}},\n",
-            l.nodes,
-            l.reps,
-            l.events,
-            l.wall_seconds,
-            l.events_per_sec(),
-            l.baseline_events,
-            l.baseline_wall_seconds,
-            l.baseline_events_per_sec(),
-            l.speedup(),
-            l.digest,
-            l.baseline_digest,
-        ));
-    }
-    if let Some(p) = extras.probe {
-        out.push_str(&format!(
-            "  \"probe_overhead\": {{\"reps\": {}, \"events\": {}, \"probe_ticks\": {}, \
-             \"off_wall_seconds\": {:?}, \"armed_wall_seconds\": {:?}, \
-             \"armed_overhead\": {:.4}, \"digest\": \"{:#018x}\"}},\n",
-            p.reps,
-            p.events,
-            p.probe_ticks,
-            p.off_wall_seconds,
-            p.armed_wall_seconds,
-            p.overhead(),
-            p.digest,
-        ));
-    }
-    if let Some(c) = extras.channel {
-        out.push_str(&format!(
-            "  \"channel_overhead\": {{\"reps\": {}, \"events\": {}, \
-             \"reliable_wall_seconds\": {:?}, \"lossy_wall_seconds\": {:?}, \
-             \"lossy_overhead\": {:.4}, \"digest\": \"{:#018x}\"}},\n",
-            c.reps,
-            c.events,
-            c.reliable_wall_seconds,
-            c.lossy_wall_seconds,
-            c.overhead(),
-            c.digest,
-        ));
-    }
-    if let Some(c) = extras.campaign {
-        out.push_str(&format!(
-            "  \"campaign_cache\": {{\"cells\": {}, \"reps\": {}, \"warm_reps\": {}, \
-             \"threads\": {}, \"cold_wall_seconds\": {:?}, \"warm_wall_seconds\": {:?}, \
-             \"speedup\": {:.2}, \"digest\": \"{:#018x}\"}},\n",
-            c.cells,
-            c.reps,
-            c.warm_reps,
-            c.threads,
-            c.cold_wall_seconds,
-            c.warm_wall_seconds,
-            c.speedup(),
-            c.digest,
-        ));
-    }
-    let events: u64 = measurements.iter().map(|m| m.events).sum();
-    let wall: f64 = measurements.iter().map(|m| m.wall_seconds).sum();
-    out.push_str(&format!(
-        "  \"total\": {{\"events\": {}, \"wall_seconds\": {:?}, \"events_per_sec\": {:.0}}}\n",
-        events,
-        wall,
-        events as f64 / wall
-    ));
-    out.push_str("}\n");
-    out
+/// `eq4-hat-table`: the Eq. 4 no-transit lattice `µ̂` over every work
+/// state and every `m ≤ (n, n)`.
+fn eq4_hat_table(s: &Settings, _: bool) -> Outcome {
+    let params = TwoNodeParams::paper();
+    let n = pick(s, (50, 200));
+    kernel(
+        || HatTable::build(black_box(&params), [n, n]),
+        |hat| {
+            let cells = (0..=n).flat_map(|m1| (0..=n).map(move |m2| [m1, m2]));
+            cells
+                .flat_map(|m| hat.space().states().iter().map(move |&st| hat.get(st, m)))
+                .collect()
+        },
+    )
+}
+
+/// `lbp1-optimize`: the LBP-1 optimisation of Table 1 — the gain that
+/// minimises the Eq. 4 mean over both transfer directions.
+fn lbp1_optimize(s: &Settings, _: bool) -> Outcome {
+    let params = TwoNodeParams::paper();
+    let m = pick(s, ([50, 30], [100, 60]));
+    kernel(
+        || optimize_lbp1(black_box(&params), m, WorkState::BOTH_UP),
+        |o| {
+            vec![
+                o.sender as f64,
+                o.receiver as f64,
+                f64::from(o.tasks),
+                o.gain,
+                o.mean,
+            ]
+        },
+    )
+}
+
+/// `eq5-cdf`: the Eq. 5 completion-time CDF of an LBP-1 transfer.
+fn eq5_cdf(s: &Settings, _: bool) -> Outcome {
+    let params = TwoNodeParams::paper();
+    // The quick size ships the sender's whole queue: tasks left behind
+    // force a much finer integration step (≈ 200 ms even at (12, 7)).
+    let (m, l) = pick(s, (([12, 7], 12), ([25, 15], 8)));
+    let times: Vec<f64> = (0..=60).map(|i| f64::from(i) * 2.0).collect();
+    kernel(
+        || lbp1_cdf(black_box(&params), m, 0, l, WorkState::BOTH_UP, &times),
+        |cdf| cdf.values.clone(),
+    )
+}
+
+/// `ctmc-mean`: the exact mean of an LBP-1 transfer from the explicit
+/// CTMC, the cross-check of the Eq. 4 recursion.
+fn ctmc_mean(s: &Settings, _: bool) -> Outcome {
+    let params = TwoNodeParams::paper();
+    let (m, l) = pick(s, (([12, 7], 4), ([25, 15], 8)));
+    kernel(
+        || bridge::lbp1_mean_exact(black_box(&params), m, 0, l, WorkState::BOTH_UP),
+        |&mean| vec![mean],
+    )
+}
+
+/// `ctmc-uniformization`: the absorption-time CDF of the explicit LBP-1
+/// CTMC with a batch in flight, by uniformization (the chain is built
+/// outside the timed call).
+fn uniformization(s: &Settings, _: bool) -> Outcome {
+    let params = TwoNodeParams::paper();
+    let (m, l) = pick(s, (([10, 6], 3), ([20, 12], 5)));
+    let explored = bridge::lbp1_chain(&params, m, Some((1, l)), 1_000_000);
+    let start = explored
+        .index(&TwoNodeSysState {
+            m,
+            up: WorkState::BOTH_UP,
+            transit: Some((1, l)),
+        })
+        .expect("the initial state is explored");
+    let times: Vec<f64> = (0..=40).map(|i| f64::from(i) * 2.0).collect();
+    kernel(
+        || churnbal_ctmc::absorption_cdf(black_box(&explored.chain), start, &times, 1e-10),
+        Vec::clone,
+    )
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::OnceLock;
+
     use super::*;
+
+    fn parse(args: &[&str]) -> Result<(Settings, Option<String>), String> {
+        parse_args(args.iter().map(|a| (*a).to_string()))
+    }
 
     #[test]
     fn workload_table_is_self_consistent() {
-        for w in workloads() {
-            w.policy
-                .validate_for(&w.config)
-                .unwrap_or_else(|e| panic!("{}: {e}", w.name));
-            assert!(w.quick_reps < w.reps, "{}: quick must be cheaper", w.name);
-            assert!(expected_digest(w.name, true).is_some(), "{}", w.name);
-            assert!(expected_digest(w.name, false).is_some(), "{}", w.name);
+        for (i, row) in ROWS.iter().enumerate() {
+            assert!(
+                ROWS[..i].iter().all(|r| r.name != row.name),
+                "{}: duplicate row name",
+                row.name
+            );
+            assert_ne!(row.pin.0, row.pin.1, "{}: quick and full pins", row.name);
+            match row.gate {
+                Some(Gate::Speedup(floor)) => assert!(floor > 1.0, "{}", row.name),
+                Some(Gate::Overhead(ceiling)) => {
+                    assert!(ceiling > 0.0 && ceiling < 1.0, "{}", row.name);
+                }
+                None => {}
+            }
         }
+        for (name, (quick, full)) in [
+            ("paper-fig3", PAPER_FIG3_REPS),
+            ("shock-storm", SHOCK_STORM_REPS),
+            ("cascading-churn", CASCADING_CHURN_REPS),
+        ] {
+            assert!(quick < full, "{name}: quick must be cheaper");
+        }
+    }
+
+    /// Runs `row` once at quick sizes and asserts its outputs
+    /// match their pins. Only outputs are checked: debug builds distort
+    /// every timing ratio, so no gate is judged.
+    fn quick_pinned(row: &Row) -> Outcome {
+        let s = Settings {
+            quick: true,
+            threads: 0,
+            ..Settings::default()
+        };
+        let o = (row.run)(&s, false);
+        assert_eq!(
+            row.check(&o, &s),
+            PinCheck::Ok,
+            "{}: output drifted (digest {:#018x}, second {:?})",
+            row.name,
+            o.primary.digest,
+            o.second.map(|m| format!("{:#018x}", m.digest))
+        );
+        assert!(o.primary.events > 0, "{}", row.name);
+        assert!(o.second.is_none_or(|m| m.events > 0), "{}", row.name);
+        if row.gate.is_some() {
+            assert!(o.ratio().is_some_and(f64::is_finite), "{}", row.name);
+        }
+        o
+    }
+
+    /// The row named `name`, run once per test process through
+    /// [`quick_pinned`] however many tests read it: the table-driven test
+    /// pin-checks every row, and the per-row tests below add each row's
+    /// own invariants on the same run.
+    fn quick_pinned_row(name: &str) -> Outcome {
+        static RUNS: [OnceLock<Outcome>; ROWS.len()] = [const { OnceLock::new() }; ROWS.len()];
+        let i = ROWS
+            .iter()
+            .position(|r| r.name == name)
+            .expect("a perf row");
+        *RUNS[i].get_or_init(|| quick_pinned(&ROWS[i]))
     }
 
     #[test]
     fn quick_digests_match_their_pins() {
-        // The full-mode digests are asserted by `perfreport` itself (CI
-        // runs `--quick`); here the cheap mode keeps `cargo test` honest.
-        for w in workloads() {
-            let m = measure(&w, true, 0, PERF_SEED);
-            assert_eq!(
-                Some(m.digest),
-                expected_digest(w.name, true),
-                "{}: sample path drifted (digest {:#018x})",
-                w.name,
-                m.digest
-            );
+        for row in ROWS {
+            quick_pinned_row(row.name);
+        }
+    }
+
+    #[test]
+    fn campaign_cache_digest_matches_its_pin() {
+        // The row itself asserts the cold run simulated replications and
+        // the warm run none; this pins the CSV bytes the cache reproduces.
+        let o = quick_pinned_row("campaign-cache");
+        let cold = o.second.expect("the cold run");
+        assert_eq!((o.primary.events, cold.events), (10, 10), "cells");
+        assert_eq!(o.primary.digest, cold.digest, "warm CSV == cold CSV");
+        assert!(o.reps > 0, "cold replications");
+    }
+
+    #[test]
+    fn compare_grid_digest_matches_its_pin() {
+        // The row itself cross-checks the shared pass against K sequential
+        // sweeps bit-exactly; this pins the sampled trajectories.
+        let o = quick_pinned_row("compare-grid");
+        assert_eq!(sweep_grid(true).0.len(), 32);
+        assert_eq!(compare_grid_policies().len(), 3);
+        assert_eq!(o.reps, 3 * 108);
+    }
+
+    #[test]
+    fn sweep_grid_digest_matches_its_pin() {
+        // The row itself cross-checks the scheduler against the
+        // sequential-point baseline; this pins the sampled trajectories.
+        let o = quick_pinned_row("sweep-grid");
+        assert_eq!(sweep_grid(true).0.len(), 32);
+        assert_eq!(o.reps, 108);
+    }
+
+    #[test]
+    fn large_fleet_quick_digests_match_their_pins() {
+        // Quick mode only (the 50×50 torus): both modes' trajectories,
+        // the torus against its pin and the global baseline against its
+        // second pin.
+        let o = quick_pinned_row("large-fleet");
+        assert_eq!(large_fleet_config(true).nodes.len(), 2500);
+        assert_eq!(o.reps, 1);
+        assert_ne!(o.second.map(|m| m.digest), Some(o.primary.digest));
+    }
+
+    #[test]
+    fn probe_overhead_modes_sample_identical_pinned_paths() {
+        // The no-RNG contract: probes off and armed sample the same
+        // trajectories (the row asserts that, and that the armed mode
+        // ticked), and they are `cascading-churn`'s pinned ones.
+        let o = quick_pinned_row("probe-overhead");
+        assert_eq!(o.primary.digest, CASCADING_CHURN_PIN.0);
+        assert_eq!(o.second.map(|m| m.digest), Some(CASCADING_CHURN_PIN.0));
+        assert!(o.ratio().is_some_and(|r| r > 0.0), "paired ratio unfilled");
+    }
+
+    #[test]
+    fn channel_overhead_modes_sample_identical_pinned_paths() {
+        // The dedicated-stream contract: a zero-loss lossy channel samples
+        // `cascading-churn`'s exact pinned reliable trajectories.
+        let o = quick_pinned_row("channel-overhead");
+        assert_eq!(o.primary.digest, CASCADING_CHURN_PIN.0);
+        assert_eq!(o.second.map(|m| m.digest), Some(CASCADING_CHURN_PIN.0));
+        assert!(o.ratio().is_some_and(|r| r > 0.0), "paired ratio unfilled");
+    }
+
+    /// A hand-built measurement of `row`: rendering and verdicts are under
+    /// test, not timing (the pin test above runs every row).
+    fn hand_built(row: &Row, pin: PinCheck, verdict: Verdict) -> Measured<'_> {
+        let mode = |wall_seconds| Mode {
+            wall_seconds,
+            events: 1000,
+            digest: row.pin.0,
+        };
+        let reading = |gate| Reading {
+            ratio: 2.0,
+            rounds: 6,
+            ci: matches!(gate, Gate::Overhead(_)).then_some((1.5, 2.5)),
+            verdict,
+        };
+        let outcome = Outcome {
+            reps: 10,
+            primary: mode(0.5),
+            second: row.gate.map(|_| mode(1.0)),
+        };
+        let reading = row.gate.map(reading);
+        Measured {
+            row,
+            outcome,
+            pin,
+            reading,
         }
     }
 
     #[test]
     fn json_report_has_every_workload() {
-        let ms: Vec<Measurement> = workloads()
+        let measured: Vec<Measured<'_>> = ROWS
             .iter()
-            .map(|w| measure(w, true, 0, PERF_SEED))
+            .map(|row| hand_built(row, PinCheck::Ok, Verdict::Pass))
             .collect();
-        let sweep = measure_sweep_grid(true, PERF_SEED, 1);
-        let compare = measure_compare_grid(true, PERF_SEED, 1);
-        // A hand-built large-fleet cell: the JSON rendering is under test
-        // here, not the measurement (the digest test below runs that).
-        let large = LargeFleetMeasurement {
-            nodes: 2500,
-            reps: 1,
-            events: 200_000,
-            wall_seconds: 0.1,
-            baseline_events: 180_000,
-            baseline_wall_seconds: 0.9,
-            digest: 0xdead,
-            baseline_digest: 0xbeef,
+        let s = Settings {
+            quick: true,
+            ..Settings::default()
         };
-        // Hand-built like the large-fleet cell: the JSON rendering is the
-        // subject, the real measurement runs in the digest test below.
-        let probe = ProbeOverheadMeasurement {
-            reps: 50,
-            events: 1_000_000,
-            probe_ticks: 7000,
-            off_wall_seconds: 0.5,
-            armed_wall_seconds: 0.505,
-            median_armed_ratio: 1.01,
-            digest: 0xcafe,
-        };
-        // Hand-built as well: the JSON rendering is the subject.
-        let channel = ChannelOverheadMeasurement {
-            reps: 50,
-            events: 1_000_000,
-            reliable_wall_seconds: 0.5,
-            lossy_wall_seconds: 0.503,
-            median_lossy_ratio: 1.006,
-            digest: 0xf00d,
-        };
-        // Hand-built as well: the JSON rendering is the subject.
-        let campaign = CampaignCacheMeasurement {
-            cells: 10,
-            reps: 640,
-            warm_reps: 0,
-            threads: CAMPAIGN_CACHE_THREADS,
-            cold_wall_seconds: 0.4,
-            warm_wall_seconds: 0.002,
-            digest: 0xfeed,
-        };
-        let json = to_json(
-            &ms,
-            &ExtraSections {
-                sweep: Some(&sweep),
-                compare: Some(&compare),
-                large: Some(&large),
-                probe: Some(&probe),
-                channel: Some(&channel),
-                campaign: Some(&campaign),
-            },
-            RunInfo {
-                quick: true,
-                threads: 0,
-                seed: PERF_SEED,
-                repeat: 1,
-            },
-        );
-        for w in workloads() {
-            assert!(json.contains(w.name), "{json}");
+        let json = to_json(&measured, &s);
+        for row in ROWS {
+            let name = format!("\"name\": \"{}\"", row.name);
+            assert!(json.contains(&name), "{json}");
         }
-        assert!(json.contains("\"schema\": \"churnbal-perfreport/7\""));
-        assert!(json.contains("\"sweep_grid\""));
-        assert!(json.contains("\"compare_grid\""));
-        assert!(json.contains("\"large_fleet\""));
-        assert!(json.contains("\"probe_overhead\""));
-        assert!(json.contains("\"channel_overhead\""));
-        assert!(json.contains("\"campaign_cache\""));
-        assert!(json.contains("\"warm_reps\": 0"), "{json}");
-        assert!(json.contains("\"speedup\": 200.00"), "{json}");
-        assert!(json.contains("\"lossy_overhead\": 0.0060"), "{json}");
-        assert!(json.contains("\"armed_overhead\": 0.0100"), "{json}");
-        assert!(json.contains("\"speedup\": 10.00"), "{json}");
-        assert!(json.contains("\"policies\": 3"));
-        assert!(json.contains("\"repeat\": 1"));
-        assert!(json.contains("\"speedup\""));
-        assert!(json.contains("\"total\""));
+        assert_eq!(json.matches("\"name\"").count(), ROWS.len(), "{json}");
+        for needle in [
+            &format!("\"schema\": \"{SCHEMA}\""),
+            "\"mode\": \"quick\"",
+            "\"repeat\": 3",
+            "\"events_per_sec\": 2000",
+            "\"ratio\": 2.0000",
+            "\"kind\": \"speedup\", \"bound\": 5.0",
+            "\"kind\": \"overhead\", \"bound\": 0.02",
+            "\"ci\": [1.5000, 2.5000]",
+        ] {
+            assert!(json.contains(needle), "{needle} in {json}");
+        }
+        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 
     #[test]
-    fn campaign_cache_digest_matches_its_pin() {
-        // `measure_campaign_cache` itself asserts the warm run simulates
-        // zero replications; this additionally pins the CSV bytes the
-        // cache reproduces.
-        let m = measure_campaign_cache(true, PERF_SEED, 1);
-        assert_eq!(
-            m.digest,
-            expected_campaign_cache_digest(true),
-            "campaign-cache CSV drifted (digest {:#018x})",
-            m.digest
-        );
-        assert_eq!(m.cells, 10);
-        assert_eq!(m.warm_reps, 0);
-        assert!(m.reps > 0);
-    }
-
-    #[test]
-    fn compare_grid_digest_matches_its_pin() {
-        // `measure_compare_grid` itself cross-checks the shared pass
-        // against K sequential sweeps bit-exactly; this additionally pins
-        // the sampled trajectories to their committed digest.
-        let m = measure_compare_grid(true, PERF_SEED, 1);
-        assert_eq!(
-            m.digest,
-            expected_compare_grid_digest(true),
-            "compare-grid sample paths drifted (digest {:#018x})",
-            m.digest
-        );
-        assert_eq!(m.points, 32);
-        assert_eq!(m.policies, 3);
-        assert_eq!(m.reps, 3 * 108);
-        assert!(m.events > 0);
-    }
-
-    #[test]
-    fn sweep_grid_digest_matches_its_pin() {
-        // `measure_sweep_grid` itself cross-checks the scheduler against
-        // the sequential-point baseline; this additionally pins the
-        // sampled trajectories to their committed digest.
-        let m = measure_sweep_grid(true, PERF_SEED, 1);
-        assert_eq!(
-            m.digest,
-            expected_sweep_grid_digest(true),
-            "sweep-grid sample paths drifted (digest {:#018x})",
-            m.digest
-        );
-        assert_eq!(m.points, 32);
-        assert_eq!(m.reps, 108);
-        assert!(m.events > 0);
-    }
-
-    #[test]
-    fn large_fleet_quick_digests_match_their_pins() {
-        // Quick mode only (the 50×50 torus); the full 100×100 digests are
-        // asserted by `perfreport` itself. Timing is not asserted here —
-        // debug builds invert every perf ratio — only the trajectories.
-        let m = measure_large_fleet(true, PERF_SEED, 1);
-        assert_eq!(m.nodes, 2500);
-        assert!(m.events > 0 && m.baseline_events > 0);
-        assert_eq!(
-            m.digest,
-            expected_large_fleet_digest(true),
-            "large-fleet sample paths drifted (digest {:#018x})",
-            m.digest
-        );
-        assert_eq!(
-            m.baseline_digest,
-            expected_large_fleet_baseline_digest(true),
-            "large-fleet baseline sample paths drifted (digest {:#018x})",
-            m.baseline_digest
-        );
-    }
-
-    #[test]
-    fn probe_overhead_modes_sample_identical_pinned_paths() {
-        // Timing is not asserted here — debug builds distort every ratio —
-        // only the no-RNG contract: probes off and armed sample the same
-        // trajectories, and they are the workload's pinned ones.
-        let m = measure_probe_overhead(true, 0, PERF_SEED, 1);
-        assert_eq!(
-            Some(m.digest),
-            expected_digest("cascading-churn", true),
-            "arming the probe drifted the cascading-churn sample paths \
-             (digest {:#018x})",
-            m.digest
-        );
-        assert!(m.probe_ticks > 0);
-        assert!(m.events > 0);
+    fn failures_tell_drift_regression_and_noise_apart() {
+        let probe = ROWS.iter().find(|r| r.name == "probe-overhead");
+        let probe = probe.expect("the probe row");
+        let failure = |pin, verdict| hand_built(probe, pin, verdict).failure();
+        assert_eq!(failure(PinCheck::Ok, Verdict::Pass), None);
+        let drift = failure(PinCheck::Drift, Verdict::Pass).expect("drift fails");
+        assert!(drift.contains("drifted from their pins"), "{drift}");
+        let fail = failure(PinCheck::Ok, Verdict::Fail).expect("a broken gate fails");
         assert!(
-            m.median_armed_ratio > 0.0,
-            "paired-ratio estimator left unfilled"
+            fail.contains("+100.00% [+50.00%, +150.00%] in 6 rounds breaks"),
+            "{fail}"
+        );
+        let noisy = failure(PinCheck::Unpinned, Verdict::Noisy).expect("noise fails");
+        assert!(noisy.contains("too noisy to decide"), "{noisy}");
+    }
+
+    #[test]
+    fn paired_overhead_decides_or_reports_noise_at_the_cap() {
+        // ±3% noise around a true ratio, alternating like mirrored rounds.
+        let wobble = |center: f64| move |i: usize| center + [0.03, -0.03][i % 2];
+        let below = paired_overhead(0.02, 6, wobble(0.98));
+        assert_eq!((below.verdict, below.rounds), (Verdict::Pass, 6));
+        assert!((below.ratio - 0.98).abs() < 1e-12);
+        let above = paired_overhead(0.02, 6, wobble(1.06));
+        assert_eq!((above.verdict, above.rounds), (Verdict::Fail, 6));
+
+        // A median right at the ceiling: the interval never leaves it, so
+        // the rule spends every round and reports noise, not a regression.
+        let mut seen = Vec::new();
+        let straddling = paired_overhead(0.02, 2, |i| {
+            seen.push(i);
+            wobble(1.02)(i)
+        });
+        assert_eq!(straddling.verdict, Verdict::Noisy);
+        assert_eq!(straddling.rounds, MAX_PAIRED_ROUNDS);
+        assert_eq!(seen, (0..MAX_PAIRED_ROUNDS).collect::<Vec<_>>());
+
+        // A minimum past the cap is held to the cap, so the order
+        // statistics stay those of at most `MAX_PAIRED_ROUNDS` rounds.
+        let capped = paired_overhead(0.02, 10 * MAX_PAIRED_ROUNDS, wobble(0.98));
+        assert_eq!(
+            (capped.verdict, capped.rounds),
+            (Verdict::Pass, MAX_PAIRED_ROUNDS)
+        );
+        let capped = paired_overhead(0.02, usize::MAX, wobble(1.02));
+        assert_eq!(
+            (capped.verdict, capped.rounds),
+            (Verdict::Noisy, MAX_PAIRED_ROUNDS)
+        );
+
+        // Below six rounds there is no 95% interval; past that, noisy
+        // rounds accrue until the interval clears the ceiling.
+        assert_eq!(paired_overhead(0.02, 2, |_| 1.0).rounds, 6);
+        let spread = |i: usize| 1.0 + 0.08 * ((i * 37 % 101) as f64 / 100.0 - 0.5);
+        let slow = paired_overhead(0.02, 2, spread);
+        assert_eq!(slow.verdict, Verdict::Pass);
+        assert!(
+            slow.rounds > 6 && slow.rounds < MAX_PAIRED_ROUNDS,
+            "{slow:?}"
         );
     }
 
     #[test]
-    fn channel_overhead_modes_sample_identical_pinned_paths() {
-        // Timing is not asserted here — debug builds distort every ratio —
-        // only the dedicated-stream contract: a zero-loss lossy channel
-        // samples the workload's exact pinned reliable trajectories.
-        let m = measure_channel_overhead(true, 0, PERF_SEED, 1);
+    fn median_ci95_matches_the_binomial_order_statistics() {
+        let xs: Vec<f64> = (0..100).map(f64::from).collect();
+        assert_eq!(median_ci95(&xs[..5]), None);
+        assert_eq!(median_ci95(&xs[..6]), Some((0.0, 5.0)));
+        // n = 100: the textbook interval is the 40th to the 61st value.
+        assert_eq!(median_ci95(&xs), Some((39.0, 60.0)));
+    }
+
+    #[test]
+    fn parse_args_returns_errors_instead_of_panicking() {
+        assert_eq!(parse(&[]), Ok((Settings::default(), None)));
+        let (s, out) = parse(&[
+            "--quick",
+            "--threads",
+            "2",
+            "--repeat",
+            "5",
+            "--seed",
+            "7",
+            "--out",
+            "r.json",
+        ])
+        .expect("valid flags");
         assert_eq!(
-            Some(m.digest),
-            expected_digest("cascading-churn", true),
-            "arming a zero-loss channel drifted the cascading-churn sample \
-             paths (digest {:#018x})",
-            m.digest
+            s,
+            Settings {
+                quick: true,
+                threads: 2,
+                seed: 7,
+                repeat: 5
+            }
         );
-        assert!(m.events > 0);
-        assert!(
-            m.median_lossy_ratio > 0.0,
-            "paired-ratio estimator left unfilled"
+        assert_eq!(out.as_deref(), Some("r.json"));
+        assert_eq!(parse(&["--bogus"]).unwrap_err(), "unknown flag `--bogus`");
+        assert_eq!(
+            parse(&["--no-write"]).unwrap_err(),
+            "unknown flag `--no-write`"
         );
+        assert_eq!(
+            parse(&["--threads"]).unwrap_err(),
+            "--threads needs a value"
+        );
+        assert_eq!(
+            parse(&["--seed", "x"]).unwrap_err(),
+            "--seed must be an integer, got `x`"
+        );
+        assert_eq!(
+            parse(&["--repeat", "0"]).unwrap_err(),
+            "--repeat must be at least 1"
+        );
+        assert_eq!(parse(&["--out"]).unwrap_err(), "--out needs a path");
     }
 
     #[test]
