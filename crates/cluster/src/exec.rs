@@ -19,10 +19,13 @@
 //! * each worker owns one long-lived [`Simulator`] and cycles it through
 //!   [`Simulator::reset`] within a point and [`Simulator::rebind`] across
 //!   points, so simulator allocations are per-worker, not per-point;
-//! * results scatter into pre-sized **slot-stable** per-cell buffers
-//!   (atomic cells indexed by replication), and completed cells drain
-//!   through a reorder buffer so the caller's `on_cell` callback fires in
-//!   **`(point, policy)` order** even when a later cell finishes first.
+//! * a worker runs the part of its chunk that falls in one cell into a
+//!   local **result block** and hands the block to that cell under one
+//!   lock; the drain thread folds a completed cell's blocks, sorted by
+//!   first replication, into [`PointStats`] and frees them, and a reorder
+//!   buffer makes the caller's `on_cell` callback fire in **`(point,
+//!   policy)` order** even when a later cell finishes first. Result memory
+//!   thus follows the cells in flight, not the whole grid.
 //!
 //! Determinism: replication `r` of point `p` always runs on the streams
 //! derived from `(jobs[p].seed, r)` — worker placement, thread count and
@@ -38,6 +41,7 @@
 //! caller already holds (a result cache) come in through `preloaded` and
 //! are emitted at their turn without running a replication.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
@@ -157,121 +161,164 @@ pub struct QuarantineReport {
     pub message: String,
 }
 
-/// Per-point result cells: replication-indexed atomics the workers
-/// scatter into, plus the countdown that detects point completion.
-struct PointCell {
-    /// Completion times as `f64::to_bits`.
-    times: Vec<AtomicU64>,
-    failures: Vec<AtomicU64>,
-    shipped: Vec<AtomicU64>,
-    /// Bit `completed` per replication (1 = ran to completion).
-    completed: Vec<AtomicBool>,
-    /// Per-replication transit integrals as `f64::to_bits` — summed
-    /// sequentially in replication order by [`PointCell::stats`], so the
-    /// float total matches the inline schedule bit-exactly.
-    transit: Vec<AtomicU64>,
-    events: AtomicU64,
-    recoveries: AtomicU64,
-    transfers: AtomicU64,
-    clamped: AtomicU64,
-    lost: AtomicU64,
-    retries: AtomicU64,
-    bounces: AtomicU64,
-    /// Per-replication probe reports, slot-stable like the atomics above
-    /// (all `None` and never touched when probing is off).
-    probes: Mutex<Vec<Option<ProbeReport>>>,
-    /// Bit per replication: quarantined (panicked or timed out); its data
-    /// slots hold placeholder zeros.
-    quarantined: Vec<AtomicBool>,
-    /// Replications still outstanding; the worker that decrements it to
-    /// zero publishes the point.
-    remaining: AtomicU64,
-    /// Published flag the drain loop polls under the rendezvous lock.
-    done: AtomicBool,
+/// The results of consecutive replications `first..first + len` of one
+/// `(point, policy)` cell: what a worker produces for its share of a
+/// chunk, and — merged in replication order by [`fold`] — what becomes the
+/// cell's [`PointStats`]. The inline path runs each cell as one block, so
+/// both schedules build their stats through this one accumulator.
+struct Block {
+    /// Replication index of the first entry.
+    first: u64,
+    /// Everything but the transit total: per-replication columns
+    /// (placeholder zeros for a quarantined replication), integer run
+    /// totals (exact in any order), probe reports when probing is armed,
+    /// and the quarantined replications.
+    stats: PointStats,
+    /// Per-replication transit integrals, summed in replication order by
+    /// [`Block::into_stats`] so the float total is schedule-invariant.
+    transit: Vec<f64>,
+    /// The block's quarantine reports, in replication order.
+    quarantines: Vec<QuarantineReport>,
 }
 
-impl PointCell {
-    fn new(reps: u64) -> Self {
-        let n = usize::try_from(reps).expect("replication count fits usize");
-        Self {
-            times: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            failures: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            shipped: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            completed: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            transit: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            events: AtomicU64::new(0),
-            recoveries: AtomicU64::new(0),
-            transfers: AtomicU64::new(0),
-            clamped: AtomicU64::new(0),
-            lost: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            bounces: AtomicU64::new(0),
-            probes: Mutex::new((0..n).map(|_| None).collect()),
-            quarantined: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            remaining: AtomicU64::new(reps),
-            done: AtomicBool::new(false),
+impl Block {
+    /// Runs replications `reps` of cell `(p, v)` on the worker's
+    /// long-lived simulator.
+    fn run<'a, P, F>(
+        jobs: &[PointJob<'a>],
+        (p, v): (usize, usize),
+        reps: Range<u64>,
+        sim: &mut Option<(usize, Simulator<'a>)>,
+        make_policy: &F,
+        local: &mut WorkerReport,
+    ) -> Self
+    where
+        P: Policy,
+        F: Fn(usize, usize, u64) -> P + Sync,
+    {
+        let len = usize::try_from(reps.end - reps.start).expect("replication count fits usize");
+        let probes = if jobs[p].options.probe_dt.is_some() {
+            len
+        } else {
+            0
+        };
+        let mut block = Self {
+            first: reps.start,
+            stats: PointStats {
+                completion_times: Vec::with_capacity(len),
+                failures_per_rep: Vec::with_capacity(len),
+                tasks_shipped_per_rep: Vec::with_capacity(len),
+                probes: Vec::with_capacity(probes),
+                ..PointStats::default()
+            },
+            transit: Vec::with_capacity(len),
+            quarantines: Vec::new(),
+        };
+        let s = &mut block.stats;
+        for r in reps {
+            match run_one(jobs, p, v, r, sim, make_policy, local) {
+                Ok((out, probe)) => {
+                    s.completion_times.push(out.completion_time);
+                    s.failures_per_rep.push(out.failures);
+                    s.tasks_shipped_per_rep.push(out.tasks_shipped);
+                    block.transit.push(out.transit_task_seconds);
+                    s.incomplete += u64::from(!out.completed);
+                    s.total_events += out.events;
+                    s.total_recoveries += out.recoveries;
+                    s.total_transfers += out.transfers;
+                    s.total_tasks_clamped += out.tasks_clamped;
+                    s.total_tasks_lost += out.tasks_lost;
+                    s.total_retries += out.retries;
+                    s.total_bounces += out.bounces;
+                    s.probes.extend(probe);
+                }
+                Err(message) => {
+                    // Quarantined: placeholder zeros keep the columns
+                    // slot-stable, and it counts as neither complete nor
+                    // deadline-incomplete.
+                    s.completion_times.push(0.0);
+                    s.failures_per_rep.push(0);
+                    s.tasks_shipped_per_rep.push(0);
+                    block.transit.push(0.0);
+                    s.quarantined_reps.push(r);
+                    block.quarantines.push(QuarantineReport {
+                        point: p,
+                        policy: v,
+                        rep: r,
+                        message,
+                    });
+                }
+            }
         }
+        block
     }
 
-    /// Reads the cells out as the caller-facing stats (called on the
-    /// drain thread after the point is published).
-    fn stats(&self) -> PointStats {
-        let completion_times: Vec<f64> = self
-            .times
-            .iter()
-            .map(|t| f64::from_bits(t.load(Ordering::Acquire)))
-            .collect();
-        let failures_per_rep: Vec<u64> = self
-            .failures
-            .iter()
-            .map(|f| f.load(Ordering::Acquire))
-            .collect();
-        let tasks_shipped_per_rep: Vec<u64> = self
-            .shipped
-            .iter()
-            .map(|s| s.load(Ordering::Acquire))
-            .collect();
-        let quarantined_reps: Vec<u64> = self
-            .quarantined
-            .iter()
-            .enumerate()
-            .filter(|(_, q)| q.load(Ordering::Acquire))
-            .map(|(r, _)| r as u64)
-            .collect();
-        // Quarantined slots never completed, but they are lost, not
-        // deadline-incomplete — count them in neither bucket.
-        let incomplete = self
-            .completed
-            .iter()
-            .zip(&self.quarantined)
-            .filter(|(c, q)| !c.load(Ordering::Acquire) && !q.load(Ordering::Acquire))
-            .count() as u64;
-        let transit_task_seconds = self
-            .transit
-            .iter()
-            .map(|t| f64::from_bits(t.load(Ordering::Acquire)))
-            .sum();
-        let probes = {
-            let mut slots = self.probes.lock().expect("probe slots poisoned");
-            slots.iter_mut().filter_map(Option::take).collect()
-        };
-        PointStats {
-            completion_times,
-            failures_per_rep,
-            tasks_shipped_per_rep,
-            incomplete,
-            total_events: self.events.load(Ordering::Acquire),
-            total_recoveries: self.recoveries.load(Ordering::Acquire),
-            total_transfers: self.transfers.load(Ordering::Acquire),
-            total_tasks_clamped: self.clamped.load(Ordering::Acquire),
-            total_tasks_lost: self.lost.load(Ordering::Acquire),
-            total_retries: self.retries.load(Ordering::Acquire),
-            total_bounces: self.bounces.load(Ordering::Acquire),
-            transit_task_seconds,
-            probes,
-            quarantined_reps,
-        }
+    fn len(&self) -> u64 {
+        self.transit.len() as u64
     }
+
+    /// Appends the block that follows this one in replication order.
+    fn append(&mut self, mut next: Self) {
+        debug_assert_eq!(
+            next.first,
+            self.first + self.len(),
+            "blocks must be contiguous"
+        );
+        let (s, n) = (&mut self.stats, &mut next.stats);
+        s.completion_times.append(&mut n.completion_times);
+        s.failures_per_rep.append(&mut n.failures_per_rep);
+        s.tasks_shipped_per_rep.append(&mut n.tasks_shipped_per_rep);
+        s.incomplete += n.incomplete;
+        s.total_events += n.total_events;
+        s.total_recoveries += n.total_recoveries;
+        s.total_transfers += n.total_transfers;
+        s.total_tasks_clamped += n.total_tasks_clamped;
+        s.total_tasks_lost += n.total_tasks_lost;
+        s.total_retries += n.total_retries;
+        s.total_bounces += n.total_bounces;
+        s.probes.append(&mut n.probes);
+        s.quarantined_reps.append(&mut n.quarantined_reps);
+        self.transit.append(&mut next.transit);
+        self.quarantines.append(&mut next.quarantines);
+    }
+
+    /// The whole cell's stats (the block must cover every replication);
+    /// its quarantine reports move to `quarantines`.
+    fn into_stats(mut self, quarantines: &mut Vec<QuarantineReport>) -> PointStats {
+        debug_assert_eq!(self.first, 0, "a cell's stats start at replication 0");
+        self.stats.transit_task_seconds = self.transit.iter().fold(0.0, |sum, t| sum + t);
+        quarantines.append(&mut self.quarantines);
+        self.stats
+    }
+}
+
+/// Folds the blocks of one completed cell, in any order, into its stats:
+/// sorted by first replication, merged into the first block (reserved
+/// once to the cell's size) and freed as they go.
+fn fold(mut blocks: Vec<Block>, quarantines: &mut Vec<QuarantineReport>) -> PointStats {
+    blocks.sort_unstable_by_key(|b| b.first);
+    let reps: usize = blocks.iter().map(|b| b.transit.len()).sum();
+    let probes: usize = blocks.iter().map(|b| b.stats.probes.len()).sum();
+    let mut blocks = blocks.into_iter();
+    let mut cell = blocks.next().expect("a completed cell holds a block");
+    let more = reps - cell.transit.len();
+    let s = &mut cell.stats;
+    s.completion_times.reserve_exact(more);
+    s.failures_per_rep.reserve_exact(more);
+    s.tasks_shipped_per_rep.reserve_exact(more);
+    s.probes.reserve_exact(probes - s.probes.len());
+    cell.transit.reserve_exact(more);
+    for block in blocks {
+        cell.append(block);
+    }
+    cell.into_stats(quarantines)
+}
+
+/// A pending cell on the result board: the blocks handed in so far and
+/// the replications still outstanding.
+struct PendingCell {
+    blocks: Vec<Block>,
+    remaining: u64,
 }
 
 /// Resolves the `threads = 0 means auto` convention shared with the
@@ -405,6 +452,13 @@ impl ExecReport {
 /// bit-exact reference schedule for the parallel path. The returned
 /// [`ExecReport`] is observational only and never digested.
 ///
+/// Memory: a cell holds 32 bytes per replication (and a probe report
+/// when probing is armed) from the time its replications run until it
+/// is emitted. Workers claim at most `4 × threads × chunk` tasks past the
+/// end of the cell `on_cell` waits for, so live results stay about one
+/// cell plus that window whatever the grid size; a slow `on_cell` holds
+/// the workers there instead of letting results pile up.
+///
 /// # Errors
 /// Propagates the first error `on_cell` returns; remaining work is
 /// abandoned (workers stop at their next chunk claim).
@@ -469,33 +523,48 @@ where
     }
 
     let chunk = resolve_chunk(chunk, total, threads);
-    // One result cell per *pending* (point, policy), in pending order.
-    let cells: Vec<PointCell> = pending
-        .iter()
-        .map(|&idx| PointCell::new(jobs[idx / policies].reps))
-        .collect();
     let cursor = AtomicU64::new(0);
     let abort = AtomicBool::new(false);
-    // Rendezvous for the drain loop: workers notify under the lock after
-    // publishing a cell (or on panic, via the guard below).
-    let rendezvous = (Mutex::new(()), Condvar::new());
+    // Claim window: workers claim no further than `slack` tasks past the
+    // end of the cell the drain loop waits for next. That is room for
+    // every worker to hold a few chunks, so it binds only when the drain
+    // (or the worker finishing that cell) stalls — and then it keeps the
+    // others from filling memory with blocks of cells that cannot be
+    // emitted yet. Live blocks stay within one cell plus `slack` tasks.
+    // `limit` publishes no data (blocks travel under the board lock), so
+    // its loads and stores are relaxed.
+    // Saturating: `chunk` comes from the command line.
+    let slack = (4 * threads as u64).saturating_mul(chunk);
+    let limit_for = |next: usize| seg_starts[(next + 1).min(pending.len())].saturating_add(slack);
+    let limit = AtomicU64::new(limit_for(0));
+    // The result board, one entry per *pending* (point, policy) in pending
+    // order, behind the rendezvous lock: workers hand blocks in under it
+    // and notify when a cell's countdown reaches zero; the drain loop
+    // waits on it for the next cell in order.
+    let board: Vec<PendingCell> = pending
+        .iter()
+        .map(|&idx| PendingCell {
+            blocks: Vec::new(),
+            remaining: jobs[idx / policies].reps,
+        })
+        .collect();
+    let rendezvous = (Mutex::new(board), Condvar::new());
     // One instrumentation slot per worker, in spawn order; each worker
     // accumulates locally and publishes once at exit.
     let worker_reports: Vec<Mutex<WorkerReport>> = (0..threads)
         .map(|_| Mutex::new(WorkerReport::default()))
         .collect();
-    let quarantines: Mutex<Vec<QuarantineReport>> = Mutex::new(Vec::new());
+    let mut quarantines = Vec::new();
 
     let mut result = Ok(());
     std::thread::scope(|scope| {
         for report_slot in &worker_reports {
-            let cells = &cells;
             let cursor = &cursor;
             let abort = &abort;
+            let limit = &limit;
             let rendezvous = &rendezvous;
             let seg_starts = &seg_starts;
             let pending = &pending;
-            let quarantines = &quarantines;
             scope.spawn(move || {
                 // Wake the drain loop even if this worker unwinds, so a
                 // panicking worker cannot leave the main thread waiting
@@ -505,7 +574,19 @@ where
                 let _guard = NotifyOnDrop { rendezvous, abort };
                 let mut sim: Option<(usize, Simulator<'_>)> = None;
                 let mut local = WorkerReport::default();
+                let blocked = || {
+                    let at = cursor.load(Ordering::Relaxed);
+                    at < total
+                        && at >= limit.load(Ordering::Relaxed)
+                        && !abort.load(Ordering::Relaxed)
+                };
                 loop {
+                    if blocked() {
+                        let mut board = rendezvous.0.lock().expect("result board poisoned");
+                        while blocked() {
+                            board = rendezvous.1.wait(board).expect("result board poisoned");
+                        }
+                    }
                     if abort.load(Ordering::Relaxed) {
                         break;
                     }
@@ -516,36 +597,27 @@ where
                     }
                     local.chunks += 1;
                     let end = (begin + chunk).min(total);
-                    for flat in begin..end {
-                        // Binary-search the owning pending cell
-                        // (seg_starts is sorted, one entry past the end).
-                        let seg = match seg_starts.binary_search(&flat) {
-                            Ok(exact) => exact,
-                            Err(insert) => insert - 1,
-                        };
+                    // One block per pending cell the chunk overlaps
+                    // (seg_starts is sorted, one entry past the end).
+                    let mut flat = begin;
+                    while flat < end {
+                        let seg = seg_starts.partition_point(|&s| s <= flat) - 1;
                         let idx = pending[seg];
-                        let (p, v) = (idx / policies, idx % policies);
-                        let r = flat - seg_starts[seg];
-                        let cell = &cells[seg];
-                        match run_one(jobs, p, v, r, &mut sim, make_policy, &mut local) {
-                            Ok((out, probe)) => scatter(cell, r, &out, probe),
-                            Err(message) => {
-                                let slot =
-                                    usize::try_from(r).expect("replication index fits usize");
-                                cell.quarantined[slot].store(true, Ordering::Release);
-                                quarantines.lock().expect("quarantine log poisoned").push(
-                                    QuarantineReport {
-                                        point: p,
-                                        policy: v,
-                                        rep: r,
-                                        message,
-                                    },
-                                );
-                            }
-                        }
-                        if cell.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                            let _lock = rendezvous.0.lock().expect("rendezvous poisoned");
-                            cell.done.store(true, Ordering::Release);
+                        let (base, stop) = (seg_starts[seg], end.min(seg_starts[seg + 1]));
+                        let block = Block::run(
+                            jobs,
+                            (idx / policies, idx % policies),
+                            flat - base..stop - base,
+                            &mut sim,
+                            make_policy,
+                            &mut local,
+                        );
+                        flat = stop;
+                        let mut board = rendezvous.0.lock().expect("result board poisoned");
+                        let cell = &mut board[seg];
+                        cell.remaining -= block.len();
+                        cell.blocks.push(block);
+                        if cell.remaining == 0 {
                             rendezvous.1.notify_all();
                         }
                     }
@@ -556,39 +628,45 @@ where
 
         // Drain loop: emit cells strictly in (point, policy) order —
         // preloaded cells immediately at their turn, pending cells as
-        // they publish (cells that complete early sit published, the
-        // reorder buffer, until their turn).
+        // they complete (cells that complete early wait on the board, the
+        // reorder buffer, until their turn). However it ends — an
+        // `on_cell` error or panic included — the guard wakes workers
+        // waiting on the claim window, and they see `abort`.
+        let _wake = NotifyOnDrop {
+            rendezvous: &rendezvous,
+            abort: &abort,
+        };
         let mut next_seg = 0usize;
         for (idx, slot) in preloaded.iter_mut().enumerate() {
             let stats = if let Some(ready) = slot.take() {
                 ready
             } else {
-                let cell = &cells[next_seg];
+                let seg = next_seg;
                 next_seg += 1;
-                let mut lock = rendezvous.0.lock().expect("rendezvous poisoned");
-                while !cell.done.load(Ordering::Acquire) && !abort.load(Ordering::Relaxed) {
-                    lock = rendezvous.1.wait(lock).expect("rendezvous poisoned");
+                let mut board = rendezvous.0.lock().expect("result board poisoned");
+                while board[seg].remaining > 0 && !abort.load(Ordering::Relaxed) {
+                    board = rendezvous.1.wait(board).expect("result board poisoned");
                 }
-                if !cell.done.load(Ordering::Acquire) {
+                if board[seg].remaining > 0 {
                     break; // a worker died before finishing this cell
                 }
-                drop(lock);
-                cell.stats()
+                let blocks = std::mem::take(&mut board[seg].blocks);
+                // Open the claim window up to the next cell's end.
+                limit.store(limit_for(next_seg), Ordering::Relaxed);
+                rendezvous.1.notify_all();
+                drop(board);
+                fold(blocks, &mut quarantines)
             };
+            // An on_cell error must stop claim processing.
             if let Err(e) = on_cell(idx / policies, idx % policies, stats) {
                 abort.store(true, Ordering::Relaxed);
                 result = Err(e);
                 break;
             }
         }
-        // An on_cell error (or early break) must stop claim processing.
-        if result.is_err() {
-            abort.store(true, Ordering::Relaxed);
-        }
     });
-    let mut quarantines = quarantines.into_inner().expect("quarantine log poisoned");
-    // Workers append in claim order; present deterministically.
-    quarantines.sort_by_key(|q| (q.point, q.policy, q.rep));
+    // Cells emit in (point, policy) order and each cell's blocks fold in
+    // replication order, so the quarantine log is already sorted.
     let report = ExecReport {
         workers: worker_reports
             .into_iter()
@@ -601,10 +679,10 @@ where
 }
 
 /// The single-threaded schedule: flattened task order on the calling
-/// thread, emitting each `(point, policy)` cell as its last replication
-/// finishes. This is both the `threads == 1` fast path (no spawn, no
-/// atomics contention) and the reference the parallel path must reproduce
-/// byte-for-byte.
+/// thread, each `(point, policy)` cell run as one [`Block`] and emitted as
+/// its last replication finishes. This is both the `threads == 1` fast
+/// path (no spawn, no locks) and the reference the parallel path must
+/// reproduce byte-for-byte.
 fn run_grid_inline<P, F, G>(
     jobs: &[PointJob<'_>],
     policies: usize,
@@ -621,71 +699,14 @@ where
     let mut sim: Option<(usize, Simulator<'_>)> = None;
     let mut local = WorkerReport::default();
     let mut quarantines: Vec<QuarantineReport> = Vec::new();
-    let mut stats = PointStats::default();
     for (p, job) in jobs.iter().enumerate() {
         for v in 0..policies {
-            if let Some(ready) = preloaded[p * policies + v].take() {
-                on_cell(p, v, ready)?;
-                continue;
-            }
-            stats.completion_times.clear();
-            stats.failures_per_rep.clear();
-            stats.tasks_shipped_per_rep.clear();
-            stats.incomplete = 0;
-            stats.total_events = 0;
-            stats.total_recoveries = 0;
-            stats.total_transfers = 0;
-            stats.total_tasks_clamped = 0;
-            stats.total_tasks_lost = 0;
-            stats.total_retries = 0;
-            stats.total_bounces = 0;
-            stats.transit_task_seconds = 0.0;
-            stats.probes.clear();
-            stats.quarantined_reps.clear();
-            stats.completion_times.reserve(job.reps as usize);
-            stats.failures_per_rep.reserve(job.reps as usize);
-            stats.tasks_shipped_per_rep.reserve(job.reps as usize);
-            for r in 0..job.reps {
-                match run_one(jobs, p, v, r, &mut sim, make_policy, &mut local) {
-                    Ok((out, probe)) => {
-                        stats.completion_times.push(out.completion_time);
-                        stats.failures_per_rep.push(out.failures);
-                        stats.tasks_shipped_per_rep.push(out.tasks_shipped);
-                        stats.incomplete += u64::from(!out.completed);
-                        stats.total_events += out.events;
-                        stats.total_recoveries += out.recoveries;
-                        stats.total_transfers += out.transfers;
-                        stats.total_tasks_clamped += out.tasks_clamped;
-                        stats.total_tasks_lost += out.tasks_lost;
-                        stats.total_retries += out.retries;
-                        stats.total_bounces += out.bounces;
-                        stats.transit_task_seconds += out.transit_task_seconds;
-                        if let Some(report) = probe {
-                            stats.probes.push(report);
-                        }
-                    }
-                    Err(message) => {
-                        // Placeholder zeros, bit-identical to the
-                        // parallel path's untouched atomic slots.
-                        stats.completion_times.push(0.0);
-                        stats.failures_per_rep.push(0);
-                        stats.tasks_shipped_per_rep.push(0);
-                        stats.quarantined_reps.push(r);
-                        quarantines.push(QuarantineReport {
-                            point: p,
-                            policy: v,
-                            rep: r,
-                            message,
-                        });
-                    }
-                }
-            }
-            // Move the probe reports out instead of cloning them (the
-            // counter/time vectors still reuse their warm capacity).
-            let probes = std::mem::take(&mut stats.probes);
-            let mut cell = stats.clone();
-            cell.probes = probes;
-            on_cell(p, v, cell)?;
+            let stats = match preloaded[p * policies + v].take() {
+                Some(ready) => ready,
+                None => Block::run(jobs, (p, v), 0..job.reps, &mut sim, make_policy, &mut local)
+                    .into_stats(&mut quarantines),
+            };
+            on_cell(p, v, stats)?;
         }
     }
     Ok(ExecReport {
@@ -785,26 +806,6 @@ where
     }
 }
 
-/// Scatters one successful replication summary into the cell's slot `r`.
-fn scatter(cell: &PointCell, r: u64, out: &RunSummary, probe: Option<ProbeReport>) {
-    let slot = usize::try_from(r).expect("replication index fits usize");
-    cell.times[slot].store(out.completion_time.to_bits(), Ordering::Release);
-    cell.failures[slot].store(out.failures, Ordering::Release);
-    cell.shipped[slot].store(out.tasks_shipped, Ordering::Release);
-    cell.completed[slot].store(out.completed, Ordering::Release);
-    cell.transit[slot].store(out.transit_task_seconds.to_bits(), Ordering::Release);
-    cell.events.fetch_add(out.events, Ordering::AcqRel);
-    cell.recoveries.fetch_add(out.recoveries, Ordering::AcqRel);
-    cell.transfers.fetch_add(out.transfers, Ordering::AcqRel);
-    cell.clamped.fetch_add(out.tasks_clamped, Ordering::AcqRel);
-    cell.lost.fetch_add(out.tasks_lost, Ordering::AcqRel);
-    cell.retries.fetch_add(out.retries, Ordering::AcqRel);
-    cell.bounces.fetch_add(out.bounces, Ordering::AcqRel);
-    if let Some(report) = probe {
-        cell.probes.lock().expect("probe slots poisoned")[slot] = Some(report);
-    }
-}
-
 /// Best-effort rendering of a caught panic payload (panics carry `&str`
 /// or `String` in practice; anything else gets a placeholder).
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -817,10 +818,12 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Drop guard that wakes the drain loop; on a panicking unwind it also
-/// raises the abort flag so sibling workers stop claiming chunks.
+/// Drop guard that wakes every thread waiting on the rendezvous (the
+/// drain loop, or workers waiting on the claim window); on a panicking
+/// unwind it also raises the abort flag so the workers stop claiming
+/// chunks.
 struct NotifyOnDrop<'a> {
-    rendezvous: &'a (Mutex<()>, Condvar),
+    rendezvous: &'a (Mutex<Vec<PendingCell>>, Condvar),
     abort: &'a AtomicBool,
 }
 
@@ -926,24 +929,73 @@ mod tests {
         }
     }
 
+    /// Asserts `a` and `b` agree in every field, floats bit for bit (the
+    /// destructuring breaks the build when a field is added unchecked).
+    fn assert_same_stats(a: &PointStats, b: &PointStats, ctx: &str) {
+        let PointStats {
+            completion_times,
+            failures_per_rep,
+            tasks_shipped_per_rep,
+            incomplete,
+            total_events,
+            total_recoveries,
+            total_transfers,
+            total_tasks_clamped,
+            total_tasks_lost,
+            total_retries,
+            total_bounces,
+            transit_task_seconds,
+            probes,
+            quarantined_reps,
+        } = a;
+        let bits = |v: &[f64]| v.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(completion_times), bits(&b.completion_times), "{ctx}");
+        assert_eq!(*failures_per_rep, b.failures_per_rep, "{ctx}");
+        assert_eq!(*tasks_shipped_per_rep, b.tasks_shipped_per_rep, "{ctx}");
+        assert_eq!(
+            [
+                *incomplete,
+                *total_events,
+                *total_recoveries,
+                *total_transfers,
+                *total_tasks_clamped,
+                *total_tasks_lost,
+                *total_retries,
+                *total_bounces,
+            ],
+            [
+                b.incomplete,
+                b.total_events,
+                b.total_recoveries,
+                b.total_transfers,
+                b.total_tasks_clamped,
+                b.total_tasks_lost,
+                b.total_retries,
+                b.total_bounces,
+            ],
+            "{ctx}"
+        );
+        assert_eq!(
+            transit_task_seconds.to_bits(),
+            b.transit_task_seconds.to_bits(),
+            "{ctx}"
+        );
+        assert_eq!(*probes, b.probes, "{ctx}");
+        assert_eq!(*quarantined_reps, b.quarantined_reps, "{ctx}");
+    }
+
     #[test]
     fn results_are_invariant_to_threads_and_chunks() {
         let configs = grid();
         let reps = [5u64, 1, 9, 2];
         let reference = collect(&configs, &reps, 1, 0);
         for threads in [2, 3, 8] {
-            for chunk in [0, 1, 2, 7, 64] {
+            for chunk in [0, 1, 2, 7, 64, usize::MAX] {
                 let got = collect(&configs, &reps, threads, chunk);
+                assert_eq!(got.len(), reference.len());
                 for ((p_a, a), (p_b, b)) in reference.iter().zip(&got) {
                     assert_eq!(p_a, p_b);
-                    assert_eq!(
-                        a.completion_times, b.completion_times,
-                        "threads={threads} chunk={chunk}"
-                    );
-                    assert_eq!(a.failures_per_rep, b.failures_per_rep);
-                    assert_eq!(a.tasks_shipped_per_rep, b.tasks_shipped_per_rep);
-                    assert_eq!(a.total_events, b.total_events);
-                    assert_eq!(a.incomplete, b.incomplete);
+                    assert_same_stats(a, b, &format!("threads={threads} chunk={chunk}"));
                 }
             }
         }
@@ -1005,6 +1057,70 @@ mod tests {
             .unwrap_err();
             assert_eq!(err, "disk full", "threads={threads}");
             assert_eq!(seen, 2, "threads={threads}: drain must stop at the error");
+        }
+    }
+
+    #[test]
+    fn a_stalled_drain_holds_workers_to_the_claim_window() {
+        use std::sync::atomic::AtomicU64;
+        use std::time::Duration;
+        // 24 cells of 4 replications, one policy, three workers with
+        // one-task chunks: the window is 4 × 3 × 1 = 12 tasks. Taking
+        // cell 0 opens it to the end of cell 1 (flat task 8) + 12, so while
+        // `on_cell(0)` stalls the workers may start flat tasks up to 19,
+        // plus two claims that raced past the check.
+        let configs: Vec<SystemConfig> = (0..24).map(|k| small([3 + k % 5, 2])).collect();
+        let jobs: Vec<PointJob<'_>> = configs.iter().map(|c| job(c, 4, 5)).collect();
+        let (reference, _) = run_cells(&jobs, 1, 1, 0, Vec::new());
+        let started = AtomicU64::new(0);
+        for fail_at in [None, Some(6)] {
+            started.store(0, Ordering::SeqCst);
+            let mut got = Vec::new();
+            let result = run_grid(
+                &jobs,
+                1,
+                &|p, _, r| {
+                    started.fetch_max(p as u64 * 4 + r, Ordering::SeqCst);
+                    NoBalancing
+                },
+                3,
+                1,
+                Vec::new(),
+                |p, v, stats| {
+                    if p == 0 {
+                        let t = Instant::now();
+                        while started.load(Ordering::SeqCst) < 19 {
+                            assert!(t.elapsed() < Duration::from_secs(10), "workers stopped");
+                            std::thread::yield_now();
+                        }
+                        // Time enough to run the whole grid, had the
+                        // window not held.
+                        std::thread::sleep(Duration::from_millis(20));
+                        let last = started.load(Ordering::SeqCst);
+                        assert!(last <= 21, "claimed past the window: task {last}");
+                    }
+                    if Some(p) == fail_at {
+                        return Err("stop".to_string());
+                    }
+                    got.push((p, v, stats));
+                    Ok(())
+                },
+            );
+            // Results are unchanged; an error from the drain still wakes
+            // and stops the waiting workers.
+            match fail_at {
+                None => {
+                    result.expect("grid runs");
+                    assert_eq!(got.len(), reference.len());
+                    for ((_, _, a), (_, _, b)) in reference.iter().zip(&got) {
+                        assert_same_stats(a, b, "stalled drain");
+                    }
+                }
+                Some(p) => {
+                    assert_eq!(result.unwrap_err(), "stop");
+                    assert_eq!(got.len(), p);
+                }
+            }
         }
     }
 
@@ -1257,7 +1373,11 @@ mod tests {
         let configs = grid();
         let jobs: Vec<PointJob<'_>> = configs.iter().map(|c| job(c, 3, 42)).collect();
         let reference = collect(&configs, &[3, 3, 3, 3], 1, 0);
-        for threads in [1, 4] {
+        // Chunks of 2 and 5 straddle cells of 3, so some block holds the
+        // tail of one cell and the next one starts mid-chunk. The inline
+        // run (first) is the reference for every degraded cell.
+        let mut inline: Vec<(usize, PointStats)> = Vec::new();
+        for (threads, chunk) in [(1, 1), (4, 1), (4, 2), (4, 5), (2, 5)] {
             let mut cells: Vec<(usize, PointStats)> = Vec::new();
             let report = run_grid(
                 &jobs,
@@ -1266,7 +1386,7 @@ mod tests {
                     armed: p == 1 && r == 1,
                 },
                 threads,
-                1,
+                chunk,
                 Vec::new(),
                 |p, _v, stats| {
                     cells.push((p, stats));
@@ -1301,6 +1421,13 @@ mod tests {
                 } else {
                     assert_eq!(stats.completion_times, reference[i].1.completion_times);
                     assert!(stats.quarantined_reps.is_empty());
+                }
+            }
+            if threads == 1 {
+                inline = cells;
+            } else {
+                for ((_, a), (_, b)) in inline.iter().zip(&cells) {
+                    assert_same_stats(a, b, &format!("threads={threads} chunk={chunk}"));
                 }
             }
         }

@@ -164,8 +164,8 @@ where
     // A replication study is a one-point grid: the shared sweep scheduler
     // of [`crate::exec`] supplies the worker pool, the per-worker
     // simulator reuse ([`crate::engine::Simulator::reset`]) and the
-    // slot-stable scatter, so `run`, `compare`, the bench harness and the
-    // lab's sweeps all exercise the same execution path.
+    // replication-ordered result blocks, so `run`, `compare`, the bench
+    // harness and the lab's sweeps all exercise the same execution path.
     let job = PointJob {
         config,
         reps,

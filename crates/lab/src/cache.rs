@@ -33,7 +33,6 @@ use churnbal_core::PolicySpec;
 use churnbal_stochastic::Fnv1a;
 
 use crate::campaign::StoppingRule;
-use crate::scenario::Scenario;
 use crate::sweep::AxisParam;
 
 /// Format marker on the first line of every cell file.
@@ -48,9 +47,12 @@ const CELL_VERSION: u64 = 2;
 /// reuses the cache. The tolerance only enters for adaptive rules
 /// (`r0 < max_reps`): a fixed rule runs exactly `r0` replications
 /// whatever its tolerance, so every fixed rule of one size shares a key.
+/// `point_toml` is the point scenario's
+/// [`to_toml`](crate::scenario::Scenario::to_toml) text, rendered
+/// once per point by callers that key several policies of it.
 #[must_use]
 pub(crate) fn cell_digest(
-    point_scenario: &Scenario,
+    point_toml: &str,
     coords: &[(AxisParam, f64)],
     policy_label: &str,
     policy: &PolicySpec,
@@ -60,7 +62,7 @@ pub(crate) fn cell_digest(
     let mut h = Fnv1a::new();
     h.update(CELL_KIND.as_bytes());
     h.update_u64(CELL_VERSION);
-    h.update(point_scenario.to_toml().as_bytes());
+    h.update(point_toml.as_bytes());
     h.update_u64(coords.len() as u64);
     for (param, value) in coords {
         h.update(param.key().as_bytes());
@@ -172,7 +174,7 @@ fn parse(text: &str, digest: u64, path: &Path) -> Result<Option<PointStats>, Str
     let header = lines.next().ok_or_else(|| bad("empty file"))?;
     let fields = parse_object(header).map_err(|e| bad(&format!("bad header: {e}")))?;
     match lookup(&fields, "kind") {
-        Some(JsonVal::Str(k)) if k == CELL_KIND => {}
+        Some(JsonVal::Str(k)) if *k == CELL_KIND => {}
         _ => return Err(bad("not a cell cache file")),
     }
     match lookup(&fields, "version") {
@@ -187,22 +189,22 @@ fn parse(text: &str, digest: u64, path: &Path) -> Result<Option<PointStats>, Str
     if lines.next().is_some() {
         return Err(bad("trailing lines after the state line"));
     }
-    let fields = parse_object(line).map_err(|e| bad(&format!("bad state line: {e}")))?;
-    let num = |key: &str| -> Result<u64, String> {
-        match lookup(&fields, key) {
-            Some(JsonVal::Num(v)) => Ok(*v),
-            _ => Err(bad(&format!("missing numeric `{key}`"))),
-        }
-    };
-    let arr = |key: &str| -> Result<&Vec<u64>, String> {
-        match lookup(&fields, key) {
-            Some(JsonVal::Arr(v)) => Ok(v),
+    let mut fields = parse_object(line).map_err(|e| bad(&format!("bad state line: {e}")))?;
+    let mut arr = |key: &str| -> Result<Vec<u64>, String> {
+        match fields.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, JsonVal::Arr(v))) => Ok(std::mem::take(v)),
             _ => Err(bad(&format!("missing array `{key}`"))),
         }
     };
     let times = arr("times")?;
     let failures = arr("failures")?;
     let shipped = arr("shipped")?;
+    let num = |key: &str| -> Result<u64, String> {
+        match lookup(&fields, key) {
+            Some(JsonVal::Num(v)) => Ok(*v),
+            _ => Err(bad(&format!("missing numeric `{key}`"))),
+        }
+    };
     if times.len() as u64 != num("reps")?
         || failures.len() != times.len()
         || shipped.len() != times.len()
@@ -210,9 +212,10 @@ fn parse(text: &str, digest: u64, path: &Path) -> Result<Option<PointStats>, Str
         return Err(bad("inconsistent replication counts"));
     }
     Ok(Some(PointStats {
-        completion_times: times.iter().map(|&b| f64::from_bits(b)).collect(),
-        failures_per_rep: failures.clone(),
-        tasks_shipped_per_rep: shipped.clone(),
+        // Same-layout map: the collect reuses the array's allocation.
+        completion_times: times.into_iter().map(f64::from_bits).collect(),
+        failures_per_rep: failures,
+        tasks_shipped_per_rep: shipped,
         incomplete: num("incomplete")?,
         total_events: num("events")?,
         total_recoveries: num("recoveries")?,
@@ -241,25 +244,28 @@ fn push_u64_array(out: &mut String, key: &str, values: impl Iterator<Item = u64>
 }
 
 /// Minimal value space of the cell files' JSON subset: unsigned integers,
-/// arrays of unsigned integers, and escape-free strings.
+/// arrays of unsigned integers, and escape-free strings (borrowed from the
+/// line).
 #[derive(Debug)]
-enum JsonVal {
+enum JsonVal<'a> {
     Num(u64),
     Arr(Vec<u64>),
-    Str(String),
+    Str(&'a str),
 }
 
-fn lookup<'a>(fields: &'a [(String, JsonVal)], key: &str) -> Option<&'a JsonVal> {
-    fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+fn lookup<'v, 'a>(fields: &'v [(&'a str, JsonVal<'a>)], key: &str) -> Option<&'v JsonVal<'a>> {
+    fields.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
 }
 
 /// Parses one flat JSON object in the subset. Anything outside it
 /// (escapes, nesting, floats, negative numbers) is an error — the cache
-/// never writes it.
-fn parse_object(line: &str) -> Result<Vec<(String, JsonVal)>, String> {
+/// never writes it. Arrays after a `reps` field reserve that many slots
+/// (at most one per two bytes of the line, the shortest an element can be).
+fn parse_object(line: &str) -> Result<Vec<(&str, JsonVal<'_>)>, String> {
     let mut c = Cursor {
-        s: line.as_bytes(),
+        s: line,
         i: 0,
+        reserve: 0,
     };
     c.expect(b'{')?;
     let mut fields = Vec::new();
@@ -269,7 +275,11 @@ fn parse_object(line: &str) -> Result<Vec<(String, JsonVal)>, String> {
         loop {
             let key = c.parse_string()?;
             c.expect(b':')?;
-            fields.push((key, c.parse_value()?));
+            let value = c.parse_value()?;
+            if let ("reps", JsonVal::Num(n)) = (key, &value) {
+                c.reserve = usize::try_from(*n).map_or(0, |n| n.min(line.len() / 2));
+            }
+            fields.push((key, value));
             match c.next_byte()? {
                 b',' => {}
                 b'}' => break,
@@ -285,20 +295,26 @@ fn parse_object(line: &str) -> Result<Vec<(String, JsonVal)>, String> {
 }
 
 struct Cursor<'a> {
-    s: &'a [u8],
+    s: &'a str,
     i: usize,
+    /// Capacity each array reserves up front.
+    reserve: usize,
 }
 
-impl Cursor<'_> {
+impl<'a> Cursor<'a> {
+    fn byte(&self) -> Option<u8> {
+        self.s.as_bytes().get(self.i).copied()
+    }
+
     fn skip_ws(&mut self) {
-        while self.i < self.s.len() && (self.s[self.i] == b' ' || self.s[self.i] == b'\t') {
+        while matches!(self.byte(), Some(b' ' | b'\t')) {
             self.i += 1;
         }
     }
 
     fn peek(&mut self) -> Option<u8> {
         self.skip_ws();
-        self.s.get(self.i).copied()
+        self.byte()
     }
 
     fn next_byte(&mut self) -> Result<u8, String> {
@@ -319,13 +335,14 @@ impl Cursor<'_> {
         }
     }
 
-    fn parse_string(&mut self) -> Result<String, String> {
+    fn parse_string(&mut self) -> Result<&'a str, String> {
         self.expect(b'"')?;
         let start = self.i;
-        while let Some(&b) = self.s.get(self.i) {
+        while let Some(b) = self.byte() {
             match b {
+                // ASCII quotes are char boundaries, so the slice is valid.
                 b'"' => {
-                    let out = String::from_utf8_lossy(&self.s[start..self.i]).into_owned();
+                    let out = &self.s[start..self.i];
                     self.i += 1;
                     return Ok(out);
                 }
@@ -336,26 +353,29 @@ impl Cursor<'_> {
         Err("unterminated string".into())
     }
 
+    /// Accumulates a run of decimal digits in one pass.
     fn parse_u64(&mut self) -> Result<u64, String> {
         let start = self.i;
-        while self.s.get(self.i).is_some_and(u8::is_ascii_digit) {
+        let mut n = 0u64;
+        while let Some(digit @ b'0'..=b'9') = self.byte() {
+            n = n
+                .checked_mul(10)
+                .and_then(|n| n.checked_add(u64::from(digit - b'0')))
+                .ok_or("number overflows u64")?;
             self.i += 1;
         }
         if self.i == start {
             return Err("expected a number".into());
         }
-        std::str::from_utf8(&self.s[start..self.i])
-            .expect("digits are ASCII")
-            .parse()
-            .map_err(|_| "number overflows u64".into())
+        Ok(n)
     }
 
-    fn parse_value(&mut self) -> Result<JsonVal, String> {
+    fn parse_value(&mut self) -> Result<JsonVal<'a>, String> {
         match self.peek().ok_or("unexpected end of line")? {
             b'"' => self.parse_string().map(JsonVal::Str),
             b'[' => {
                 self.i += 1;
-                let mut arr = Vec::new();
+                let mut arr = Vec::with_capacity(self.reserve);
                 if self.peek() == Some(b']') {
                     self.i += 1;
                     return Ok(JsonVal::Arr(arr));
@@ -474,9 +494,122 @@ mod tests {
     }
 
     #[test]
+    fn every_rejection_keeps_its_message() {
+        let path = Path::new("x.cell.jsonl");
+        let good = render(5, &sample_stats(1, 0));
+        let (header, state) = good.trim_end().split_once('\n').expect("two lines");
+        let with_state = |state: &str| format!("{header}\n{state}\n");
+        let cases: [(String, &str); 16] = [
+            (good[..good.len() - 1].to_string(), "truncated file"),
+            (
+                "point,policy\n0,0\n".into(),
+                "bad header: expected '{', found 'p'",
+            ),
+            (
+                "{\"kind\":\"churnbal-cell\n{}\n".into(),
+                "bad header: unterminated string",
+            ),
+            (
+                good.replace("churnbal-cell", "other"),
+                "not a cell cache file",
+            ),
+            (
+                good.replace("\"version\":2", "\"version\":1"),
+                "unsupported version",
+            ),
+            (
+                good.replace("\"version\":2", "\"version\":99999999999999999999"),
+                "bad header: number overflows u64",
+            ),
+            (format!("{header}\n"), "missing state line"),
+            (
+                format!("{good}{{}}\n"),
+                "trailing lines after the state line",
+            ),
+            (
+                with_state(&state.replace("\"reps\"", "\"re\\\"ps\"")),
+                "bad state line: escape sequences are outside the cache's JSON subset",
+            ),
+            (
+                with_state(&state.replace("\"reps\":3", "\"reps\":18446744073709551616")),
+                "bad state line: number overflows u64",
+            ),
+            (
+                with_state(&state.replace("\"failures\":[0", "\"failures\":[18446744073709551616")),
+                "bad state line: number overflows u64",
+            ),
+            (
+                with_state(&state.replace("\"reps\":3", "\"reps\":-3")),
+                "bad state line: expected a number",
+            ),
+            (
+                with_state(&state.replace("\"incomplete\":1", "\"incomplete\":1.5")),
+                "bad state line: unexpected byte '.' in object",
+            ),
+            (
+                with_state(&state.replace("\"incomplete\"", "\"complete\"")),
+                "missing numeric `incomplete`",
+            ),
+            (
+                with_state(&state.replace("\"shipped\"", "\"shipping\"")),
+                "missing array `shipped`",
+            ),
+            (
+                with_state(&state.replace("\"reps\":3", "\"reps\":4")),
+                "inconsistent replication counts",
+            ),
+        ];
+        for (text, msg) in &cases {
+            assert_eq!(
+                parse(text, 5, path).unwrap_err(),
+                format!("cell cache `x.cell.jsonl`: {msg} (delete the file to recompute)"),
+                "{text}"
+            );
+        }
+        // A well-formed file of another cell is a miss, not an error.
+        assert!(parse(&good, 6, path).expect("parses").is_none());
+        // The largest u64 still parses.
+        let max =
+            with_state(&state.replace("\"events\":1000", &format!("\"events\":{}", u64::MAX)));
+        assert_eq!(
+            parse(&max, 5, path)
+                .expect("parses")
+                .expect("hit")
+                .total_events,
+            u64::MAX
+        );
+    }
+
+    #[test]
+    fn cell_digests_are_pinned() {
+        // Cache keys must never move: a moved key silently turns every
+        // cache file on disk into a miss. One fixed and one adaptive rule
+        // (only the latter hashes the tolerance), over a grid coordinate.
+        let sc = registry::get("paper-fig3").expect("registered");
+        let policy = sc.policy.clone();
+        let coords = [(AxisParam::Gain, 0.5)];
+        let adaptive = StoppingRule {
+            tolerance: 0.05,
+            r0: 64,
+            max_reps: 1024,
+            antithetic: true,
+        };
+        let toml = sc.to_toml();
+        assert_eq!(
+            cell_digest(&toml, &coords, "lbp1", &policy, 42, &StoppingRule::fixed(8)),
+            0x8368_ce5e_459b_a6f2
+        );
+        assert_eq!(
+            cell_digest(&toml, &coords, "lbp1", &policy, 42, &adaptive),
+            0xb359_9237_ab95_47b2
+        );
+    }
+
+    #[test]
     fn fixed_rules_ignore_tolerance() {
         let sc = registry::get("paper-fig5").expect("registered");
         let policy = sc.policy.clone();
+        let sc = sc.to_toml();
         // A fixed rule runs exactly r0 replications whatever the
         // tolerance, so a campaign cell with r0 = max_reps = 8 and a
         // fixed 8-replication CLI cell share a key.

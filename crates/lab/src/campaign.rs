@@ -563,6 +563,8 @@ impl Campaign {
                         .scenario
                         .system_config()
                         .map_err(|e| format!("spec `{}`: {e}", spec.name))?;
+                    // Every policy of the point keys the same scenario text.
+                    let point_toml = point.scenario.to_toml();
                     for entry in &entries {
                         let mut policy = entry.spec.clone();
                         for (param, value) in &point.coords {
@@ -583,7 +585,7 @@ impl Campaign {
                         })?;
                         let seed = spec.seed.unwrap_or(point.scenario.seed);
                         let digest = cache::cell_digest(
-                            &point.scenario,
+                            &point_toml,
                             &point.coords,
                             &entry.label,
                             &policy,
@@ -630,6 +632,12 @@ impl Campaign {
 
     fn warm_from_cache(&mut self) -> Result<(), String> {
         let dir = self.cache_dir();
+        // A cold campaign has no cache yet: skip one failed open per cell.
+        // Anything else (a `cache` file, an unreadable directory) falls
+        // through to the per-cell reads and their errors.
+        if matches!(dir.try_exists(), Ok(false)) {
+            return Ok(());
+        }
         for cell in &mut self.cells {
             if let Some(stats) = cache::load(&dir, cell.digest)? {
                 cell.stats = stats;
@@ -1043,6 +1051,27 @@ mod tests {
     }
 
     #[test]
+    fn missing_cache_is_cold_and_a_cache_file_is_an_error() {
+        let dir =
+            std::env::temp_dir().join(format!("churnbal-campaign-cold-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).expect("tmp dir");
+        fs::write(
+            dir.join("a.toml"),
+            "scenarios = [\"paper-fig5\"]\n[stopping]\ntolerance = 0.5\n",
+        )
+        .expect("spec");
+        let campaign = Campaign::load(&dir).expect("loads without a cache dir");
+        assert!(campaign.cells.iter().all(|c| c.n() == 0));
+        fs::write(dir.join("cache"), "").expect("cache file");
+        let Err(err) = Campaign::load(&dir) else {
+            panic!("a `cache` file is not a directory");
+        };
+        assert!(err.starts_with("cannot read `"), "{err}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn spec_parse_defaults_and_errors() {
         let dir = Path::new(".");
         let spec = CampaignSpec::parse(
@@ -1090,6 +1119,7 @@ mod tests {
     fn digest_tracks_every_input() {
         let sc = registry::get("paper-fig5").expect("registered");
         let policy = sc.policy.clone();
+        let sc = sc.to_toml();
         let r = rule();
         let base = cache::cell_digest(&sc, &[], "p", &policy, 42, &r);
         assert_eq!(base, cache::cell_digest(&sc, &[], "p", &policy, 42, &r));

@@ -454,7 +454,7 @@ fn cmd_campaign<'a>(it: &mut impl Iterator<Item = &'a String>) -> Result<String,
             let mut opts = CampaignRunOptions::default();
             while let Some(flag) = it.next() {
                 let value = |it: &mut dyn Iterator<Item = &'a String>| {
-                    it.next().ok_or(format!("{flag} needs a value"))
+                    it.next().ok_or_else(|| format!("{flag} needs a value"))
                 };
                 match flag.as_str() {
                     "--threads" => {

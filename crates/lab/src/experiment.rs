@@ -930,9 +930,10 @@ impl Experiment {
             std::fs::create_dir_all(dir)
                 .map_err(|e| format!("cannot create cache dir `{}`: {e}", dir.display()))?;
             for ((point, job), set) in points.iter().zip(&jobs).zip(&point_policies) {
+                let point_toml = point.scenario.to_toml();
                 for (v, policy) in set.iter().enumerate() {
                     let key = cache::cell_digest(
-                        &point.scenario,
+                        &point_toml,
                         &point.coords,
                         &schema.policies[v],
                         policy,

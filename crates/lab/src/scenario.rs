@@ -827,7 +827,7 @@ impl Scenario {
 
         let net = doc
             .table("network")
-            .ok_or("missing [network] table".to_string())?;
+            .ok_or_else(|| "missing [network] table".to_string())?;
         let network = NetworkSpec {
             fixed: req_f64(net, "[network]", "fixed")?,
             per_task: req_f64(net, "[network]", "per_task")?,
@@ -854,7 +854,7 @@ impl Scenario {
 
         let pol = doc
             .table("policy")
-            .ok_or("missing [policy] table".to_string())?;
+            .ok_or_else(|| "missing [policy] table".to_string())?;
         let policy = parse_policy(pol)?;
 
         let churn = match doc.table("churn") {
@@ -954,7 +954,7 @@ impl Scenario {
             let param = AxisParam::parse(&req_str(t, &ctx, "param")?)?;
             let values = t
                 .get("values")
-                .ok_or(format!("{ctx}: missing key `values`"))?;
+                .ok_or_else(|| format!("{ctx}: missing key `values`"))?;
             let Some(items) = values.as_array() else {
                 return Err(format!("{ctx}.values: expected an array"));
             };
@@ -962,7 +962,7 @@ impl Scenario {
             for (j, v) in items.iter().enumerate() {
                 vals.push(
                     v.as_f64()
-                        .ok_or(format!("{ctx}.values[{j}]: expected a number"))?,
+                        .ok_or_else(|| format!("{ctx}.values[{j}]: expected a number"))?,
                 );
             }
             axes.push(Axis {
@@ -1103,13 +1103,15 @@ fn ctx_key(ctx: &str, key: &str) -> String {
 }
 
 fn req_str(t: &Table, ctx: &str, key: &str) -> Result<String, String> {
-    let v = t.get(key).ok_or(format!(
-        "{}: missing key `{key}`",
-        if ctx.is_empty() { "document root" } else { ctx }
-    ))?;
+    let v = t.get(key).ok_or_else(|| {
+        format!(
+            "{}: missing key `{key}`",
+            if ctx.is_empty() { "document root" } else { ctx }
+        )
+    })?;
     v.as_str()
         .map(str::to_string)
-        .ok_or(format!("{}: expected a string", ctx_key(ctx, key)))
+        .ok_or_else(|| format!("{}: expected a string", ctx_key(ctx, key)))
 }
 
 fn opt_str(t: &Table, key: &str) -> Option<String> {
@@ -1117,12 +1119,14 @@ fn opt_str(t: &Table, key: &str) -> Option<String> {
 }
 
 fn req_f64(t: &Table, ctx: &str, key: &str) -> Result<f64, String> {
-    let v = t.get(key).ok_or(format!(
-        "{}: missing key `{key}`",
-        if ctx.is_empty() { "document root" } else { ctx }
-    ))?;
+    let v = t.get(key).ok_or_else(|| {
+        format!(
+            "{}: missing key `{key}`",
+            if ctx.is_empty() { "document root" } else { ctx }
+        )
+    })?;
     v.as_f64()
-        .ok_or(format!("{}: expected a number", ctx_key(ctx, key)))
+        .ok_or_else(|| format!("{}: expected a number", ctx_key(ctx, key)))
 }
 
 fn opt_f64(t: &Table, ctx: &str, key: &str) -> Result<Option<f64>, String> {
@@ -1131,17 +1135,19 @@ fn opt_f64(t: &Table, ctx: &str, key: &str) -> Result<Option<f64>, String> {
         Some(v) => v
             .as_f64()
             .map(Some)
-            .ok_or(format!("{}: expected a number", ctx_key(ctx, key))),
+            .ok_or_else(|| format!("{}: expected a number", ctx_key(ctx, key))),
     }
 }
 
 fn req_i64(t: &Table, ctx: &str, key: &str) -> Result<i64, String> {
-    let v = t.get(key).ok_or(format!(
-        "{}: missing key `{key}`",
-        if ctx.is_empty() { "document root" } else { ctx }
-    ))?;
+    let v = t.get(key).ok_or_else(|| {
+        format!(
+            "{}: missing key `{key}`",
+            if ctx.is_empty() { "document root" } else { ctx }
+        )
+    })?;
     v.as_int()
-        .ok_or(format!("{}: expected an integer", ctx_key(ctx, key)))
+        .ok_or_else(|| format!("{}: expected an integer", ctx_key(ctx, key)))
 }
 
 fn req_u64(t: &Table, ctx: &str, key: &str) -> Result<u64, String> {
@@ -1166,7 +1172,9 @@ fn req_usize(t: &Table, ctx: &str, key: &str) -> Result<usize, String> {
 }
 
 fn req_f64_array(t: &Table, ctx: &str, key: &str) -> Result<Vec<f64>, String> {
-    let v = t.get(key).ok_or(format!("{ctx}: missing key `{key}`"))?;
+    let v = t
+        .get(key)
+        .ok_or_else(|| format!("{ctx}: missing key `{key}`"))?;
     let Some(items) = v.as_array() else {
         return Err(format!(
             "{}: expected an array of numbers",
@@ -1178,7 +1186,7 @@ fn req_f64_array(t: &Table, ctx: &str, key: &str) -> Result<Vec<f64>, String> {
         .enumerate()
         .map(|(i, x)| {
             x.as_f64()
-                .ok_or(format!("{}[{i}]: expected a number", ctx_key(ctx, key)))
+                .ok_or_else(|| format!("{}[{i}]: expected a number", ctx_key(ctx, key)))
         })
         .collect()
 }
