@@ -145,6 +145,30 @@ pub struct PointStats {
     pub quarantined_reps: Vec<u64>,
 }
 
+impl PointStats {
+    /// Appends the replications that follow this one's, in replication
+    /// order: the per-replication columns, probe reports and quarantined
+    /// replications move over, and the run totals (the float
+    /// `transit_task_seconds` included) add.
+    pub fn append(&mut self, mut next: Self) {
+        self.completion_times.append(&mut next.completion_times);
+        self.failures_per_rep.append(&mut next.failures_per_rep);
+        self.tasks_shipped_per_rep
+            .append(&mut next.tasks_shipped_per_rep);
+        self.incomplete += next.incomplete;
+        self.total_events += next.total_events;
+        self.total_recoveries += next.total_recoveries;
+        self.total_transfers += next.total_transfers;
+        self.total_tasks_clamped += next.total_tasks_clamped;
+        self.total_tasks_lost += next.total_tasks_lost;
+        self.total_retries += next.total_retries;
+        self.total_bounces += next.total_bounces;
+        self.transit_task_seconds += next.transit_task_seconds;
+        self.probes.append(&mut next.probes);
+        self.quarantined_reps.append(&mut next.quarantined_reps);
+    }
+}
+
 /// One quarantined `(point, policy, replication)` task: the sweep kept
 /// going without it, and the failure is reported here instead of tearing
 /// the whole run down.
@@ -264,20 +288,7 @@ impl Block {
             self.first + self.len(),
             "blocks must be contiguous"
         );
-        let (s, n) = (&mut self.stats, &mut next.stats);
-        s.completion_times.append(&mut n.completion_times);
-        s.failures_per_rep.append(&mut n.failures_per_rep);
-        s.tasks_shipped_per_rep.append(&mut n.tasks_shipped_per_rep);
-        s.incomplete += n.incomplete;
-        s.total_events += n.total_events;
-        s.total_recoveries += n.total_recoveries;
-        s.total_transfers += n.total_transfers;
-        s.total_tasks_clamped += n.total_tasks_clamped;
-        s.total_tasks_lost += n.total_tasks_lost;
-        s.total_retries += n.total_retries;
-        s.total_bounces += n.total_bounces;
-        s.probes.append(&mut n.probes);
-        s.quarantined_reps.append(&mut n.quarantined_reps);
+        self.stats.append(next.stats);
         self.transit.append(&mut next.transit);
         self.quarantines.append(&mut next.quarantines);
     }

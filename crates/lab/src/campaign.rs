@@ -66,10 +66,10 @@ use churnbal_stochastic::{t_ci95_half_width, OnlineStats};
 
 use crate::cache::{self, write_atomic};
 use crate::cli::{load_scenario, parse_axis, parse_policies};
-use crate::experiment::PolicyEntry;
+use crate::experiment::{csv_field, fnum, PolicyEntry};
 use crate::registry;
 use crate::scenario::Scenario;
-use crate::sweep::{csv_field, expand_grid, fnum, Axis, AxisParam};
+use crate::sweep::{expand_grid, Axis, AxisParam};
 use crate::toml::{Doc, Value};
 
 /// Default first-round batch.
@@ -442,26 +442,6 @@ impl Cell {
     }
 }
 
-/// Appends one round's replications and totals to a cell's accumulated
-/// stats.
-fn absorb(acc: &mut PointStats, round: &PointStats) {
-    acc.completion_times
-        .extend_from_slice(&round.completion_times);
-    acc.failures_per_rep
-        .extend_from_slice(&round.failures_per_rep);
-    acc.tasks_shipped_per_rep
-        .extend_from_slice(&round.tasks_shipped_per_rep);
-    acc.incomplete += round.incomplete;
-    acc.total_events += round.total_events;
-    acc.total_recoveries += round.total_recoveries;
-    acc.total_transfers += round.total_transfers;
-    acc.total_tasks_clamped += round.total_tasks_clamped;
-    acc.total_tasks_lost += round.total_tasks_lost;
-    acc.total_retries += round.total_retries;
-    acc.total_bounces += round.total_bounces;
-    acc.transit_task_seconds += round.transit_task_seconds;
-}
-
 /// Execution knobs for [`Campaign::run`]. Result bytes and replication
 /// counts do not depend on `threads` or `chunk`.
 #[derive(Clone, Copy, Debug, Default)]
@@ -741,7 +721,7 @@ impl Campaign {
                 report.reps_run += stats.completion_times.len() as u64;
                 let rule = self.specs[self.cells[i].spec_idx].stopping;
                 let cell = &mut self.cells[i];
-                absorb(&mut cell.stats, &stats);
+                cell.stats.append(stats);
                 cache::store(&cache_dir, cell.digest, &cell.stats)?;
                 if cell.verdict(&rule) != CellVerdict::Pending {
                     report.cells_finished_now += 1;
@@ -1018,8 +998,8 @@ mod tests {
             ..PointStats::default()
         };
         let mut acc = PointStats::default();
-        absorb(&mut acc, &round(&[1.5, 2.25], 0.1));
-        absorb(&mut acc, &round(&[f64::MIN_POSITIVE, 1e300], 0.2));
+        acc.append(round(&[1.5, 2.25], 0.1));
+        acc.append(round(&[f64::MIN_POSITIVE, 1e300], 0.2));
         assert_eq!(
             acc.completion_times,
             vec![1.5, 2.25, f64::MIN_POSITIVE, 1e300]

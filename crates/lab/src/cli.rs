@@ -45,8 +45,8 @@ use churnbal_core::PolicySpec;
 
 use crate::campaign::{Campaign, CampaignRunOptions};
 use crate::experiment::{
-    probe_jsonl_row, CollectSink, CsvSink, Experiment, ExperimentResult, ExperimentRow,
-    ExperimentSchema, ExperimentSpec, JsonlSink, PolicyEntry, RowSink,
+    probe_jsonl_row, CollectSink, Experiment, ExperimentResult, ExperimentRow, ExperimentSchema,
+    ExperimentSpec, LineSink, OutputFormat, PolicyEntry, RowSink,
 };
 use crate::registry;
 use crate::scenario::{Scenario, ScenarioError, ScenarioErrorKind};
@@ -545,6 +545,12 @@ fn pretty(v: f64) -> String {
     }
 }
 
+/// A per-replication statistic for display: `-` when the row has no
+/// surviving replication (see [`ExperimentRow::stat`]).
+fn shown(row: &ExperimentRow, text: String) -> String {
+    row.stat(text).unwrap_or_else(|| "-".to_string())
+}
+
 fn render_table(result: &ExperimentResult) -> String {
     let schema = &result.schema;
     let mut header: Vec<String> = schema.axes.iter().map(|a| a.key().to_string()).collect();
@@ -568,15 +574,15 @@ fn render_table(result: &ExperimentResult) -> String {
             row.push(r.policy.clone());
         }
         row.extend([
-            format!("{:.2}", r.mean_completion),
-            format!("{:.2}", r.ci95),
-            format!("{:.2}", r.sd_completion),
+            shown(r, format!("{:.2}", r.mean_completion)),
+            shown(r, format!("{:.2}", r.ci95)),
+            shown(r, format!("{:.2}", r.sd_completion)),
         ]);
         if schema.theory {
             row.push(r.theory_mean.map_or(String::new(), |t| format!("{t:.2}")));
             row.push(
                 r.mc_minus_theory
-                    .map_or(String::new(), |d| format!("{d:+.2}")),
+                    .map_or(String::new(), |d| shown(r, format!("{d:+.2}"))),
             );
         }
         if schema.paired {
@@ -595,8 +601,11 @@ fn render_table(result: &ExperimentResult) -> String {
             }
         }
         row.extend([
-            format!("{:.2} ± {:.2}", r.mean_failures, r.sd_failures),
-            format!("{:.1} ± {:.1}", r.mean_tasks_shipped, r.sd_tasks_shipped),
+            shown(r, format!("{:.2} ± {:.2}", r.mean_failures, r.sd_failures)),
+            shown(
+                r,
+                format!("{:.1} ± {:.1}", r.mean_tasks_shipped, r.sd_tasks_shipped),
+            ),
             r.incomplete.to_string(),
         ]);
         rows.push(row);
@@ -776,49 +785,40 @@ fn collect_with_probe_tee(
     ))
 }
 
-/// Runs an experiment in machine format. With `--out`, rows stream to the
-/// file as their `(grid point, policy)` cells finish — a long grid's
-/// partial results are on disk while later points still run — and the
-/// returned report names the line count. Without it, rows stream into an
-/// in-memory buffer returned for stdout. Both paths go through the same
-/// [`CsvSink`]/[`JsonlSink`] renderers as [`ExperimentResult::to_csv`] /
-/// [`to_jsonl`](ExperimentResult::to_jsonl), so the bytes are identical
-/// to the buffered path's.
+/// Runs an experiment in machine format (`format` is `csv` or `jsonl`).
+/// With `--out`, rows stream to the file as their `(grid point, policy)`
+/// cells finish — a long grid's partial results are on disk while later
+/// points still run — and the returned report names the line count.
+/// Without it, rows stream into an in-memory buffer returned for stdout.
+/// Both paths go through the same [`LineSink`] renderer as
+/// [`ExperimentResult::to_csv`] / [`to_jsonl`](ExperimentResult::to_jsonl),
+/// so the bytes are identical to the buffered path's.
 fn run_machine_format(
     spec: ExperimentSpec,
     opts: &CliOptions,
-    jsonl: bool,
+    format: &str,
 ) -> Result<String, String> {
-    fn run_into<W: Write>(
-        experiment: &Experiment,
-        out: W,
-        opts: &CliOptions,
-        jsonl: bool,
-    ) -> Result<(ExperimentSchema, churnbal_cluster::ExecReport, W), String> {
-        if jsonl {
-            let mut sink = JsonlSink::new(out);
-            let (schema, report) = run_with_probe_tee(experiment, &mut sink, opts)?;
-            Ok((schema, report, sink.into_inner()))
-        } else {
-            let mut sink = CsvSink::new(out);
-            let (schema, report) = run_with_probe_tee(experiment, &mut sink, opts)?;
-            Ok((schema, report, sink.into_inner()))
-        }
-    }
+    let format = if format == "jsonl" {
+        OutputFormat::Jsonl
+    } else {
+        OutputFormat::Csv
+    };
     let experiment = Experiment::new(spec);
+    let run_into = |out: &mut dyn Write| {
+        run_with_probe_tee(&experiment, &mut LineSink::new(out, format), opts)
+    };
     match &opts.out {
         Some(path) => {
             let file =
                 std::fs::File::create(path).map_err(|e| format!("cannot write `{path}`: {e}"))?;
-            let (schema, report, out) =
-                run_into(&experiment, std::io::BufWriter::new(file), opts, jsonl)?;
-            drop(out); // flushes the BufWriter
-            let lines = schema.rows() + usize::from(!jsonl);
+            let (schema, report) = run_into(&mut std::io::BufWriter::new(file))?;
+            let lines = schema.rows() + usize::from(format == OutputFormat::Csv);
             let msg = format!("wrote {lines} lines to {path}\n");
             append_quarantines(msg, &report, &schema.policies, opts, false)
         }
         None => {
-            let (schema, report, buf) = run_into(&experiment, Vec::new(), opts, jsonl)?;
+            let mut buf = Vec::new();
+            let (schema, report) = run_into(&mut buf)?;
             let text = String::from_utf8(buf).map_err(|e| format!("output is not UTF-8: {e}"))?;
             append_quarantines(text, &report, &schema.policies, opts, true)
         }
@@ -830,7 +830,7 @@ fn cmd_run(scenario: &Scenario, opts: &CliOptions) -> Result<String, String> {
     spec.cache.clone_from(&opts.cache);
     let format = opts.format.as_deref().unwrap_or("table");
     if format != "table" {
-        return run_machine_format(spec, opts, format == "jsonl");
+        return run_machine_format(spec, opts, format);
     }
     let (result, report) = collect_with_probe_tee(&Experiment::new(spec), opts)?;
     let reps = opts.run.effective_reps(scenario);
@@ -852,7 +852,7 @@ fn cmd_sweep(scenario: &Scenario, opts: &CliOptions) -> Result<String, String> {
     spec.cache.clone_from(&opts.cache);
     let format = opts.format.as_deref().unwrap_or("csv");
     if format != "table" {
-        return run_machine_format(spec, opts, format == "jsonl");
+        return run_machine_format(spec, opts, format);
     }
     let (result, report) = collect_with_probe_tee(&Experiment::new(spec), opts)?;
     let out = deliver(render_table(&result), opts, String::new())?;
@@ -883,7 +883,7 @@ fn cmd_compare(scenario: &Scenario, opts: &CliOptions) -> Result<String, String>
     spec.cache.clone_from(&opts.cache);
     let format = opts.format.as_deref().unwrap_or("table");
     if format != "table" {
-        return run_machine_format(spec, opts, format == "jsonl");
+        return run_machine_format(spec, opts, format);
     }
     let (result, report) = collect_with_probe_tee(&Experiment::new(spec), opts)?;
     let reps = opts.run.effective_reps(scenario);
@@ -937,70 +937,41 @@ fn cmd_stats(scenario: &Scenario, opts: &CliOptions) -> Result<String, String> {
     );
 
     out.push_str("\ncounters (mean per replication)\n");
-    let counter = |out: &mut String, label: &str, value: String| {
-        out.push_str(&format!("  {label:<22}{value}\n"));
-    };
-    counter(
-        &mut out,
-        "completion time",
-        format!(
-            "{:.2} s ± {:.2} (95% CI), sd {:.2}",
-            row.mean_completion, row.ci95, row.sd_completion
+    let counters = [
+        (
+            "completion time",
+            format!(
+                "{:.2} s ± {:.2} (95% CI), sd {:.2}",
+                row.mean_completion, row.ci95, row.sd_completion
+            ),
         ),
-    );
-    counter(
-        &mut out,
-        "failures",
-        format!("{:.2} ± {:.2} sd", row.mean_failures, row.sd_failures),
-    );
-    counter(
-        &mut out,
-        "recoveries",
-        format!("{:.2}", row.mean_recoveries),
-    );
-    counter(
-        &mut out,
-        "transfer batches",
-        format!("{:.2}", row.mean_transfers),
-    );
-    counter(
-        &mut out,
-        "tasks shipped",
-        format!(
-            "{:.1} ± {:.1} sd",
-            row.mean_tasks_shipped, row.sd_tasks_shipped
+        (
+            "failures",
+            format!("{:.2} ± {:.2} sd", row.mean_failures, row.sd_failures),
         ),
-    );
-    counter(
-        &mut out,
-        "clamped orders",
-        format!("{:.2}", row.mean_tasks_clamped),
-    );
-    counter(
-        &mut out,
-        "transit task-seconds",
-        format!("{:.2}", row.mean_transit_task_seconds),
-    );
-    counter(
-        &mut out,
-        "tasks lost",
-        format!("{:.2}", row.mean_tasks_lost),
-    );
-    counter(
-        &mut out,
-        "channel retries",
-        format!("{:.2}", row.mean_retries),
-    );
-    counter(
-        &mut out,
-        "channel bounces",
-        format!("{:.2}", row.mean_bounces),
-    );
-    counter(
-        &mut out,
-        "incomplete",
-        format!("{} / {}", row.incomplete, row.reps),
-    );
+        ("recoveries", format!("{:.2}", row.mean_recoveries)),
+        ("transfer batches", format!("{:.2}", row.mean_transfers)),
+        (
+            "tasks shipped",
+            format!(
+                "{:.1} ± {:.1} sd",
+                row.mean_tasks_shipped, row.sd_tasks_shipped
+            ),
+        ),
+        ("clamped orders", format!("{:.2}", row.mean_tasks_clamped)),
+        (
+            "transit task-seconds",
+            format!("{:.2}", row.mean_transit_task_seconds),
+        ),
+        ("tasks lost", format!("{:.2}", row.mean_tasks_lost)),
+        ("channel retries", format!("{:.2}", row.mean_retries)),
+        ("channel bounces", format!("{:.2}", row.mean_bounces)),
+    ];
+    for (label, value) in counters {
+        out.push_str(&format!("  {label:<22}{}\n", shown(row, value)));
+    }
+    let incomplete = format!("{} / {}", row.incomplete, row.reps);
+    out.push_str(&format!("  {:<22}{incomplete}\n", "incomplete"));
 
     out.push_str("\ntelemetry (histograms merged across replications)\n");
     let t = &row.telemetry;

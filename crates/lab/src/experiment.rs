@@ -13,10 +13,11 @@
 //! t-based 95% confidence interval
 //! ([`churnbal_stochastic::paired_comparison`]).
 //!
-//! Output is decoupled from execution through [`RowSink`]: CSV, JSON
-//! lines and collecting (for tables/tests) are sink implementations, and
-//! rows stream to the sink in `(grid point, policy)` order as cells
-//! complete. Where a grid point is a two-node closed system, the Eq. 4
+//! Output is decoupled from execution through [`RowSink`]: a
+//! [`LineSink`] writes CSV or JSON lines, a [`CollectSink`] collects (for
+//! tables/tests), and rows stream to the sink in `(grid point, policy)`
+//! order as cells complete. Both line formats render from one column
+//! table per row. Where a grid point is a two-node closed system, the Eq. 4
 //! theory mean joins each row ([`ExperimentSpec::theory`],
 //! [`crate::theory`]).
 //!
@@ -32,12 +33,12 @@ use churnbal_cluster::exec::{run_grid, ExecReport, PointJob, PointStats};
 use churnbal_cluster::mc::McEstimate;
 use churnbal_cluster::{ProbeReport, SimOptions, SystemConfig};
 use churnbal_core::PolicySpec;
-use churnbal_stochastic::{paired_comparison, PairedComparison};
+use churnbal_stochastic::{paired_comparison, LogHistogram, PairedComparison};
 
 use crate::cache;
 use crate::campaign::StoppingRule;
 use crate::scenario::{Scenario, ScenarioError, ScenarioErrorKind};
-use crate::sweep::{expand_grid, sample_sd, Axis, AxisParam, RunOptions, SweepRow};
+use crate::sweep::{expand_grid, Axis, AxisParam, RunOptions};
 use crate::theory::TheoryCache;
 
 /// One labelled policy of a comparison: the display/CSV label (usually the
@@ -256,27 +257,131 @@ pub struct ExperimentRow {
 }
 
 impl ExperimentRow {
-    /// The legacy sweep-row view: the base statistics columns shared with
-    /// PR 2–4 output (theory/delta extras dropped).
-    #[must_use]
-    pub fn to_sweep_row(&self) -> SweepRow {
-        SweepRow {
-            index: self.index,
-            coords: self.coords.clone(),
-            reps: self.reps,
-            seed: self.seed,
-            policy: self.policy.clone(),
-            mean_completion: self.mean_completion,
-            ci95: self.ci95,
-            sd_completion: self.sd_completion,
-            mean_failures: self.mean_failures,
-            sd_failures: self.sd_failures,
-            mean_tasks_shipped: self.mean_tasks_shipped,
-            sd_tasks_shipped: self.sd_tasks_shipped,
-            incomplete: self.incomplete,
+    /// A per-replication statistic of this row, or `None` when no
+    /// replication survived: a mean, spread or quantile of an empty sample
+    /// is not a number. Every renderer shows it as absent (an empty CSV
+    /// field, a JSON `null`, `-` in tables).
+    pub(crate) fn stat<T>(&self, x: T) -> Option<T> {
+        (self.reps > 0).then_some(x)
+    }
+
+    /// The column table: calls `col(name, cell)` for every output column
+    /// of `row` under `schema`, in output order. Each column's name,
+    /// position and presence rule is written once, here and in the column
+    /// groups below; the CSV header, the CSV line and the JSON-lines
+    /// object all render from it. Without a row (the CSV header) only the
+    /// names count and every cell is [`Cell::Absent`].
+    fn columns<'a>(
+        schema: &'a ExperimentSchema,
+        row: Option<&'a Self>,
+        mut col: impl FnMut(&'static str, Cell<'a>),
+    ) {
+        col("scenario", Cell::Text(&schema.scenario));
+        col(
+            "point",
+            row.map_or(Cell::Absent, |r| Cell::Int(r.index as u64)),
+        );
+        for (i, axis) in schema.axes.iter().enumerate() {
+            col(
+                axis.key(),
+                row.map_or(Cell::Absent, |r| Cell::Num(r.coords[i].1)),
+            );
+        }
+        let groups: [(bool, &[Column]); 5] = [
+            (true, &BASE_COLUMNS),
+            (schema.theory, &THEORY_COLUMNS),
+            (schema.paired, &PAIRED_COLUMNS),
+            (schema.metrics_full, &COUNTER_COLUMNS),
+            (schema.metrics_full && schema.probe, &QUANTILE_COLUMNS),
+        ];
+        for (_, group) in groups.into_iter().filter(|&(present, _)| present) {
+            for &(name, get) in group {
+                col(name, row.map_or(Cell::Absent, get));
+            }
         }
     }
+
+    /// The `q`-quantile of one of the row's merged probe histograms.
+    fn quantile(&self, hist: &LogHistogram, q: f64) -> Cell<'static> {
+        self.stat(hist.quantile(q)).into()
+    }
 }
+
+/// A column after the axis coordinates: its name and how a row fills it.
+type Column = (&'static str, for<'a> fn(&'a ExperimentRow) -> Cell<'a>);
+
+/// What every row carries.
+const BASE_COLUMNS: [Column; 11] = [
+    ("policy", |r| Cell::Text(&r.policy)),
+    ("reps", |r| Cell::Int(r.reps)),
+    ("seed", |r| Cell::Int(r.seed)),
+    ("mean_completion", |r| r.stat(r.mean_completion).into()),
+    ("ci95", |r| r.stat(r.ci95).into()),
+    ("sd_completion", |r| r.stat(r.sd_completion).into()),
+    ("mean_failures", |r| r.stat(r.mean_failures).into()),
+    ("sd_failures", |r| r.stat(r.sd_failures).into()),
+    ("mean_tasks_shipped", |r| {
+        r.stat(r.mean_tasks_shipped).into()
+    }),
+    ("sd_tasks_shipped", |r| r.stat(r.sd_tasks_shipped).into()),
+    ("incomplete", |r| Cell::Int(r.incomplete)),
+];
+
+/// With the Eq. 4 theory joined; empty where the model does not cover the
+/// point and policy.
+const THEORY_COLUMNS: [Column; 2] = [
+    ("theory_mean", |r| r.theory_mean.into()),
+    ("mc_minus_theory", |r| {
+        r.mc_minus_theory.and_then(|d| r.stat(d)).into()
+    }),
+];
+
+/// With two or more policies. Quarantine can leave no replication
+/// surviving on both sides of a pair; such a row has no delta.
+const PAIRED_COLUMNS: [Column; 3] = [
+    ("delta_mean", |r| r.delta.map(|d| d.mean_delta).into()),
+    ("delta_sd", |r| r.delta.map(|d| d.sd_delta).into()),
+    ("delta_ci95", |r| r.delta.map(|d| d.ci95_half_width).into()),
+];
+
+/// With `--metrics full`: the run counters, as means per replication.
+const COUNTER_COLUMNS: [Column; 7] = [
+    ("mean_recoveries", |r| r.stat(r.mean_recoveries).into()),
+    ("mean_transfers", |r| r.stat(r.mean_transfers).into()),
+    ("mean_tasks_clamped", |r| {
+        r.stat(r.mean_tasks_clamped).into()
+    }),
+    ("mean_transit_task_seconds", |r| {
+        r.stat(r.mean_transit_task_seconds).into()
+    }),
+    ("mean_tasks_lost", |r| r.stat(r.mean_tasks_lost).into()),
+    ("mean_retries", |r| r.stat(r.mean_retries).into()),
+    ("mean_bounces", |r| r.stat(r.mean_bounces).into()),
+];
+
+/// With `--metrics full` and probing: the merged histogram quantiles.
+const QUANTILE_COLUMNS: [Column; 8] = [
+    ("queue_p50", |r| r.quantile(&r.telemetry.queue_hist, 0.5)),
+    ("queue_p99", |r| r.quantile(&r.telemetry.queue_hist, 0.99)),
+    ("transfer_us_p50", |r| {
+        r.quantile(&r.telemetry.transfer_delay_us, 0.5)
+    }),
+    ("transfer_us_p99", |r| {
+        r.quantile(&r.telemetry.transfer_delay_us, 0.99)
+    }),
+    ("downtime_us_p50", |r| {
+        r.quantile(&r.telemetry.downtime_us, 0.5)
+    }),
+    ("downtime_us_p99", |r| {
+        r.quantile(&r.telemetry.downtime_us, 0.99)
+    }),
+    ("retry_us_p50", |r| {
+        r.quantile(&r.telemetry.retry_delay_us, 0.5)
+    }),
+    ("retry_us_p99", |r| {
+        r.quantile(&r.telemetry.retry_delay_us, 0.99)
+    }),
+];
 
 /// A consumer of experiment rows. Rows arrive in `(grid point, policy)`
 /// order as cells complete; `begin` always precedes the first row and
@@ -320,161 +425,149 @@ pub trait RowSink {
 
 // ---- renderers ---------------------------------------------------------
 
-/// Renders an optional numeric cell: the shortest-round-trip float or an
-/// empty CSV field.
-fn csv_opt(x: Option<f64>) -> String {
-    x.map(|v| format!("{v:?}")).unwrap_or_default()
+/// One typed cell of an output row.
+#[derive(Clone, Copy)]
+enum Cell<'a> {
+    /// User text: RFC 4180-quoted in CSV, an escaped string in JSON.
+    Text(&'a str),
+    /// An exact count.
+    Int(u64),
+    /// A float, in [`fnum`]'s shortest round-trip form.
+    Num(f64),
+    /// No value: an empty CSV field, a JSON `null`.
+    Absent,
 }
 
-/// JSON value for an optional number (`null` when absent).
-fn json_opt(x: Option<f64>) -> String {
-    x.map_or_else(|| "null".to_string(), |v| format!("{v:?}"))
+impl From<Option<f64>> for Cell<'_> {
+    fn from(x: Option<f64>) -> Self {
+        x.map_or(Self::Absent, Self::Num)
+    }
 }
 
-/// The CSV header (with trailing newline) for `schema`: the legacy sweep
-/// columns, then `theory_mean,mc_minus_theory` when theory is joined,
-/// then `delta_mean,delta_sd,delta_ci95` when the experiment is paired.
-/// Built on the PR 3 header renderer, so the base columns are
-/// byte-identical to every pinned sweep CSV.
-#[must_use]
-pub fn experiment_csv_header(schema: &ExperimentSchema) -> String {
-    let mut out = crate::sweep::csv_header(&schema.axes);
-    let base_len = out.len() - 1; // strip the newline, extend, restore
-    out.truncate(base_len);
-    if schema.theory {
-        out.push_str(",theory_mean,mc_minus_theory");
+impl From<Option<u64>> for Cell<'_> {
+    fn from(x: Option<u64>) -> Self {
+        x.map_or(Self::Absent, Self::Int)
     }
-    if schema.paired {
-        out.push_str(",delta_mean,delta_sd,delta_ci95");
-    }
-    if schema.metrics_full {
-        out.push_str(
-            ",mean_recoveries,mean_transfers,mean_tasks_clamped,mean_transit_task_seconds,\
-             mean_tasks_lost,mean_retries,mean_bounces",
-        );
-        if schema.probe {
-            out.push_str(
-                ",queue_p50,queue_p99,transfer_us_p50,transfer_us_p99,\
-                 downtime_us_p50,downtime_us_p99,retry_us_p50,retry_us_p99",
-            );
-        }
-    }
-    out.push('\n');
-    out
 }
 
-/// One CSV line (with trailing newline) for `row` under `schema`.
-#[must_use]
-pub fn experiment_csv_row(schema: &ExperimentSchema, row: &ExperimentRow) -> String {
-    let mut out = crate::sweep::csv_row(&schema.scenario, &row.to_sweep_row());
-    let base_len = out.len() - 1;
-    out.truncate(base_len);
-    if schema.theory {
-        out.push(',');
-        out.push_str(&csv_opt(row.theory_mean));
-        out.push(',');
-        out.push_str(&csv_opt(row.mc_minus_theory));
-    }
-    if schema.paired {
-        // A row can lack a delta even under a paired schema: quarantine
-        // can leave no replication surviving on both sides of the pair.
-        // Render empty cells instead of panicking.
-        match row.delta {
-            Some(d) => out.push_str(&format!(
-                ",{:?},{:?},{:?}",
-                d.mean_delta, d.sd_delta, d.ci95_half_width
-            )),
-            None => out.push_str(",,,"),
+impl Cell<'_> {
+    fn push_csv(self, out: &mut String) {
+        match self {
+            Self::Text(s) => out.push_str(&csv_field(s)),
+            Self::Int(n) => out.push_str(&n.to_string()),
+            Self::Num(x) => out.push_str(&fnum(x)),
+            Self::Absent => {}
         }
     }
-    if schema.metrics_full {
-        out.push_str(&format!(
-            ",{:?},{:?},{:?},{:?},{:?},{:?},{:?}",
-            row.mean_recoveries,
-            row.mean_transfers,
-            row.mean_tasks_clamped,
-            row.mean_transit_task_seconds,
-            row.mean_tasks_lost,
-            row.mean_retries,
-            row.mean_bounces
-        ));
-        if schema.probe {
-            let t = &row.telemetry;
-            out.push_str(&format!(
-                ",{},{},{},{},{},{},{},{}",
-                t.queue_hist.quantile(0.5),
-                t.queue_hist.quantile(0.99),
-                t.transfer_delay_us.quantile(0.5),
-                t.transfer_delay_us.quantile(0.99),
-                t.downtime_us.quantile(0.5),
-                t.downtime_us.quantile(0.99),
-                t.retry_delay_us.quantile(0.5),
-                t.retry_delay_us.quantile(0.99)
-            ));
+
+    fn push_json(self, out: &mut String) {
+        match self {
+            Self::Text(s) => out.push_str(&json_string(s)),
+            Self::Absent => out.push_str("null"),
+            number => number.push_csv(out),
         }
     }
-    out.push('\n');
-    out
 }
 
-/// One JSON-lines object (with trailing newline) for `row` under `schema`.
-#[must_use]
-pub fn experiment_jsonl_row(schema: &ExperimentSchema, row: &ExperimentRow) -> String {
-    let mut out = crate::sweep::jsonl_row(&schema.scenario, &row.to_sweep_row());
-    let base_len = out.len() - 2; // strip "}\n", extend, restore
-    out.truncate(base_len);
-    if schema.theory {
-        out.push_str(&format!(
-            ",\"theory_mean\":{},\"mc_minus_theory\":{}",
-            json_opt(row.theory_mean),
-            json_opt(row.mc_minus_theory)
-        ));
-    }
-    if schema.paired {
-        match row.delta {
-            Some(d) => out.push_str(&format!(
-                ",\"delta_mean\":{:?},\"delta_sd\":{:?},\"delta_ci95\":{:?}",
-                d.mean_delta, d.sd_delta, d.ci95_half_width
-            )),
-            None => out.push_str(",\"delta_mean\":null,\"delta_sd\":null,\"delta_ci95\":null"),
+/// A machine-readable row format.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum OutputFormat {
+    /// A header line, then one comma-separated line per row.
+    Csv,
+    /// One JSON object per row, no header.
+    Jsonl,
+}
+
+impl OutputFormat {
+    fn name(self) -> &'static str {
+        match self {
+            Self::Csv => "CSV",
+            Self::Jsonl => "JSONL",
         }
     }
-    if schema.metrics_full {
-        out.push_str(&format!(
-            ",\"mean_recoveries\":{:?},\"mean_transfers\":{:?},\
-             \"mean_tasks_clamped\":{:?},\"mean_transit_task_seconds\":{:?},\
-             \"mean_tasks_lost\":{:?},\"mean_retries\":{:?},\"mean_bounces\":{:?}",
-            row.mean_recoveries,
-            row.mean_transfers,
-            row.mean_tasks_clamped,
-            row.mean_transit_task_seconds,
-            row.mean_tasks_lost,
-            row.mean_retries,
-            row.mean_bounces
-        ));
-        if schema.probe {
-            let t = &row.telemetry;
-            out.push_str(&format!(
-                ",\"queue_p50\":{},\"queue_p99\":{},\"transfer_us_p50\":{},\
-                 \"transfer_us_p99\":{},\"downtime_us_p50\":{},\"downtime_us_p99\":{},\
-                 \"retry_us_p50\":{},\"retry_us_p99\":{}",
-                t.queue_hist.quantile(0.5),
-                t.queue_hist.quantile(0.99),
-                t.transfer_delay_us.quantile(0.5),
-                t.transfer_delay_us.quantile(0.99),
-                t.downtime_us.quantile(0.5),
-                t.downtime_us.quantile(0.99),
-                t.retry_delay_us.quantile(0.5),
-                t.retry_delay_us.quantile(0.99)
-            ));
+
+    /// Appends what precedes the first row: the CSV header line (column
+    /// names only, no row needed); nothing for JSON lines.
+    fn push_header(self, out: &mut String, schema: &ExperimentSchema) {
+        if self == Self::Jsonl {
+            return;
+        }
+        let mut sep = "";
+        ExperimentRow::columns(schema, None, |name, _| {
+            out.push_str(sep);
+            out.push_str(name);
+            sep = ",";
+        });
+        out.push('\n');
+    }
+
+    /// Appends one line (with trailing newline) for `row` under `schema`.
+    fn push_row(self, out: &mut String, schema: &ExperimentSchema, row: &ExperimentRow) {
+        let mut sep = "";
+        match self {
+            Self::Csv => {
+                ExperimentRow::columns(schema, Some(row), |_, cell| {
+                    out.push_str(sep);
+                    cell.push_csv(out);
+                    sep = ",";
+                });
+                out.push('\n');
+            }
+            Self::Jsonl => {
+                out.push('{');
+                ExperimentRow::columns(schema, Some(row), |name, cell| {
+                    out.push_str(sep);
+                    out.push('"');
+                    out.push_str(name);
+                    out.push_str("\":");
+                    cell.push_json(out);
+                    sep = ",";
+                });
+                // Degraded rows carry an explicit marker; clean rows keep
+                // their pre-quarantine bytes exactly.
+                if row.quarantined > 0 {
+                    out.push_str(&format!(",\"quarantined\":{}", row.quarantined));
+                }
+                out.push_str("}\n");
+            }
         }
     }
-    // Degraded rows carry an explicit marker; clean rows keep their
-    // pre-quarantine bytes exactly.
-    if row.quarantined > 0 {
-        out.push_str(&format!(",\"quarantined\":{}", row.quarantined));
+}
+
+/// Formats a float for machine-readable output: Rust's shortest
+/// round-trip representation, so equal numbers always yield equal bytes.
+pub(crate) fn fnum(x: f64) -> String {
+    format!("{x:?}")
+}
+
+/// RFC 4180 field quoting: wraps fields containing separators, quotes or
+/// line breaks, doubling embedded quotes. Scenario names are user data.
+pub(crate) fn csv_field(s: &str) -> String {
+    if s.contains(['"', ',', '\n', '\r']) {
+        format!("\"{}\"", s.replace('"', "\"\""))
+    } else {
+        s.to_string()
     }
-    out.push_str("}\n");
+}
+
+/// JSON string escaping for user data (quotes, backslashes, controls).
+pub(crate) fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => {
+                let _ = std::fmt::Write::write_fmt(&mut out, format_args!("\\u{:04x}", c as u32));
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
     out
 }
 
@@ -496,8 +589,8 @@ pub fn probe_jsonl_row(
          \"time\":{:?},\"up\":{},\"queue_total\":{},\"queue_max\":{},\
          \"queue_p50\":{},\"queue_p99\":{},\"in_transit\":{},\
          \"failures\":{},\"transfers\":{}",
-        crate::sweep::json_string(scenario),
-        crate::sweep::json_string(policy),
+        json_string(scenario),
+        json_string(policy),
         s.time,
         s.up_nodes,
         s.queue_total,
@@ -519,17 +612,27 @@ pub fn probe_jsonl_row(
 
 // ---- sinks -------------------------------------------------------------
 
-/// Streams rows as CSV to any writer (header at `begin`, flush at
-/// `finish`).
-pub struct CsvSink<W: Write> {
+/// Streams rows to any writer in one [`OutputFormat`]: the CSV header at
+/// `begin`, then each row's line written and flushed as its cell
+/// completes, so a long grid's finished rows are on disk while later
+/// points still run.
+pub struct LineSink<W: Write> {
     out: W,
+    format: OutputFormat,
     schema: Option<ExperimentSchema>,
+    /// The line being rendered, reused across rows.
+    line: String,
 }
 
-impl<W: Write> CsvSink<W> {
+impl<W: Write> LineSink<W> {
     /// Wraps a writer.
-    pub fn new(out: W) -> Self {
-        Self { out, schema: None }
+    pub fn new(out: W, format: OutputFormat) -> Self {
+        Self {
+            out,
+            format,
+            schema: None,
+            line: String::new(),
+        }
     }
 
     /// Unwraps the inner writer.
@@ -538,66 +641,31 @@ impl<W: Write> CsvSink<W> {
     }
 }
 
-impl<W: Write> RowSink for CsvSink<W> {
+impl<W: Write> RowSink for LineSink<W> {
     fn begin(&mut self, schema: &ExperimentSchema) -> Result<(), String> {
+        self.line.clear();
+        self.format.push_header(&mut self.line, schema);
         self.out
-            .write_all(experiment_csv_header(schema).as_bytes())
-            .map_err(|e| format!("cannot write CSV header: {e}"))?;
+            .write_all(self.line.as_bytes())
+            .map_err(|e| format!("cannot write {} header: {e}", self.format.name()))?;
         self.schema = Some(schema.clone());
         Ok(())
     }
 
     fn row(&mut self, row: &ExperimentRow) -> Result<(), String> {
         let schema = self.schema.as_ref().expect("begin precedes rows");
+        self.line.clear();
+        self.format.push_row(&mut self.line, schema, row);
         self.out
-            .write_all(experiment_csv_row(schema, row).as_bytes())
+            .write_all(self.line.as_bytes())
             .and_then(|()| self.out.flush())
-            .map_err(|e| format!("cannot write CSV row: {e}"))
+            .map_err(|e| format!("cannot write {} row: {e}", self.format.name()))
     }
 
     fn finish(&mut self) -> Result<(), String> {
         self.out
             .flush()
-            .map_err(|e| format!("cannot flush CSV output: {e}"))
-    }
-}
-
-/// Streams rows as JSON lines to any writer.
-pub struct JsonlSink<W: Write> {
-    out: W,
-    schema: Option<ExperimentSchema>,
-}
-
-impl<W: Write> JsonlSink<W> {
-    /// Wraps a writer.
-    pub fn new(out: W) -> Self {
-        Self { out, schema: None }
-    }
-
-    /// Unwraps the inner writer.
-    pub fn into_inner(self) -> W {
-        self.out
-    }
-}
-
-impl<W: Write> RowSink for JsonlSink<W> {
-    fn begin(&mut self, schema: &ExperimentSchema) -> Result<(), String> {
-        self.schema = Some(schema.clone());
-        Ok(())
-    }
-
-    fn row(&mut self, row: &ExperimentRow) -> Result<(), String> {
-        let schema = self.schema.as_ref().expect("begin precedes rows");
-        self.out
-            .write_all(experiment_jsonl_row(schema, row).as_bytes())
-            .and_then(|()| self.out.flush())
-            .map_err(|e| format!("cannot write JSONL row: {e}"))
-    }
-
-    fn finish(&mut self) -> Result<(), String> {
-        self.out
-            .flush()
-            .map_err(|e| format!("cannot flush JSONL output: {e}"))
+            .map_err(|e| format!("cannot flush {} output: {e}", self.format.name()))
     }
 }
 
@@ -643,19 +711,20 @@ impl ExperimentResult {
     /// Renders the whole result as CSV.
     #[must_use]
     pub fn to_csv(&self) -> String {
-        let mut out = experiment_csv_header(&self.schema);
-        for row in &self.rows {
-            out.push_str(&experiment_csv_row(&self.schema, row));
-        }
-        out
+        self.render(OutputFormat::Csv)
     }
 
     /// Renders the whole result as JSON lines.
     #[must_use]
     pub fn to_jsonl(&self) -> String {
+        self.render(OutputFormat::Jsonl)
+    }
+
+    fn render(&self, format: OutputFormat) -> String {
         let mut out = String::new();
+        format.push_header(&mut out, &self.schema);
         for row in &self.rows {
-            out.push_str(&experiment_jsonl_row(&self.schema, row));
+            format.push_row(&mut out, &self.schema, row);
         }
         out
     }
@@ -687,6 +756,17 @@ fn paired_delta(
         }
     }
     (!xs.is_empty()).then(|| paired_comparison(&xs, &ys))
+}
+
+/// Sample standard deviation (n − 1 denominator; 0 for n < 2).
+fn sample_sd(xs: impl Iterator<Item = f64> + Clone) -> f64 {
+    let n = xs.clone().count();
+    if n < 2 {
+        return 0.0;
+    }
+    let mean = xs.clone().sum::<f64>() / n as f64;
+    let ss: f64 = xs.map(|x| (x - mean) * (x - mean)).sum();
+    (ss / (n - 1) as f64).sqrt()
 }
 
 // ---- execution ---------------------------------------------------------
@@ -745,21 +825,7 @@ impl Experiment {
         policy
             .validate_for(&config)
             .map_err(|e| format!("scenario {}: {e}", scenario.name))?;
-        let job = PointJob {
-            config: &config,
-            reps: spec.options.effective_reps(scenario).max(1),
-            seed: spec.options.seed.unwrap_or(scenario.seed),
-            rep_base: 0,
-            antithetic: false,
-            options: SimOptions {
-                deadline: scenario.deadline,
-                backend: spec.options.backend,
-                probe_dt: spec.options.effective_probe_dt(scenario),
-                task_timeout: spec.options.task_timeout,
-                audit: spec.options.audit,
-                ..SimOptions::default()
-            },
-        };
+        let job = self.job(scenario, &config);
         let mut stats = None;
         run_grid(
             std::slice::from_ref(&job),
@@ -776,6 +842,26 @@ impl Experiment {
         Ok(McEstimate::from_point_stats(
             stats.expect("one point always completes"),
         ))
+    }
+
+    /// The scheduler job for one grid point of this experiment.
+    fn job<'a>(&self, scenario: &Scenario, config: &'a SystemConfig) -> PointJob<'a> {
+        let options = self.spec.options;
+        PointJob {
+            config,
+            reps: options.effective_reps(scenario).max(1),
+            seed: options.seed.unwrap_or(scenario.seed),
+            rep_base: 0,
+            antithetic: false,
+            options: SimOptions {
+                deadline: scenario.deadline,
+                backend: options.backend,
+                probe_dt: options.effective_probe_dt(scenario),
+                task_timeout: options.task_timeout,
+                audit: options.audit,
+                ..SimOptions::default()
+            },
+        }
     }
 
     /// Executes the experiment, streaming rows to `sink` in
@@ -874,21 +960,7 @@ impl Experiment {
         let jobs: Vec<PointJob<'_>> = points
             .iter()
             .zip(&configs)
-            .map(|(point, config)| PointJob {
-                config,
-                reps: spec.options.effective_reps(&point.scenario).max(1),
-                seed: spec.options.seed.unwrap_or(point.scenario.seed),
-                rep_base: 0,
-                antithetic: false,
-                options: SimOptions {
-                    deadline: point.scenario.deadline,
-                    backend: spec.options.backend,
-                    probe_dt: spec.options.effective_probe_dt(&point.scenario),
-                    task_timeout: spec.options.task_timeout,
-                    audit: spec.options.audit,
-                    ..SimOptions::default()
-                },
-            })
+            .map(|(point, config)| self.job(&point.scenario, config))
             .collect();
         let probe = jobs.iter().any(|j| j.options.probe_dt.is_some());
 
@@ -1001,16 +1073,16 @@ impl Experiment {
                 telemetry,
             }
         };
-        // A cell's pairing inputs: the *slot-stable* per-replication
-        // times (placeholder zeros included) plus the quarantined slots,
-        // captured before `McEstimate::from_point_stats` drops them. CRN
-        // pairing must align replication r with replication r, so slots
-        // — not the compacted vectors — are what gets paired.
-        let mut baseline_times: Vec<f64> = Vec::new();
-        let mut baseline_quarantined: Vec<u64> = Vec::new();
-        // Cells of the current point awaiting the baseline cell (only
-        // used with a non-first baseline).
-        let mut held: Vec<(usize, McEstimate, Vec<f64>, Vec<u64>)> = Vec::new();
+        // The current point's baseline cell, as pairing inputs: its
+        // *slot-stable* per-replication times (placeholder zeros
+        // included) and quarantined slots, captured before
+        // `McEstimate::from_point_stats` drops them. CRN pairing must
+        // align replication r with replication r, so slots — not the
+        // compacted vectors — are what gets paired.
+        let mut baseline = (Vec::new(), Vec::new());
+        // Cells arrive in policy order; those of the current point that
+        // precede its baseline cell wait here for it.
+        let mut held = Vec::new();
         let report = run_grid(
             &jobs,
             k,
@@ -1032,9 +1104,6 @@ impl Experiment {
                         cache::store(dir, keys[idx], &stats)?;
                     }
                 }
-                let slot_times = stats.completion_times.clone();
-                let quarantined = stats.quarantined_reps.clone();
-                let est = McEstimate::from_point_stats(stats);
                 let emit = |sink: &mut dyn RowSink,
                             v: usize,
                             est: &McEstimate,
@@ -1048,43 +1117,23 @@ impl Experiment {
                     Ok(())
                 };
                 if !paired {
-                    return emit(sink, v, &est, None);
+                    return emit(sink, v, &McEstimate::from_point_stats(stats), None);
                 }
-                if b == 0 {
-                    // The baseline is the first cell of each point, so
-                    // rows stream exactly as they complete.
-                    if v == 0 {
-                        baseline_times.clear();
-                        baseline_times.extend_from_slice(&slot_times);
-                        baseline_quarantined.clear();
-                        baseline_quarantined.extend_from_slice(&quarantined);
-                    }
-                    let delta = paired_delta(
-                        &slot_times,
-                        &quarantined,
-                        &baseline_times,
-                        &baseline_quarantined,
-                    );
-                    return emit(sink, v, &est, delta);
+                let slots = (
+                    stats.completion_times.clone(),
+                    stats.quarantined_reps.clone(),
+                );
+                if v == b {
+                    baseline.0.clone_from(&slots.0);
+                    baseline.1.clone_from(&slots.1);
                 }
-                // Non-first baseline: cells arrive in policy order, so
-                // hold this point's cells until the last one, then emit
-                // them together with deltas against the baseline cell.
-                held.push((v, est, slot_times, quarantined));
-                if v + 1 < k {
+                held.push((v, McEstimate::from_point_stats(stats), slots));
+                if v < b {
                     return Ok(());
                 }
-                let base = held
-                    .iter()
-                    .find(|(hv, ..)| *hv == b)
-                    .expect("the baseline cell is part of the point");
-                baseline_times.clear();
-                baseline_times.extend_from_slice(&base.2);
-                baseline_quarantined.clear();
-                baseline_quarantined.extend_from_slice(&base.3);
-                for (hv, hest, htimes, hq) in held.drain(..) {
-                    let delta = paired_delta(&htimes, &hq, &baseline_times, &baseline_quarantined);
-                    emit(sink, hv, &hest, delta)?;
+                for (v, est, (times, quarantined)) in held.drain(..) {
+                    let delta = paired_delta(&times, &quarantined, &baseline.0, &baseline.1);
+                    emit(sink, v, &est, delta)?;
                 }
                 Ok(())
             },
@@ -1126,32 +1175,6 @@ mod tests {
         ))
         .collect()
         .expect("compare runs")
-    }
-
-    #[test]
-    fn single_policy_experiment_matches_the_legacy_sweep_bytes() {
-        // A single-policy, no-theory experiment rendered as CSV is
-        // exactly the legacy sweep CSV: the base header and one base row
-        // per grid point, byte for byte (the pinned sweep digests rely
-        // on it).
-        let result = Experiment::new(ExperimentSpec::sweep(
-            registry::get("mmpp-bursty").expect("preset"),
-            vec![Axis {
-                param: AxisParam::Gain,
-                values: vec![0.25, 0.75],
-            }],
-            quick(4, 2),
-        ))
-        .collect()
-        .expect("experiment runs");
-        let mut legacy = crate::sweep::csv_header(&result.schema.axes);
-        for row in &result.rows {
-            legacy.push_str(&crate::sweep::csv_row("mmpp-bursty", &row.to_sweep_row()));
-        }
-        assert_eq!(result.to_csv(), legacy);
-        assert_eq!(result.rows.len(), 2);
-        assert!(!result.schema.paired);
-        assert!(!result.schema.theory);
     }
 
     #[test]
@@ -1351,5 +1374,13 @@ mod tests {
         .collect()
         .unwrap_err();
         assert!(err.contains("no gain parameter"), "{err}");
+    }
+
+    #[test]
+    fn sample_sd_matches_hand_computation() {
+        assert_eq!(sample_sd([].iter().copied()), 0.0);
+        assert_eq!(sample_sd([4.0].iter().copied()), 0.0);
+        let sd = sample_sd([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0].iter().copied());
+        assert!((sd - 2.138_089_935_299_395).abs() < 1e-12, "{sd}");
     }
 }

@@ -19,12 +19,12 @@
 //!   speeds, hot-spare recovery, correlated/cascading failures, bursty
 //!   MMPP, diurnal and flash-crowd arrivals, volunteer churn.
 //! * [`sweep`] — grid expansion over axes (gain, failure/recovery scale,
-//!   arrival scale, delay, node count), run options and the base CSV /
-//!   JSON-lines row renderers.
+//!   arrival scale, delay, node count) and run options.
 //! * [`experiment`] — the first-class experiment API: an
 //!   [`ExperimentSpec`] (scenario × axes × **policy set** × options)
 //!   executed in one scheduler pass, streaming rows to [`RowSink`]s
-//!   (CSV / JSON-lines / collect). Multiple policies evaluate per grid
+//!   (a [`LineSink`] writing CSV or JSON lines, or collect). One column
+//!   table per row renders both formats. Multiple policies evaluate per grid
 //!   point on **identical random-number streams**, so rows carry
 //!   CRN-paired deltas with t-based 95% CIs; two-node closed points join
 //!   the Eq. 4 theory mean ([`theory`]).
@@ -74,12 +74,10 @@ pub use campaign::{
     Campaign, CampaignRunOptions, CampaignRunReport, CampaignSpec, CellVerdict, StoppingRule,
 };
 pub use experiment::{
-    probe_jsonl_row, CollectSink, CsvSink, Experiment, ExperimentResult, ExperimentRow,
-    ExperimentSchema, ExperimentSpec, JsonlSink, PairedDelta, PolicyEntry, RowSink,
+    probe_jsonl_row, CollectSink, Experiment, ExperimentResult, ExperimentRow, ExperimentSchema,
+    ExperimentSpec, LineSink, OutputFormat, PairedDelta, PolicyEntry, RowSink,
 };
 pub use scenario::{
     ArrivalsSpec, NetworkSpec, NodeSpec, Scenario, ScenarioError, ScenarioErrorKind, TopologySpec,
 };
-pub use sweep::{
-    apply_axis, csv_header, csv_row, expand_grid, jsonl_row, Axis, AxisParam, RunOptions, SweepRow,
-};
+pub use sweep::{apply_axis, expand_grid, Axis, AxisParam, RunOptions};

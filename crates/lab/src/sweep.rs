@@ -1,4 +1,4 @@
-//! Grid expansion, run options and the base CSV/JSON-lines row renderers.
+//! Grid expansion and run options.
 //!
 //! A sweep takes a [`Scenario`] and grid-expands it over axes (the
 //! scenario's baked-in [`Scenario::axes`] plus any extra ones); an
@@ -296,170 +296,12 @@ impl RunOptions {
     }
 }
 
-/// One result row of a sweep.
-#[derive(Clone, Debug)]
-pub struct SweepRow {
-    /// Grid-point index.
-    pub index: usize,
-    /// Axis coordinates, in axis order.
-    pub coords: Vec<(AxisParam, f64)>,
-    /// Replications actually run.
-    pub reps: u64,
-    /// Master seed used.
-    pub seed: u64,
-    /// Policy kind identifier.
-    pub policy: String,
-    /// Mean overall completion time (s).
-    pub mean_completion: f64,
-    /// 95% confidence half-width of the mean.
-    pub ci95: f64,
-    /// Sample standard deviation of the completion time.
-    pub sd_completion: f64,
-    /// Mean failures per replication.
-    pub mean_failures: f64,
-    /// Sample standard deviation of failures per replication.
-    pub sd_failures: f64,
-    /// Mean tasks shipped per replication.
-    pub mean_tasks_shipped: f64,
-    /// Sample standard deviation of tasks shipped per replication.
-    pub sd_tasks_shipped: f64,
-    /// Replications that hit the deadline without completing.
-    pub incomplete: u64,
-}
-
-/// Sample standard deviation (n − 1 denominator; 0 for n < 2).
-pub(crate) fn sample_sd(xs: impl Iterator<Item = f64> + Clone) -> f64 {
-    let n = xs.clone().count();
-    if n < 2 {
-        return 0.0;
-    }
-    let mean = xs.clone().sum::<f64>() / n as f64;
-    let ss: f64 = xs.map(|x| (x - mean) * (x - mean)).sum();
-    (ss / (n - 1) as f64).sqrt()
-}
-
-/// Formats a float for machine-readable output: Rust's shortest
-/// round-trip representation, so equal numbers always yield equal bytes.
-pub(crate) fn fnum(x: f64) -> String {
-    format!("{x:?}")
-}
-
-/// RFC 4180 field quoting: wraps fields containing separators, quotes or
-/// line breaks, doubling embedded quotes. Scenario names are user data.
-pub(crate) fn csv_field(s: &str) -> String {
-    if s.contains(['"', ',', '\n', '\r']) {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
-    }
-}
-
-/// JSON string escaping for user data (quotes, backslashes, controls).
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = std::fmt::Write::write_fmt(&mut out, format_args!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// The CSV header line (with trailing newline) for a sweep over `axes` —
-/// what a streaming writer emits before the first row.
-#[must_use]
-pub fn csv_header(axes: &[AxisParam]) -> String {
-    let mut out = String::from("scenario,point");
-    for a in axes {
-        out.push(',');
-        out.push_str(a.key());
-    }
-    out.push_str(
-        ",policy,reps,seed,mean_completion,ci95,sd_completion,mean_failures,\
-         sd_failures,mean_tasks_shipped,sd_tasks_shipped,incomplete\n",
-    );
-    out
-}
-
-/// One CSV data line (with trailing newline) for `row` of `scenario`.
-/// Every experiment renderer builds on it, so streamed bytes are
-/// identical to buffered bytes by construction.
-#[must_use]
-pub fn csv_row(scenario: &str, r: &SweepRow) -> String {
-    let mut out = csv_field(scenario);
-    out.push(',');
-    out.push_str(&r.index.to_string());
-    for &(_, v) in &r.coords {
-        out.push(',');
-        out.push_str(&fnum(v));
-    }
-    let tail = [
-        csv_field(&r.policy),
-        r.reps.to_string(),
-        r.seed.to_string(),
-        fnum(r.mean_completion),
-        fnum(r.ci95),
-        fnum(r.sd_completion),
-        fnum(r.mean_failures),
-        fnum(r.sd_failures),
-        fnum(r.mean_tasks_shipped),
-        fnum(r.sd_tasks_shipped),
-        r.incomplete.to_string(),
-    ];
-    for cell in tail {
-        out.push(',');
-        out.push_str(&cell);
-    }
-    out.push('\n');
-    out
-}
-
-/// One JSON-lines object (with trailing newline) for `row` of `scenario`.
-#[must_use]
-pub fn jsonl_row(scenario: &str, r: &SweepRow) -> String {
-    let mut out = format!(
-        "{{\"scenario\":{},\"point\":{}",
-        json_string(scenario),
-        r.index
-    );
-    for &(a, v) in &r.coords {
-        out.push_str(&format!(",\"{}\":{}", a.key(), fnum(v)));
-    }
-    out.push_str(&format!(
-        ",\"policy\":{},\"reps\":{},\"seed\":{},\"mean_completion\":{},\
-         \"ci95\":{},\"sd_completion\":{},\"mean_failures\":{},\"sd_failures\":{},\
-         \"mean_tasks_shipped\":{},\"sd_tasks_shipped\":{},\"incomplete\":{}}}\n",
-        json_string(&r.policy),
-        r.reps,
-        r.seed,
-        fnum(r.mean_completion),
-        fnum(r.ci95),
-        fnum(r.sd_completion),
-        fnum(r.mean_failures),
-        fnum(r.sd_failures),
-        fnum(r.mean_tasks_shipped),
-        fnum(r.sd_tasks_shipped),
-        r.incomplete
-    ));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::experiment::{
-        CollectSink, CsvSink, Experiment, ExperimentResult, ExperimentRow, ExperimentSpec,
-        JsonlSink, RowSink,
+        CollectSink, Experiment, ExperimentResult, ExperimentRow, ExperimentSpec, LineSink,
+        OutputFormat, RowSink,
     };
     use crate::registry;
 
@@ -683,9 +525,9 @@ mod tests {
         };
         let buffered = collect(&sc, &axes, options);
         let experiment = Experiment::new(ExperimentSpec::sweep(sc, axes, options));
-        let mut csv = CsvSink::new(Vec::new());
+        let mut csv = LineSink::new(Vec::new(), OutputFormat::Csv);
         let schema = experiment.run(&mut csv).expect("csv streaming runs");
-        let mut jsonl = JsonlSink::new(Vec::new());
+        let mut jsonl = LineSink::new(Vec::new(), OutputFormat::Jsonl);
         experiment.run(&mut jsonl).expect("jsonl streaming runs");
         assert_eq!(csv.into_inner(), buffered.to_csv().into_bytes());
         assert_eq!(jsonl.into_inner(), buffered.to_jsonl().into_bytes());
@@ -718,13 +560,5 @@ mod tests {
         .run(&mut Full)
         .unwrap_err();
         assert_eq!(err, "disk full");
-    }
-
-    #[test]
-    fn sample_sd_matches_hand_computation() {
-        assert_eq!(sample_sd([].iter().copied()), 0.0);
-        assert_eq!(sample_sd([4.0].iter().copied()), 0.0);
-        let sd = sample_sd([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0].iter().copied());
-        assert!((sd - 2.138_089_935_299_395).abs() < 1e-12, "{sd}");
     }
 }

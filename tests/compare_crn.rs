@@ -6,11 +6,14 @@
 //! replication `r` sees exactly the trajectory it would have seen in its
 //! own solo sweep, so the difference between two policies' replication-`r`
 //! outcomes isolates the policy, never the noise. The property is checked
-//! at the *rendered byte* level (the legacy sweep-row rendering of each
-//! compare row vs the solo sweep row), over random scenario choices,
-//! policy sets, replication counts and scheduler placements.
+//! at the *rendered byte* level (each policy's compare rows rendered as CSV
+//! under the solo sweep's schema, which has exactly the base columns, vs
+//! the solo sweep's CSV), over random scenario choices, policy sets,
+//! replication counts and scheduler placements.
 
-use churnbal::lab::{csv_row, registry, Experiment, ExperimentSpec, PolicyEntry, RunOptions};
+use churnbal::lab::{
+    registry, Experiment, ExperimentResult, ExperimentRow, ExperimentSpec, PolicyEntry, RunOptions,
+};
 use churnbal::prelude::PolicySpec;
 use proptest::prelude::*;
 
@@ -35,6 +38,16 @@ fn scenario_index() -> BoxedStrategy<usize> {
 /// at least two set bits — is enforced with `prop_assume!` in the body).
 fn policy_mask() -> BoxedStrategy<u32> {
     (0u32..(1 << POLICY_POOL.len())).boxed()
+}
+
+/// `rows` rendered as CSV under the schema of a solo sweep: exactly the
+/// base columns, so a compare row's theory and delta columns drop out.
+fn under_schema_of(solo: &ExperimentResult, rows: Vec<ExperimentRow>) -> String {
+    ExperimentResult {
+        schema: solo.schema.clone(),
+        rows,
+    }
+    .to_csv()
 }
 
 proptest! {
@@ -103,9 +116,12 @@ proptest! {
                 .find(|r| r.policy_index == v)
                 .expect("row per policy");
             // Byte-level equality of the shared statistics columns.
-            let a = csv_row(&scenario.name, &compare_row.to_sweep_row());
-            let b = csv_row(&scenario.name, &solo.rows[0].to_sweep_row());
-            prop_assert_eq!(a, b, "policy {} diverged from its solo sweep", entry.label);
+            prop_assert_eq!(
+                under_schema_of(&solo, vec![compare_row.clone()]),
+                solo.to_csv(),
+                "policy {} diverged from its solo sweep",
+                entry.label
+            );
         }
     }
 }
@@ -140,17 +156,17 @@ fn gridded_compare_matches_solo_sweeps() {
         let solo = Experiment::new(ExperimentSpec::sweep(solo_scenario, Vec::new(), options))
             .collect()
             .expect("solo runs");
-        let compare_rows: Vec<String> = combined
+        let compare_rows: Vec<ExperimentRow> = combined
             .rows
             .iter()
             .filter(|r| r.policy_index == v)
-            .map(|r| csv_row(&scenario.name, &r.to_sweep_row()))
+            .cloned()
             .collect();
-        let solo_rows: Vec<String> = solo
-            .rows
-            .iter()
-            .map(|r| csv_row(&scenario.name, &r.to_sweep_row()))
-            .collect();
-        assert_eq!(compare_rows, solo_rows, "{} grid diverged", entry.label);
+        assert_eq!(
+            under_schema_of(&solo, compare_rows),
+            solo.to_csv(),
+            "{} grid diverged",
+            entry.label
+        );
     }
 }

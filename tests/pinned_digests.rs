@@ -12,7 +12,8 @@
 
 use churnbal::cluster::{McEstimate, QueueBackend};
 use churnbal::lab::{
-    registry, Axis, AxisParam, Experiment, ExperimentSpec, PolicyEntry, RunOptions, Scenario,
+    registry, Axis, AxisParam, Experiment, ExperimentResult, ExperimentSpec, PolicyEntry,
+    RunOptions, Scenario,
 };
 use churnbal::prelude::PolicySpec;
 use churnbal::stochastic::{digest_f64s, fnv1a_bytes};
@@ -121,13 +122,13 @@ fn mmpp_bursty_sweep_csv_bytes_are_pinned() {
     );
 }
 
-/// Digest of the **full compare CSV bytes** of the flagship comparison:
-/// `paper-fig3 × {lbp1, lbp2, none}` through one scheduler pass with
-/// common random numbers. Pins the per-policy statistics, the CRN-paired
-/// delta columns (mean / sd / t-based CI) and the Eq. 4 theory columns of
-/// every row — the `compare` regression gate the CI perf-smoke step also
-/// asserts via `perfreport`'s compare-grid workload.
-fn compare_csv_digest(threads: usize) -> u64 {
+/// The flagship comparison: `paper-fig3 × {lbp1, lbp2, none}` through one
+/// scheduler pass with common random numbers. Its rows carry the
+/// per-policy statistics, the CRN-paired delta columns (mean / sd /
+/// t-based CI) and the Eq. 4 theory columns — the `compare` regression
+/// gate the CI perf-smoke step also asserts via `perfreport`'s
+/// compare-grid workload.
+fn compare_fig3(threads: usize) -> ExperimentResult {
     let scenario = registry::get("paper-fig3").expect("preset");
     let policies = ["lbp1", "lbp2", "none"]
         .iter()
@@ -138,7 +139,7 @@ fn compare_csv_digest(threads: usize) -> u64 {
             )
         })
         .collect();
-    let result = Experiment::new(ExperimentSpec::compare(
+    Experiment::new(ExperimentSpec::compare(
         scenario,
         Vec::new(),
         policies,
@@ -149,8 +150,12 @@ fn compare_csv_digest(threads: usize) -> u64 {
         },
     ))
     .collect()
-    .expect("compare runs");
-    fnv1a_bytes(result.to_csv().as_bytes())
+    .expect("compare runs")
+}
+
+/// Digest of the **full compare CSV bytes** of [`compare_fig3`].
+fn compare_csv_digest(threads: usize) -> u64 {
+    fnv1a_bytes(compare_fig3(threads).to_csv().as_bytes())
 }
 
 #[test]
@@ -170,6 +175,114 @@ const PINNED_COMPARE_FIG3_DIGEST: u64 = 0xcceb_2a86_ba60_bcd8;
 #[test]
 fn compare_csv_digest_is_thread_invariant() {
     assert_eq!(compare_csv_digest(1), compare_csv_digest(8));
+}
+
+/// Asserts that `render` digests to `pinned` at 1 and at 4 worker threads.
+fn assert_pinned_at_1_and_4_threads(what: &str, pinned: u64, render: impl Fn(usize) -> String) {
+    for threads in [1, 4] {
+        let digest = fnv1a_bytes(render(threads).as_bytes());
+        assert_eq!(
+            digest, pinned,
+            "{what} bytes drifted at {threads} thread(s) (digest {digest:#018x})"
+        );
+    }
+}
+
+/// The JSONL rendering of the same comparison: theory `null`s for LBP-2,
+/// which Eq. 4 does not cover, and the paired-delta keys on every row.
+#[test]
+fn paper_fig3_compare_jsonl_bytes_are_pinned() {
+    assert_pinned_at_1_and_4_threads(
+        "paper-fig3 compare JSONL",
+        0x2df0_ea90_e428_a55e,
+        |threads| compare_fig3(threads).to_jsonl(),
+    );
+}
+
+/// `churn-storm-lossy` swept over two failure scales with `--metrics full`
+/// and a 1 s probe: an axis column, all seven counter means (the lossy
+/// channel makes lost tasks, retries and bounces nonzero) and all eight
+/// histogram quantiles.
+fn lossy_full_metrics(threads: usize) -> ExperimentResult {
+    let scenario = registry::get("churn-storm-lossy").expect("preset");
+    let axes = vec![Axis {
+        param: AxisParam::FailureScale,
+        values: vec![0.5, 1.0],
+    }];
+    let result = Experiment::new(ExperimentSpec::sweep(
+        scenario,
+        axes,
+        RunOptions {
+            reps: Some(4),
+            threads,
+            metrics_full: true,
+            probe_dt: Some(1.0),
+            ..RunOptions::default()
+        },
+    ))
+    .collect()
+    .expect("lossy sweep runs");
+    for row in &result.rows {
+        assert!(
+            row.mean_tasks_lost > 0.0 && row.mean_retries > 0.0 && row.mean_bounces > 0.0,
+            "the channel counters must be exercised: {row:?}"
+        );
+    }
+    result
+}
+
+#[test]
+fn lossy_full_metrics_csv_bytes_are_pinned() {
+    assert_pinned_at_1_and_4_threads(
+        "churn-storm-lossy --metrics full CSV",
+        0xacc4_5cbb_9a62_aa20,
+        |threads| lossy_full_metrics(threads).to_csv(),
+    );
+}
+
+#[test]
+fn lossy_full_metrics_jsonl_bytes_are_pinned() {
+    assert_pinned_at_1_and_4_threads(
+        "churn-storm-lossy --metrics full JSONL",
+        0xaece_ab91_9d5b_9857,
+        |threads| lossy_full_metrics(threads).to_jsonl(),
+    );
+}
+
+/// `paper-fig5 × {lbp1-optimal, chaos-panic@1}` at 3 replications: the
+/// chaos policy panics on replication 1, so its row is degraded (two
+/// survivors, a delta over the pairs that survived on both sides) and
+/// carries the JSONL `"quarantined":1` marker.
+#[test]
+fn quarantined_compare_jsonl_bytes_are_pinned() {
+    let render = |threads: usize| {
+        let scenario = registry::get("paper-fig5").expect("preset");
+        let policies = ["lbp1-optimal", "chaos-panic@1"]
+            .iter()
+            .map(|name| {
+                PolicyEntry::named(
+                    (*name).to_string(),
+                    PolicySpec::parse(name, &scenario.policy).expect("known policy"),
+                )
+            })
+            .collect();
+        let jsonl = Experiment::new(ExperimentSpec::compare(
+            scenario,
+            Vec::new(),
+            policies,
+            RunOptions {
+                reps: Some(3),
+                threads,
+                ..RunOptions::default()
+            },
+        ))
+        .collect()
+        .expect("a panicking replication is quarantined, not fatal")
+        .to_jsonl();
+        assert!(jsonl.contains("\"quarantined\":1"), "{jsonl}");
+        jsonl
+    };
+    assert_pinned_at_1_and_4_threads("quarantined compare JSONL", 0x767b_f755_413f_445e, render);
 }
 
 /// The sweep-CSV digests must not depend on scheduling either.
