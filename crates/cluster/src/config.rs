@@ -370,6 +370,21 @@ pub enum ChurnModel {
 }
 
 impl ChurnModel {
+    /// The rate of the model's shock clock: shocks per second for
+    /// [`ChurnModel::CorrelatedShocks`] and [`ChurnModel::RackShocks`],
+    /// strikes per second for [`ChurnModel::Adversarial`]; `None` for the
+    /// models without one.
+    #[must_use]
+    pub fn shock_rate(&self) -> Option<f64> {
+        match self {
+            Self::CorrelatedShocks { shock_rate, .. } | Self::RackShocks { shock_rate, .. } => {
+                Some(*shock_rate)
+            }
+            Self::Adversarial { strike_rate } => Some(*strike_rate),
+            Self::Independent | Self::Cascading { .. } => None,
+        }
+    }
+
     /// Validates all parameters, returning a precise message on failure.
     ///
     /// # Errors
@@ -563,12 +578,6 @@ pub struct SystemConfig {
     pub churn: ChurnModel,
     /// Transfer-channel reliability model (perfectly reliable by default).
     pub channel: ChannelModel,
-    /// Optional per-link delay multipliers (row-major `n × n`): the mean
-    /// delay of a transfer `i → j` is scaled by `link_scales[i][j]`.
-    /// `None` = homogeneous network (scale 1 everywhere). Models the
-    /// paper's §1 remark that inter-node delay statistics are
-    /// *inhomogeneous* (e.g. one node parked behind a weak WLAN link).
-    link_scales: Option<Vec<Vec<f64>>>,
     /// Optional interconnect graph. `None` — the paper's implicit
     /// complete graph over one homogeneous network, with the legacy
     /// global policy scans. `Some` — transfers may only route along
@@ -598,7 +607,6 @@ impl SystemConfig {
             arrival_process: None,
             churn: ChurnModel::Independent,
             channel: ChannelModel::Reliable,
-            link_scales: None,
             topology: None,
         }
     }
@@ -666,37 +674,6 @@ impl SystemConfig {
         }
         self.channel = channel;
         self
-    }
-
-    /// Installs per-link delay multipliers (`scales[i][j]` applies to
-    /// transfers from `i` to `j`; diagonal entries are ignored).
-    ///
-    /// # Panics
-    /// Panics if the matrix is not `n × n` or any off-diagonal entry is
-    /// not strictly positive and finite.
-    #[must_use]
-    pub fn with_link_delay_scales(mut self, scales: Vec<Vec<f64>>) -> Self {
-        let n = self.nodes.len();
-        assert_eq!(scales.len(), n, "link scale matrix must be n x n");
-        for (i, row) in scales.iter().enumerate() {
-            assert_eq!(row.len(), n, "link scale row {i} must have n entries");
-            for (j, &s) in row.iter().enumerate() {
-                if i != j {
-                    assert!(
-                        s > 0.0 && s.is_finite(),
-                        "link scale {i}->{j} must be positive, got {s}"
-                    );
-                }
-            }
-        }
-        self.link_scales = Some(scales);
-        self
-    }
-
-    /// Delay multiplier of the link `from → to` (1 when homogeneous).
-    #[must_use]
-    pub fn link_scale(&self, from: usize, to: usize) -> f64 {
-        self.link_scales.as_ref().map_or(1.0, |m| m[from][to])
     }
 
     /// Adds external arrivals (sorted by time internally).

@@ -14,7 +14,10 @@
 //!   comparing LBP-1 and LBP-2 on the *same* failure trace (paper Fig. 4)
 //!   is a matter of reusing the seed (common random numbers).
 
-use churnbal_desim::{BackendQueue, EventId, QueueBackend, SimTime, WallClockBudget};
+use std::ops::ControlFlow;
+use std::time::Instant;
+
+use churnbal_desim::{BackendQueue, EventId, QueueBackend, SimTime};
 use churnbal_stochastic::{BatchedRng, StreamFactory};
 
 use crate::config::{ArrivalKind, ChannelModel, ChurnModel, DelayLaw, DownPolicy, SystemConfig};
@@ -28,8 +31,9 @@ use crate::trace::QueueTrace;
 pub struct SimOptions {
     /// Record queue/work-state traces (Fig. 4).
     pub record_trace: bool,
-    /// Hard stop; `None` runs to completion. A run that hits the deadline
-    /// reports `completed = false`.
+    /// Hard stop; `None` runs to completion. An event at exactly the
+    /// deadline still executes; a run that passes the deadline reports
+    /// `completed = false` and the deadline as its completion time.
     pub deadline: Option<f64>,
     /// Event-queue backend. `Auto` (the default) picks the indexed heap
     /// for small fleets and the calendar queue at large node counts (see
@@ -41,15 +45,14 @@ pub struct SimOptions {
     /// at `t = dt, 2·dt, …` into a [`ProbeReport`] (see [`crate::probe`]).
     /// `None` (the default) disables probing entirely; probing draws no
     /// randomness and schedules no events, so the trajectory is identical
-    /// either way and the only probes-off cost is one branch per event.
+    /// either way, and between ticks an armed probe costs what none does.
     pub probe_dt: Option<f64>,
     /// Runaway-task watchdog: `Some(secs)` arms a cooperative *wall-clock*
-    /// budget (see [`churnbal_desim::WallClockBudget`]) checked once per
-    /// event; a run that exhausts it stops early with
-    /// [`RunSummary::aborted`] set. Wall time is nondeterministic, so an
-    /// aborted run's numbers must be discarded, never averaged — the
-    /// replication runner quarantines them. `None` (the default) never
-    /// aborts.
+    /// budget, sampled on the first event and then every 1,024 events; a
+    /// run that exhausts it stops early with [`RunSummary::aborted`] set.
+    /// Wall time is nondeterministic, so an aborted run's numbers must be
+    /// discarded, never averaged — the replication runner quarantines
+    /// them. `None` (the default) never aborts.
     pub task_timeout: Option<f64>,
     /// Task-conservation auditor: verify after every event that
     /// `spawned = processed + queued + in_transit + lost + pending`
@@ -112,6 +115,20 @@ pub struct RunSummary {
     pub aborted: bool,
 }
 
+/// The watchdog samples the wall clock every this many events: at
+/// millions of events per second, well under a millisecond apart.
+const WATCHDOG_STRIDE: u64 = 1024;
+
+/// The thresholds of the event loop's one checkpoint test: the sooner of
+/// the next probe tick and the deadline (+∞ when neither is armed), and
+/// the executed-event count of the next watchdog sample (`u64::MAX` when
+/// it is off).
+#[derive(Clone, Copy)]
+struct Checkpoint {
+    time: f64,
+    events: u64,
+}
+
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Ev {
     Service(usize),
@@ -135,7 +152,7 @@ enum Ev {
         node: usize,
         tasks: u32,
     },
-    /// An environmental shock of [`ChurnModel::CorrelatedShocks`].
+    /// A tick of the churn model's shock clock ([`ChurnModel::shock_rate`]).
     Shock,
 }
 
@@ -175,9 +192,8 @@ struct NodeSoa {
 
 impl NodeSoa {
     /// (Re)initialises every column from `config`, resizing as needed —
-    /// shared by construction, [`Simulator::reset`] and
-    /// [`Simulator::rebind`]. Allocation-free once each column's capacity
-    /// covers the node count.
+    /// the column half of [`Simulator::rebind`]. Allocation-free once each
+    /// column's capacity covers the node count.
     fn load(&mut self, config: &SystemConfig) {
         let n = config.num_nodes();
         self.up.clear();
@@ -238,7 +254,9 @@ pub struct Simulator<'a> {
     trace: Option<QueueTrace>,
     probe: Option<ProbeState>,
     options: SimOptions,
-    /// Set by [`Simulator::drive`] when the task-timeout watchdog fires.
+    /// When the event loop started, if the watchdog is armed.
+    wall_start: Instant,
+    /// Set when the task-timeout watchdog fires.
     aborted: bool,
 }
 
@@ -248,60 +266,45 @@ impl<'a> Simulator<'a> {
     #[must_use]
     pub fn new(config: &'a SystemConfig, streams: &StreamFactory, options: SimOptions) -> Self {
         let n = config.num_nodes();
-        let mut nodes = NodeSoa::default();
-        nodes.load(config);
-        let trace = options.record_trace.then(|| {
-            QueueTrace::new(
-                &config
-                    .nodes
-                    .iter()
-                    .map(|nc| nc.initial_tasks)
-                    .collect::<Vec<_>>(),
-            )
-        });
-        Self {
+        // An empty simulator that `rebind` arms, so a fresh simulator and
+        // a reused one share one initialisation path. `rebind` keeps the
+        // queue and reseeds the placeholder streams.
+        let unseeded = || BatchedRng::new(streams.stream(0));
+        let mut sim = Self {
             config,
             queue: BackendQueue::for_fleet(options.backend, n),
-            service_rng: (0..n)
-                .map(|i| BatchedRng::new(streams.stream(2 * i as u64)))
-                .collect(),
-            churn_rng: (0..n)
-                .map(|i| BatchedRng::new(streams.stream(2 * i as u64 + 1)))
-                .collect(),
-            transfer_rng: BatchedRng::new(streams.stream(2 * n as u64)),
-            // Dedicated streams for the stochastic extensions: derived from
-            // ids past every legacy stream, so configurations that do not
-            // use them stay bit-identical to the original engine.
-            arrival_rng: BatchedRng::new(streams.stream(2 * n as u64 + 1)),
-            shock_rng: BatchedRng::new(streams.stream(2 * n as u64 + 2)),
-            channel_rng: BatchedRng::new(streams.stream(2 * n as u64 + 3)),
+            nodes: NodeSoa::default(),
+            order_sink: Vec::new(),
+            service_rng: Vec::with_capacity(n),
+            churn_rng: Vec::with_capacity(n),
+            transfer_rng: unseeded(),
+            arrival_rng: unseeded(),
+            shock_rng: unseeded(),
+            channel_rng: unseeded(),
             arrival_phase: 0,
             arrival_clock: 0.0,
-            arrivals_open: config.arrival_process.is_some(),
-            nodes,
-            order_sink: Vec::new(),
+            arrivals_open: false,
             processed: 0,
-            spawned: config.total_tasks(),
-            pending_external: config
-                .external_arrivals
-                .iter()
-                .map(|a| u64::from(a.tasks))
-                .sum(),
+            spawned: 0,
+            pending_external: 0,
             down_count: 0,
             in_transit: 0,
             last_transit_change: 0.0,
             metrics: Metrics::new(n),
-            trace,
-            probe: options.probe_dt.map(ProbeState::new),
+            trace: None,
+            probe: None,
             options,
+            wall_start: Instant::now(),
             aborted: false,
-        }
+        };
+        sim.rebind(config, streams, options);
+        sim
     }
 
     /// Re-arms a finished simulator for another replication of the same
-    /// configuration, overwriting the RNG streams from `streams` — bit-
-    /// identical to building a fresh [`Simulator::new`] with the same
-    /// arguments, but reusing every allocation (event queue, node vectors,
+    /// configuration, overwriting the RNG streams from `streams` — the
+    /// state a fresh [`Simulator::new`] with the same arguments starts
+    /// in, but reusing every allocation (event queue, node vectors,
     /// metrics, scratch buffers).
     pub fn reset(&mut self, streams: &StreamFactory) {
         let config = self.config;
@@ -312,8 +315,8 @@ impl<'a> Simulator<'a> {
     /// Re-arms the simulator for a run of a *different* configuration —
     /// the cross-grid-point reuse path of the sweep scheduler: one
     /// long-lived simulator per worker serves every `(point, replication)`
-    /// task it claims. Bit-identical to a fresh [`Simulator::new`] with
-    /// the same arguments; per-node vectors are resized in place, so
+    /// task it claims. [`Simulator::new`] arms a fresh simulator through
+    /// this same path; per-node vectors are resized in place, so
     /// switching between points of equal node count (the common case along
     /// most sweep axes) keeps every allocation, and any point revisited
     /// after the high-water node count allocates nothing.
@@ -368,21 +371,14 @@ impl<'a> Simulator<'a> {
         self.metrics.reset_for(n);
         self.order_sink.clear();
         self.aborted = false;
-        self.trace = options.record_trace.then(|| {
-            QueueTrace::new(
-                &config
-                    .nodes
-                    .iter()
-                    .map(|nc| nc.initial_tasks)
-                    .collect::<Vec<_>>(),
-            )
-        });
+        self.trace = options
+            .record_trace
+            .then(|| QueueTrace::new(&self.nodes.queue));
         // Re-arm the probe in place (keeping its allocations) when it
         // stays enabled; build or drop it on an on/off transition.
-        match (&mut self.probe, options.probe_dt) {
-            (Some(ps), Some(dt)) => ps.rearm(dt),
-            (slot @ None, Some(dt)) => *slot = Some(ProbeState::new(dt)),
-            (slot, None) => *slot = None,
+        match options.probe_dt {
+            Some(dt) => self.probe.get_or_insert_with(ProbeState::default).rearm(dt),
+            None => self.probe = None,
         }
     }
 
@@ -450,7 +446,9 @@ impl<'a> Simulator<'a> {
     }
 
     /// Seeds the initial events and drives the event loop; returns the
-    /// completion time and whether the workload finished.
+    /// completion time and whether the workload finished. Every event
+    /// takes one path: pop, one checkpoint test, apply, audit, and one
+    /// completion test after an event that drained tasks.
     fn drive(&mut self, policy: &mut dyn Policy) -> (f64, bool) {
         // A simulator must be freshly built, reset or rebound before every
         // run — driving a finished one again would seed new events onto
@@ -463,21 +461,7 @@ impl<'a> Simulator<'a> {
         for i in 0..self.config.num_nodes() {
             self.schedule_failure(i);
         }
-        match self.config.churn {
-            ChurnModel::CorrelatedShocks { shock_rate, .. } => {
-                let dt = self.shock_rng.exp(shock_rate);
-                self.queue.schedule_in(dt, Ev::Shock);
-            }
-            ChurnModel::Adversarial { strike_rate } => {
-                let dt = self.shock_rng.exp(strike_rate);
-                self.queue.schedule_in(dt, Ev::Shock);
-            }
-            ChurnModel::RackShocks { shock_rate, .. } => {
-                let dt = self.shock_rng.exp(shock_rate);
-                self.queue.schedule_in(dt, Ev::Shock);
-            }
-            ChurnModel::Independent | ChurnModel::Cascading { .. } => {}
-        }
+        self.arm_shock_clock();
         for a in &self.config.external_arrivals {
             self.queue.schedule_at(
                 SimTime::new(a.time),
@@ -500,42 +484,25 @@ impl<'a> Simulator<'a> {
             return (0.0, true);
         }
 
-        // The runaway-task watchdog: armed per run, polled per event.
-        let mut watchdog = self.options.task_timeout.map(WallClockBudget::new);
+        let mut due = Checkpoint {
+            time: self.next_checkpoint_time(),
+            events: u64::MAX,
+        };
+        if self.options.task_timeout.is_some() {
+            self.wall_start = Instant::now();
+            due.events = 0;
+        }
         while let Some(ev) = self.queue.pop() {
-            if let Some(w) = &mut watchdog {
-                if w.exceeded() {
-                    // Wall-clock abort: the caller must treat everything
-                    // this run accumulated as lost (see
-                    // [`RunSummary::aborted`]).
-                    self.aborted = true;
-                    return (ev.time.seconds(), false);
-                }
-            }
             let now = ev.time.seconds();
-            // Probe ticks the event clock has passed sample the current
-            // (pre-event, piecewise-constant) state — the one branch the
-            // probes-off hot path pays. The armed-but-no-tick-due path
-            // pays one extra compare; the flush call stays off the hot
-            // path entirely.
-            if let Some(ps) = &self.probe {
-                if ps.next_time() <= now {
-                    let horizon = match self.options.deadline {
-                        Some(d) => now.min(d),
-                        None => now,
-                    };
-                    self.flush_probe_ticks(horizon);
-                }
-            }
-            if let Some(deadline) = self.options.deadline {
-                if now > deadline {
-                    // Not counted in `metrics.events`: the event is popped
-                    // but never executed.
-                    return (deadline, false);
+            if now >= due.time || self.metrics.events >= due.events {
+                match self.checkpoint(now, due) {
+                    ControlFlow::Continue(next) => due = next,
+                    ControlFlow::Break(stop) => return stop,
                 }
             }
             self.metrics.events += 1;
-            match ev.payload {
+            // Whether tasks left the system, so the run may be complete.
+            let drained = match ev.payload {
                 Ev::Service(i) => {
                     debug_assert!(self.nodes.up[i], "service completion on a down node");
                     debug_assert!(
@@ -547,14 +514,14 @@ impl<'a> Simulator<'a> {
                     self.processed += 1;
                     self.metrics.processed_per_node[i] += 1;
                     self.record_queue(now, i);
-                    if self.is_complete() {
-                        return (now, true);
-                    }
+                    // A complete run has every queue empty: no draw.
                     self.maybe_schedule_service(i);
+                    true
                 }
                 Ev::Fail(i) => {
                     self.nodes.fail_ev[i] = None;
                     self.fail_node(i, now, policy);
+                    false
                 }
                 Ev::Recover(i) => {
                     debug_assert!(!self.nodes.up[i], "recovery of an up node");
@@ -572,6 +539,7 @@ impl<'a> Simulator<'a> {
                     }
                     self.reschedule_failures_on_pressure_change(i);
                     self.dispatch(policy, now, |p, v, s| p.on_recovery(i, v, s));
+                    false
                 }
                 Ev::TransferArrive {
                     from,
@@ -588,28 +556,18 @@ impl<'a> Simulator<'a> {
                         self.dispatch(policy, now, |p, v, s| {
                             p.on_transfer_arrival(to, tasks, v, s)
                         });
+                        false
                     }
                     ChannelVerdict::Lost => {
-                        let dead = self.retry_or_dead_letter(now, from, to, tasks, attempt);
-                        if dead && self.is_complete() {
-                            self.audit_conservation();
-                            return (now, true);
-                        }
+                        self.retry_or_dead_letter(now, from, to, tasks, attempt)
                     }
                     ChannelVerdict::DropDown => {
                         self.dead_letter(now, tasks);
-                        if self.is_complete() {
-                            self.audit_conservation();
-                            return (now, true);
-                        }
+                        true
                     }
                     ChannelVerdict::BounceDown => {
                         self.metrics.bounces += 1;
-                        let dead = self.retry_or_dead_letter(now, from, to, tasks, attempt);
-                        if dead && self.is_complete() {
-                            self.audit_conservation();
-                            return (now, true);
-                        }
+                        self.retry_or_dead_letter(now, from, to, tasks, attempt)
                     }
                 },
                 Ev::External { node, tasks } => {
@@ -620,6 +578,7 @@ impl<'a> Simulator<'a> {
                     self.dispatch(policy, now, |p, v, s| {
                         p.on_external_arrival(node, tasks, v, s);
                     });
+                    false
                 }
                 Ev::ProcArrival { node, tasks } => {
                     self.spawned += u64::from(tasks);
@@ -630,77 +589,18 @@ impl<'a> Simulator<'a> {
                     self.dispatch(policy, now, |p, v, s| {
                         p.on_external_arrival(node, tasks, v, s);
                     });
+                    false
                 }
-                Ev::Shock => match &self.config.churn {
-                    ChurnModel::CorrelatedShocks {
-                        shock_rate,
-                        hit_probability,
-                    } => {
-                        let (shock_rate, hit_probability) = (*shock_rate, *hit_probability);
-                        for i in 0..self.config.num_nodes() {
-                            if self.nodes.up[i]
-                                && self.nodes.failure_rate[i] > 0.0
-                                && self.shock_rng.next_f64() < hit_probability
-                            {
-                                self.fail_node(i, now, policy);
-                            }
-                        }
-                        let dt = self.shock_rng.exp(shock_rate);
-                        self.queue.schedule_in(dt, Ev::Shock);
-                    }
-                    ChurnModel::RackShocks {
-                        shock_rate,
-                        group_size,
-                        hit_probabilities,
-                    } => {
-                        // One uniform draw per group, in ascending group
-                        // order and regardless of the hit outcome, so the
-                        // RNG consumption depends only on the group count —
-                        // never on which racks happened to be struck.
-                        let shock_rate = *shock_rate;
-                        let group = *group_size as usize;
-                        let n = self.config.num_nodes();
-                        let probs = hit_probabilities.len();
-                        for g in 0..n.div_ceil(group) {
-                            let p = hit_probabilities[g % probs];
-                            if self.shock_rng.next_f64() < p {
-                                for i in g * group..((g + 1) * group).min(n) {
-                                    if self.nodes.up[i] && self.nodes.failure_rate[i] > 0.0 {
-                                        self.fail_node(i, now, policy);
-                                    }
-                                }
-                            }
-                        }
-                        let dt = self.shock_rng.exp(shock_rate);
-                        self.queue.schedule_in(dt, Ev::Shock);
-                    }
-                    ChurnModel::Adversarial { strike_rate } => {
-                        let strike_rate = *strike_rate;
-                        // The adversary downs the most-loaded up,
-                        // failure-prone node (ties to the lowest index) —
-                        // no randomness beyond the strike clock.
-                        let mut target: Option<usize> = None;
-                        for i in 0..self.config.num_nodes() {
-                            if self.nodes.up[i] && self.nodes.failure_rate[i] > 0.0 {
-                                let better = target
-                                    .is_none_or(|t| self.nodes.queue[i] > self.nodes.queue[t]);
-                                if better {
-                                    target = Some(i);
-                                }
-                            }
-                        }
-                        if let Some(i) = target {
-                            self.fail_node(i, now, policy);
-                        }
-                        let dt = self.shock_rng.exp(strike_rate);
-                        self.queue.schedule_in(dt, Ev::Shock);
-                    }
-                    ChurnModel::Independent | ChurnModel::Cascading { .. } => {
-                        unreachable!("shock event without a shock churn model")
-                    }
-                },
-            }
+                Ev::Shock => {
+                    self.shock(now, policy);
+                    self.arm_shock_clock();
+                    false
+                }
+            };
             self.audit_conservation();
+            if drained && self.is_complete() {
+                return (now, true);
+            }
         }
         // Queue exhausted without processing everything: only possible when
         // tasks remain but nothing can ever happen — prevented by config
@@ -709,6 +609,129 @@ impl<'a> Simulator<'a> {
             "event queue exhausted with {}/{} tasks processed",
             self.processed, self.spawned
         );
+    }
+
+    /// The event loop's one checkpoint, for an event at `now` that reached
+    /// a threshold of `due`: a due watchdog sample aborts the run at `now`
+    /// once the budget is spent; probe ticks up to `min(now, deadline)`
+    /// sample the pre-event state; an event past the deadline stops the
+    /// run there, uncounted. Otherwise it returns the next thresholds.
+    fn checkpoint(
+        &mut self,
+        now: f64,
+        mut due: Checkpoint,
+    ) -> ControlFlow<(f64, bool), Checkpoint> {
+        // Only an armed watchdog's threshold is ever reached.
+        if self.metrics.events >= due.events {
+            let limit = self.options.task_timeout.unwrap_or(f64::INFINITY);
+            if self.wall_start.elapsed().as_secs_f64() > limit {
+                // Everything this run accumulated is lost (see
+                // [`RunSummary::aborted`]).
+                self.aborted = true;
+                return ControlFlow::Break((now, false));
+            }
+            due.events += WATCHDOG_STRIDE;
+        }
+        let deadline = self.options.deadline.unwrap_or(f64::INFINITY);
+        if let Some(ps) = &mut self.probe {
+            // The state is piecewise constant between events, so a tick
+            // sampled before the event sees the state at its instant.
+            while ps.next_time() <= now.min(deadline) {
+                ps.sample(
+                    &self.nodes.up,
+                    &self.nodes.queue,
+                    self.in_transit,
+                    self.metrics.failures,
+                    self.metrics.transfers,
+                    self.metrics.tasks_lost,
+                );
+            }
+        }
+        if now > deadline {
+            return ControlFlow::Break((deadline, false));
+        }
+        due.time = self.next_checkpoint_time();
+        ControlFlow::Continue(due)
+    }
+
+    /// The time threshold of the next checkpoint (see [`Checkpoint`]).
+    fn next_checkpoint_time(&self) -> f64 {
+        let tick = self
+            .probe
+            .as_ref()
+            .map_or(f64::INFINITY, ProbeState::next_time);
+        tick.min(self.options.deadline.unwrap_or(f64::INFINITY))
+    }
+
+    /// Schedules the next tick of the churn model's shock clock, if it
+    /// has one: at the start of a run and after each strike's draws.
+    fn arm_shock_clock(&mut self) {
+        if let Some(rate) = self.config.churn.shock_rate() {
+            let dt = self.shock_rng.exp(rate);
+            self.queue.schedule_in(dt, Ev::Shock);
+        }
+    }
+
+    /// The strike of a shock-clock tick under the configured churn model.
+    fn shock(&mut self, now: f64, policy: &mut dyn Policy) {
+        let config = self.config;
+        let n = config.num_nodes();
+        match &config.churn {
+            ChurnModel::CorrelatedShocks {
+                hit_probability, ..
+            } => {
+                for i in 0..n {
+                    if self.nodes.up[i]
+                        && self.nodes.failure_rate[i] > 0.0
+                        && self.shock_rng.next_f64() < *hit_probability
+                    {
+                        self.fail_node(i, now, policy);
+                    }
+                }
+            }
+            ChurnModel::RackShocks {
+                group_size,
+                hit_probabilities,
+                ..
+            } => {
+                // One uniform draw per group, in ascending group order and
+                // regardless of the hit outcome, so the RNG consumption
+                // depends only on the group count — never on which racks
+                // happened to be struck.
+                let group = *group_size as usize;
+                for g in 0..n.div_ceil(group) {
+                    let p = hit_probabilities[g % hit_probabilities.len()];
+                    if self.shock_rng.next_f64() < p {
+                        for i in g * group..((g + 1) * group).min(n) {
+                            if self.nodes.up[i] && self.nodes.failure_rate[i] > 0.0 {
+                                self.fail_node(i, now, policy);
+                            }
+                        }
+                    }
+                }
+            }
+            ChurnModel::Adversarial { .. } => {
+                // The adversary downs the most-loaded up, failure-prone
+                // node (ties to the lowest index) — no randomness beyond
+                // the strike clock.
+                let mut target: Option<usize> = None;
+                for i in 0..n {
+                    if self.nodes.up[i] && self.nodes.failure_rate[i] > 0.0 {
+                        let better =
+                            target.is_none_or(|t| self.nodes.queue[i] > self.nodes.queue[t]);
+                        if better {
+                            target = Some(i);
+                        }
+                    }
+                }
+                if let Some(i) = target {
+                    self.fail_node(i, now, policy);
+                }
+            }
+            ChurnModel::Independent | ChurnModel::Cascading { .. } => {
+                unreachable!("shock event without a shock churn model")
+            }
+        }
     }
 
     /// Every spawned task accounted for — processed, or permanently lost
@@ -846,35 +869,6 @@ impl<'a> Simulator<'a> {
             self.pending_external,
             self.spawned
         );
-    }
-
-    /// Emits every pending probe tick with `tick · dt ≤ horizon` against
-    /// the current fleet state. Called before an event executes, so each
-    /// tick observes exactly the state the system held at that instant
-    /// (state is piecewise-constant between events). Ticks strictly after
-    /// the completion (or deadline) instant are never emitted.
-    fn flush_probe_ticks(&mut self, horizon: f64) {
-        // Borrows split per field: `ps` aliases only `self.probe`, the
-        // state reads below only `self.nodes`/counters — no move of the
-        // probe (its histograms are ~2 KB; this runs once per event).
-        let Some(ps) = &mut self.probe else {
-            return;
-        };
-        loop {
-            let time = ps.next_time();
-            if time > horizon {
-                break;
-            }
-            ps.sample(
-                time,
-                &self.nodes.up,
-                &self.nodes.queue,
-                self.in_transit,
-                self.metrics.failures,
-                self.metrics.transfers,
-                self.metrics.tasks_lost,
-            );
-        }
     }
 
     /// The common failure transition, used by both natural [`Ev::Fail`]
@@ -1153,13 +1147,11 @@ impl<'a> Simulator<'a> {
 
     fn sample_delay(&mut self, from: usize, to: usize, tasks: u32) -> f64 {
         let net = &self.config.network;
-        let mut scale = self.config.link_scale(from, to);
-        if let Some(topo) = self.config.topology() {
+        let scale = self.config.topology().map_or(1.0, |topo| {
             // `apply_orders` already rejected off-edge transfers.
-            scale *= topo
-                .edge_delay_scale(from, to)
-                .expect("transfer routed off the topology");
-        }
+            topo.edge_delay_scale(from, to)
+                .expect("transfer routed off the topology")
+        });
         match net.law {
             DelayLaw::ExponentialBatch => {
                 self.transfer_rng.exp(1.0 / (scale * net.mean_delay(tasks)))
@@ -1535,60 +1527,6 @@ mod tests {
         assert_eq!(out.metrics.tasks_shipped, 5);
         assert_eq!(out.metrics.tasks_clamped, 95);
         assert_eq!(out.metrics.processed_per_node, vec![0, 5]);
-    }
-
-    #[test]
-    fn link_scales_slow_specific_links() {
-        // Deterministic law + a 4x slower 0->1 link: the arrival lands at
-        // exactly 4x the homogeneous time.
-        let mut cfg = reliable_pair([4, 0]);
-        cfg.network = NetworkConfig::new(0.5, 0.25, crate::config::DelayLaw::DeterministicBatch);
-        let slow = cfg
-            .clone()
-            .with_link_delay_scales(vec![vec![1.0, 4.0], vec![1.0, 1.0]]);
-        let opts = SimOptions {
-            record_trace: true,
-            ..SimOptions::default()
-        };
-        let out = simulate(&slow, &mut ShipOnce(4), 11, opts);
-        let tr = out.trace.expect("trace");
-        assert_eq!(tr.queue_at(1, 5.99), 0);
-        assert_eq!(tr.queue_at(1, 6.01), 4, "4x the 1.5 s homogeneous delay");
-    }
-
-    #[test]
-    fn asymmetric_links_affect_only_their_direction() {
-        struct ShipBack;
-        impl Policy for ShipBack {
-            fn name(&self) -> &str {
-                "ship-back"
-            }
-            fn on_start(&mut self, _: &SystemView<'_>, orders: &mut Vec<TransferOrder>) {
-                orders.push(TransferOrder {
-                    from: 1,
-                    to: 0,
-                    tasks: 2,
-                });
-            }
-        }
-        let mut cfg = reliable_pair([0, 2]);
-        cfg.network = NetworkConfig::new(1.0, 0.0, crate::config::DelayLaw::DeterministicBatch);
-        // 0->1 is slow, 1->0 is fast: the 1->0 transfer must use scale 0.5.
-        let cfg = cfg.with_link_delay_scales(vec![vec![1.0, 10.0], vec![0.5, 1.0]]);
-        let opts = SimOptions {
-            record_trace: true,
-            ..SimOptions::default()
-        };
-        let out = simulate(&cfg, &mut ShipBack, 12, opts);
-        let tr = out.trace.expect("trace");
-        assert_eq!(tr.queue_at(0, 0.49), 0);
-        assert_eq!(tr.queue_at(0, 0.51), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "must be positive")]
-    fn zero_link_scale_rejected() {
-        let _ = reliable_pair([1, 1]).with_link_delay_scales(vec![vec![1.0, 0.0], vec![1.0, 1.0]]);
     }
 
     #[test]
@@ -2451,5 +2389,58 @@ mod tests {
         assert!(!s2.aborted);
         assert!(s2.completed);
         assert_eq!(s2.tasks_lost, 0);
+    }
+
+    /// Sleeps in its external-arrival hook.
+    struct SleepOnArrival(std::time::Duration);
+    impl Policy for SleepOnArrival {
+        fn name(&self) -> &str {
+            "sleep-on-arrival"
+        }
+        fn on_external_arrival(
+            &mut self,
+            _: usize,
+            _: u32,
+            _: &SystemView<'_>,
+            _: &mut Vec<TransferOrder>,
+        ) {
+            std::thread::sleep(self.0);
+        }
+    }
+
+    #[test]
+    fn watchdog_samples_the_wall_clock_every_1024_events() {
+        // Thousands of fast services precede an arrival at t = 5 whose
+        // hook sleeps past the budget. The watchdog samples the wall clock
+        // at 0, 1024, 2048, … executed events, so it stops the run at the
+        // first multiple of the stride after the arrival, not at once. (A
+        // generous budget never tripping is the exec timeout tests' job.)
+        let cfg = SystemConfig::new(
+            vec![
+                NodeConfig::reliable(1000.0, 10_000),
+                NodeConfig::reliable(1.0, 0),
+            ],
+            NetworkConfig::exponential(0.02),
+        )
+        .with_external_arrivals(vec![ExternalArrival {
+            time: 5.0,
+            node: 1,
+            tasks: 1,
+        }]);
+        let opts = |deadline, task_timeout| SimOptions {
+            deadline,
+            task_timeout,
+            ..SimOptions::default()
+        };
+        // Events executed up to and including the arrival.
+        let upto = simulate(&cfg, &mut NoBalancing, 3, opts(Some(5.0), None))
+            .metrics
+            .events;
+        assert!(upto > 2 * WATCHDOG_STRIDE);
+        let factory = StreamFactory::new(3);
+        let mut sleepy = SleepOnArrival(std::time::Duration::from_millis(500));
+        let s = Simulator::new(&cfg, &factory, opts(None, Some(0.25))).run_summary(&mut sleepy);
+        assert!(s.aborted && !s.completed);
+        assert_eq!(s.events, upto.next_multiple_of(WATCHDOG_STRIDE));
     }
 }

@@ -56,7 +56,9 @@ pub struct McEstimate {
     /// Replications quarantined (panicked or timed out) and therefore
     /// *excluded* from every vector and mean above. A nonzero count marks
     /// the estimate as degraded — fewer samples than requested, never a
-    /// silent average over garbage.
+    /// silent average over garbage. When no replication survived, every
+    /// per-replication statistic is `NaN`: [`McEstimate::mean`],
+    /// [`McEstimate::ci95`] and each `mean_*` field.
     pub quarantined: u64,
     /// Per-replication probe telemetry, in replication order; empty when
     /// probing is off (see [`SimOptions::probe_dt`]).
@@ -64,16 +66,28 @@ pub struct McEstimate {
 }
 
 impl McEstimate {
-    /// Sample mean of the completion time.
+    /// Sample mean of the completion time; `NaN` without a surviving
+    /// replication.
     #[must_use]
     pub fn mean(&self) -> f64 {
-        self.completion.mean()
+        self.survived(self.completion.mean())
     }
 
-    /// 95% confidence half-width of the mean.
+    /// 95% confidence half-width of the mean; `NaN` without a surviving
+    /// replication.
     #[must_use]
     pub fn ci95(&self) -> f64 {
-        self.completion.ci95_half_width()
+        self.survived(self.completion.ci95_half_width())
+    }
+
+    /// `statistic`, or `NaN` when no replication survived: an empty
+    /// sample has no statistic, and a made-up 0.0 would read as data.
+    fn survived(&self, statistic: f64) -> f64 {
+        if self.completion.count() == 0 {
+            f64::NAN
+        } else {
+            statistic
+        }
     }
 
     /// Aggregates one scheduler point into the estimate form — the shared
@@ -113,6 +127,9 @@ impl McEstimate {
             tasks_shipped_per_rep.retain(|_| keep(&mut i));
         }
         let reps = completion_times.len() as f64;
+        // Without a surviving replication every mean is NaN, whatever the
+        // totals hold.
+        let per_rep = |total: f64| if reps > 0.0 { total / reps } else { f64::NAN };
         let mut completion = OnlineStats::new();
         for &t in &completion_times {
             completion.push(t);
@@ -120,15 +137,15 @@ impl McEstimate {
         Self {
             completion,
             total_events: stats.total_events,
-            mean_failures: failures_per_rep.iter().sum::<u64>() as f64 / reps,
-            mean_tasks_shipped: tasks_shipped_per_rep.iter().sum::<u64>() as f64 / reps,
-            mean_recoveries: stats.total_recoveries as f64 / reps,
-            mean_transfers: stats.total_transfers as f64 / reps,
-            mean_tasks_clamped: stats.total_tasks_clamped as f64 / reps,
-            mean_tasks_lost: stats.total_tasks_lost as f64 / reps,
-            mean_retries: stats.total_retries as f64 / reps,
-            mean_bounces: stats.total_bounces as f64 / reps,
-            mean_transit_task_seconds: stats.transit_task_seconds / reps,
+            mean_failures: per_rep(failures_per_rep.iter().sum::<u64>() as f64),
+            mean_tasks_shipped: per_rep(tasks_shipped_per_rep.iter().sum::<u64>() as f64),
+            mean_recoveries: per_rep(stats.total_recoveries as f64),
+            mean_transfers: per_rep(stats.total_transfers as f64),
+            mean_tasks_clamped: per_rep(stats.total_tasks_clamped as f64),
+            mean_tasks_lost: per_rep(stats.total_tasks_lost as f64),
+            mean_retries: per_rep(stats.total_retries as f64),
+            mean_bounces: per_rep(stats.total_bounces as f64),
+            mean_transit_task_seconds: per_rep(stats.transit_task_seconds),
             completion_times,
             failures_per_rep,
             tasks_shipped_per_rep,
@@ -256,6 +273,40 @@ mod tests {
         let e2 = run_replications(&cfg, &|_| NoBalancing, reps, 77, 7, opts);
         assert_eq!(e.failures_per_rep, e2.failures_per_rep);
         assert_eq!(e.tasks_shipped_per_rep, e2.tasks_shipped_per_rep);
+    }
+
+    #[test]
+    fn an_estimate_without_survivors_has_no_statistics() {
+        // One replication, quarantined: its slots hold placeholder zeros,
+        // and its counters may have run partway before it was lost.
+        let stats = PointStats {
+            completion_times: vec![0.0],
+            failures_per_rep: vec![0],
+            tasks_shipped_per_rep: vec![0],
+            total_recoveries: 3,
+            total_tasks_lost: 1,
+            transit_task_seconds: 0.5,
+            quarantined_reps: vec![0],
+            ..PointStats::default()
+        };
+        let e = McEstimate::from_point_stats(stats);
+        assert_eq!(e.quarantined, 1);
+        assert!(e.completion_times.is_empty());
+        for (name, value) in [
+            ("mean", e.mean()),
+            ("ci95", e.ci95()),
+            ("mean_failures", e.mean_failures),
+            ("mean_tasks_shipped", e.mean_tasks_shipped),
+            ("mean_recoveries", e.mean_recoveries),
+            ("mean_transfers", e.mean_transfers),
+            ("mean_tasks_clamped", e.mean_tasks_clamped),
+            ("mean_tasks_lost", e.mean_tasks_lost),
+            ("mean_retries", e.mean_retries),
+            ("mean_bounces", e.mean_bounces),
+            ("mean_transit_task_seconds", e.mean_transit_task_seconds),
+        ] {
+            assert!(value.is_nan(), "{name} = {value}, want NaN");
+        }
     }
 
     #[test]

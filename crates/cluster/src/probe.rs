@@ -14,8 +14,10 @@
 //! * Probe ticks fire at `t = dt, 2·dt, 3·dt, …` (`tick · dt` in exact
 //!   f64 arithmetic — no accumulation drift). Each tick samples the state
 //!   the system held *at that instant*: the engine flushes pending ticks
-//!   whenever the event clock passes them, before applying the event, and
-//!   the state is piecewise-constant between events.
+//!   at the checkpoint of the first event at or past them, before
+//!   applying it, and the state is piecewise-constant between events. A
+//!   tick at an event's instant sees the state before that event; a tick
+//!   at the deadline is emitted, and none after it or after completion.
 //! * Probing draws no randomness and schedules no events, so a run's
 //!   trajectory — and every pinned digest — is identical with probes on
 //!   or off, and the report itself is a pure function of
@@ -24,9 +26,11 @@
 //!   bucket math); times are quantized to integer microseconds. Merging
 //!   per-replication histograms is exact in any order.
 //!
-//! When probing is off (`probe_dt = None`, the default) the engine's only
-//! residual cost is one branch per event — `tests/alloc_free.rs` and the
-//! perfreport overhead gate hold this to "strictly zero-cost".
+//! The next tick is one of the two thresholds of the event loop's one
+//! checkpoint test (with the deadline and the watchdog), so between ticks
+//! an armed probe costs the same single per-event test as no probe.
+//! `tests/alloc_free.rs` holds the probes-off path allocation-free, and
+//! the perfreport overhead gate bounds the armed cost.
 
 use churnbal_stochastic::LogHistogram;
 
@@ -109,7 +113,9 @@ pub fn micros(seconds: f64) -> u64 {
 }
 
 /// The engine-side probe driver: tick cursor, scratch histogram for
-/// per-tick quantiles, and the report under construction.
+/// per-tick quantiles, and the report under construction. Unarmed until
+/// [`ProbeState::rearm`] sets its cadence.
+#[derive(Default)]
 pub(crate) struct ProbeState {
     dt: f64,
     /// Next tick to emit; tick `k` fires at `k · dt`, starting at 1 (the
@@ -121,20 +127,7 @@ pub(crate) struct ProbeState {
 }
 
 impl ProbeState {
-    pub(crate) fn new(dt: f64) -> Self {
-        assert!(
-            dt.is_finite() && dt > 0.0,
-            "probe_dt must be a positive finite number of seconds, got {dt}"
-        );
-        Self {
-            dt,
-            next_tick: 1,
-            scratch: LogHistogram::new(),
-            report: ProbeReport::default(),
-        }
-    }
-
-    /// Re-arms for a fresh run at cadence `dt`, keeping allocations.
+    /// Arms for a fresh run at cadence `dt`, keeping allocations.
     pub(crate) fn rearm(&mut self, dt: f64) {
         assert!(
             dt.is_finite() && dt > 0.0,
@@ -152,12 +145,10 @@ impl ProbeState {
         self.next_tick as f64 * self.dt
     }
 
-    /// Emits one tick at `time` against the given fleet state and
-    /// advances the cursor.
-    #[allow(clippy::too_many_arguments)]
+    /// Emits the next tick against the given fleet state and advances
+    /// the cursor.
     pub(crate) fn sample(
         &mut self,
-        time: f64,
         up: &[bool],
         queues: &[u32],
         in_transit: u32,
@@ -176,7 +167,7 @@ impl ProbeState {
             self.scratch.record(u64::from(q));
         }
         self.report.samples.push(ProbeSample {
-            time,
+            time: self.next_time(),
             up_nodes,
             queue_total,
             queue_max,
@@ -219,11 +210,13 @@ mod tests {
 
     #[test]
     fn ticks_advance_on_an_exact_grid() {
-        let mut ps = ProbeState::new(0.25);
+        let mut ps = ProbeState::default();
+        ps.rearm(0.25);
         assert_eq!(ps.next_time(), 0.25);
-        ps.sample(0.25, &[true, false], &[3, 0], 1, 2, 3, 4);
+        ps.sample(&[true, false], &[3, 0], 1, 2, 3, 4);
         assert_eq!(ps.next_time(), 0.5);
         let s = ps.report.samples[0];
+        assert_eq!(s.time, 0.25);
         assert_eq!(s.up_nodes, 1);
         assert_eq!(s.queue_total, 3);
         assert_eq!(s.queue_max, 3);
@@ -236,8 +229,9 @@ mod tests {
 
     #[test]
     fn rearm_clears_everything_but_keeps_the_cadence_contract() {
-        let mut ps = ProbeState::new(1.0);
-        ps.sample(1.0, &[true], &[5], 0, 0, 0, 0);
+        let mut ps = ProbeState::default();
+        ps.rearm(1.0);
+        ps.sample(&[true], &[5], 0, 0, 0, 0);
         ps.record_transfer_delay(0.5);
         ps.record_downtime(2.0);
         ps.record_retry_delay(0.125);
@@ -253,7 +247,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "positive finite")]
     fn zero_dt_is_rejected() {
-        let _ = ProbeState::new(0.0);
+        ProbeState::default().rearm(0.0);
     }
 
     #[test]

@@ -36,13 +36,11 @@
 //! The kernel is payload-generic: it knows nothing about nodes or tasks.
 
 mod backend;
-mod budget;
 mod calendar;
 mod engine;
 mod time;
 
 pub use backend::{BackendQueue, EventQueueBackend, QueueBackend, CALENDAR_AUTO_THRESHOLD};
-pub use budget::{WallClockBudget, POLL_STRIDE};
 pub use calendar::CalendarQueue;
 pub use engine::{EventId, EventQueue, ScheduledEvent};
 pub use time::SimTime;

@@ -440,7 +440,60 @@ impl Cell {
     fn verdict(&self, rule: &StoppingRule) -> CellVerdict {
         rule.verdict(self.n(), self.halfwidth())
     }
+
+    /// The cell's values for the columns of `BASE_COLUMNS` after `spec`,
+    /// in order: the one place that computes a row's coords, mean, sd,
+    /// half-width and verdict, for the CSV and the report alike.
+    fn row(&self, rule: &StoppingRule, spelling: &Spelling) -> [String; BASE_COLUMNS.len() - 1] {
+        let stats = OnlineStats::from_slice(&self.stats.completion_times);
+        let coords: Vec<String> = self
+            .coords
+            .iter()
+            .map(|(param, value)| format!("{}={}", param.key(), fnum(*value)))
+            .collect();
+        let coords = if coords.is_empty() {
+            spelling.no_coords.to_string()
+        } else {
+            coords.join(spelling.coords_sep)
+        };
+        let converged = self.verdict(rule) == CellVerdict::Converged;
+        [
+            self.scenario_name.clone(),
+            self.point_index.to_string(),
+            coords,
+            self.policy_label.clone(),
+            self.n().to_string(),
+            fnum(stats.mean()),
+            fnum(stats.std_dev()),
+            fnum(self.halfwidth()),
+            self.stats.incomplete.to_string(),
+            spelling.converged[usize::from(converged)].to_string(),
+        ]
+    }
 }
+
+/// How a renderer spells the two campaign columns whose text differs
+/// between the CSV and the report.
+struct Spelling {
+    /// Joins a cell's `key=value` coords.
+    coords_sep: &'static str,
+    /// The `coords` of a point without any.
+    no_coords: &'static str,
+    /// The `converged` column of a capped and of a converged cell.
+    converged: [&'static str; 2],
+}
+
+const CSV_SPELLING: Spelling = Spelling {
+    coords_sep: ";",
+    no_coords: "",
+    converged: ["0", "1"],
+};
+
+const REPORT_SPELLING: Spelling = Spelling {
+    coords_sep: "; ",
+    no_coords: "—",
+    converged: ["capped", "yes"],
+};
 
 /// Execution knobs for [`Campaign::run`]. Result bytes and replication
 /// counts do not depend on `threads` or `chunk`.
@@ -769,29 +822,9 @@ impl Campaign {
         }
         out.push('\n');
         for &i in &self.spec_cells[spec_idx] {
-            let cell = &self.cells[i];
-            let stats = OnlineStats::from_slice(&cell.stats.completion_times);
-            let coords = cell
-                .coords
-                .iter()
-                .map(|(param, value)| format!("{}={}", param.key(), fnum(*value)))
-                .collect::<Vec<String>>()
-                .join(";");
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{},{},{},{},{}",
-                csv_field(&spec.name),
-                csv_field(&cell.scenario_name),
-                cell.point_index,
-                csv_field(&coords),
-                csv_field(&cell.policy_label),
-                cell.n(),
-                fnum(stats.mean()),
-                fnum(stats.std_dev()),
-                fnum(cell.halfwidth()),
-                cell.stats.incomplete,
-                u64::from(cell.verdict(&spec.stopping) == CellVerdict::Converged),
-            ));
-            for (_, value) in &spec.fields {
+            out.push_str(&csv_field(&spec.name));
+            let row = self.cells[i].row(&spec.stopping, &CSV_SPELLING);
+            for value in row.iter().chain(spec.fields.iter().map(|(_, value)| value)) {
                 out.push(',');
                 out.push_str(&csv_field(value));
             }
@@ -875,36 +908,15 @@ impl Campaign {
                     .collect();
                 out.push_str(&format!("_{}_\n\n", rendered.join(", ")));
             }
-            out.push_str(
-                "| scenario | point | coords | policy | reps | mean | sd | ci95 | incomplete | converged |\n",
-            );
-            out.push_str("|---|---|---|---|---|---|---|---|---|---|\n");
+            // The report's columns are the CSV's, less `spec`: each
+            // table is one spec already.
+            let columns = &BASE_COLUMNS[1..];
+            out.push_str(&format!("| {} |\n", columns.join(" | ")));
+            out.push_str(&"|---".repeat(columns.len()));
+            out.push_str("|\n");
             for &i in &self.spec_cells[spec_idx] {
-                let cell = &self.cells[i];
-                let stats = OnlineStats::from_slice(&cell.stats.completion_times);
-                let coords = cell
-                    .coords
-                    .iter()
-                    .map(|(param, value)| format!("{}={}", param.key(), fnum(*value)))
-                    .collect::<Vec<String>>()
-                    .join("; ");
-                out.push_str(&format!(
-                    "| {} | {} | {} | {} | {} | {} | {} | {} | {} | {} |\n",
-                    cell.scenario_name,
-                    cell.point_index,
-                    if coords.is_empty() { "—" } else { &coords },
-                    cell.policy_label,
-                    cell.n(),
-                    fnum(stats.mean()),
-                    fnum(stats.std_dev()),
-                    fnum(cell.halfwidth()),
-                    cell.stats.incomplete,
-                    if cell.verdict(&spec.stopping) == CellVerdict::Converged {
-                        "yes"
-                    } else {
-                        "capped"
-                    },
-                ));
+                let row = self.cells[i].row(&spec.stopping, &REPORT_SPELLING);
+                out.push_str(&format!("| {} |\n", row.join(" | ")));
             }
             out.push('\n');
         }

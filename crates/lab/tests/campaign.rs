@@ -253,3 +253,129 @@ fn antithetic_pairs_stay_whole_and_deterministic() {
     let _ = fs::remove_dir_all(&anti);
     let _ = fs::remove_dir_all(&anti2);
 }
+
+/// The CI campaign smoke's two specs, plus one whose cells converge, whose
+/// points have two coordinates and whose `[fields]` value needs CSV
+/// quoting: every spelling the CSV and the report differ in.
+const PINNED_SPECS: [(&str, &str); 3] = [
+    (
+        "var-base",
+        "scenarios = [\"paper-fig5\"]\n\
+         policies = [\"lbp1-optimal\", \"none\"]\n\
+         \n\
+         [stopping]\n\
+         tolerance = 4.0\n\
+         r0 = 4\n\
+         max_reps = 32\n",
+    ),
+    (
+        "var-fail",
+        "scenarios = [\"paper-fig5\"]\n\
+         axis = [\"failure-scale=1,2\"]\n\
+         \n\
+         [stopping]\n\
+         tolerance = 4.0\n\
+         r0 = 8\n\
+         max_reps = 64\n\
+         antithetic = true\n\
+         \n\
+         [fields]\n\
+         figure = \"5\"\n",
+    ),
+    (
+        "var-wide",
+        "scenarios = [\"paper-fig5\"]\n\
+         policies = [\"lbp2\", \"none\"]\n\
+         axis = [\"recovery-scale=2\", \"failure-scale=1,2\"]\n\
+         \n\
+         [stopping]\n\
+         tolerance = 40.0\n\
+         r0 = 4\n\
+         max_reps = 16\n\
+         \n\
+         [fields]\n\
+         note = \"a, b\"\n",
+    ),
+];
+
+/// Each spec's `out/<spec>.csv`, as the campaign at one thread wrote it.
+const PINNED_CSVS: [(&str, &str); 3] = [
+    (
+        "var-base",
+        r#"spec,scenario,point,coords,policy,reps,mean,sd,ci95,incomplete,converged
+var-base,paper-fig5,0,,lbp1-optimal,32,39.14464817464441,20.936573762808255,7.548433323763756,0,0
+var-base,paper-fig5,0,,none,32,68.09517365235791,21.68973602491046,7.819977043469832,0,0
+"#,
+    ),
+    (
+        "var-fail",
+        r#"spec,scenario,point,coords,policy,reps,mean,sd,ci95,incomplete,converged,figure
+var-fail,paper-fig5,0,failure-scale=1.0,lbp1-optimal,64,39.24156727468389,21.81692538549536,5.4497055366553875,0,0,5
+var-fail,paper-fig5,1,failure-scale=2.0,lbp1-optimal,64,56.85649152113794,32.43969174599156,8.103193488164845,0,0,5
+"#,
+    ),
+    (
+        "var-wide",
+        r#"spec,scenario,point,coords,policy,reps,mean,sd,ci95,incomplete,converged,note
+var-wide,paper-fig5,0,recovery-scale=2.0;failure-scale=1.0,lbp2,4,23.165444413096317,10.065207027391395,16.01599048185391,0,1,"a, b"
+var-wide,paper-fig5,0,recovery-scale=2.0;failure-scale=1.0,none,4,55.3584595749124,14.52847649176,23.118048200561677,0,1,"a, b"
+var-wide,paper-fig5,1,recovery-scale=2.0;failure-scale=2.0,lbp2,4,25.98219734800159,13.242532978513735,21.07182510626217,0,1,"a, b"
+var-wide,paper-fig5,1,recovery-scale=2.0;failure-scale=2.0,none,4,62.8166770323547,19.268370686961003,30.660277596215604,0,1,"a, b"
+"#,
+    ),
+];
+
+/// `report` of the same finished campaign.
+const PINNED_REPORT: &str = r#"## var-base
+
+| scenario | point | coords | policy | reps | mean | sd | ci95 | incomplete | converged |
+|---|---|---|---|---|---|---|---|---|---|
+| paper-fig5 | 0 | — | lbp1-optimal | 32 | 39.14464817464441 | 20.936573762808255 | 7.548433323763756 | 0 | capped |
+| paper-fig5 | 0 | — | none | 32 | 68.09517365235791 | 21.68973602491046 | 7.819977043469832 | 0 | capped |
+
+## var-fail
+
+_figure = 5_
+
+| scenario | point | coords | policy | reps | mean | sd | ci95 | incomplete | converged |
+|---|---|---|---|---|---|---|---|---|---|
+| paper-fig5 | 0 | failure-scale=1.0 | lbp1-optimal | 64 | 39.24156727468389 | 21.81692538549536 | 5.4497055366553875 | 0 | capped |
+| paper-fig5 | 1 | failure-scale=2.0 | lbp1-optimal | 64 | 56.85649152113794 | 32.43969174599156 | 8.103193488164845 | 0 | capped |
+
+## var-wide
+
+_note = a, b_
+
+| scenario | point | coords | policy | reps | mean | sd | ci95 | incomplete | converged |
+|---|---|---|---|---|---|---|---|---|---|
+| paper-fig5 | 0 | recovery-scale=2.0; failure-scale=1.0 | lbp2 | 4 | 23.165444413096317 | 10.065207027391395 | 16.01599048185391 | 0 | yes |
+| paper-fig5 | 0 | recovery-scale=2.0; failure-scale=1.0 | none | 4 | 55.3584595749124 | 14.52847649176 | 23.118048200561677 | 0 | yes |
+| paper-fig5 | 1 | recovery-scale=2.0; failure-scale=2.0 | lbp2 | 4 | 25.98219734800159 | 13.242532978513735 | 21.07182510626217 | 0 | yes |
+| paper-fig5 | 1 | recovery-scale=2.0; failure-scale=2.0 | none | 4 | 62.8166770323547 | 19.268370686961003 | 30.660277596215604 | 0 | yes |
+
+"#;
+
+/// The bytes of a small finished campaign's CSVs and its report are
+/// pinned, so the two renderers cannot drift apart or move.
+#[test]
+fn finished_campaign_csvs_and_report_are_pinned() {
+    let dir = temp_dir("pinned");
+    for (name, spec) in PINNED_SPECS {
+        fs::write(dir.join(format!("{name}.toml")), spec).expect("spec file");
+    }
+    let mut campaign = Campaign::load(&dir).expect("campaign loads");
+    let report = campaign
+        .run(&CampaignRunOptions {
+            threads: 1,
+            chunk: 0,
+            max_cells: None,
+        })
+        .expect("campaign runs");
+    assert_eq!(report.cells_done, report.cells_total, "all cells finish");
+    for (name, want) in PINNED_CSVS {
+        let got = fs::read_to_string(dir.join("out").join(format!("{name}.csv"))).expect("csv");
+        assert_eq!(got, want, "{name}.csv moved");
+    }
+    assert_eq!(campaign.report().expect("finished"), PINNED_REPORT);
+    let _ = fs::remove_dir_all(&dir);
+}
