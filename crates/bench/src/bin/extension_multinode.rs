@@ -15,8 +15,7 @@ use churnbal_cluster::{
     run_replications, NetworkConfig, NoBalancing, NodeConfig, SimOptions, SystemConfig,
 };
 use churnbal_core::{InitialBalanceOnly, Lbp1Multi, Lbp2};
-use churnbal_model::multinode::{multinode_mean_exact, MultiNodeParams};
-use churnbal_model::DelayModel;
+use churnbal_model::{multinode_mean_exact, DelayModel, MultiNodeParams};
 
 fn system(n: usize, tasks_on_first: u32) -> SystemConfig {
     // Node 0 reliable and loaded; the rest alternate paper-like profiles.
@@ -85,12 +84,12 @@ fn main() {
     // Exact cross-check at n = 3, small workload.
     println!("\nexact CTMC cross-check (n = 3, 12 tasks, no policy):");
     let params = MultiNodeParams::new(
-        vec![1.08, 1.86, 1.08],
-        vec![0.0, 0.05, 0.05],
-        vec![0.0, 0.05, 0.1],
+        [1.08, 1.86, 1.08],
+        [0.0, 0.05, 0.05],
+        [0.0, 0.05, 0.1],
         DelayModel::per_task(0.02),
     );
-    let exact = multinode_mean_exact(&params, &[6, 4, 2], &[], |_| vec![], 2_000_000);
+    let exact = multinode_mean_exact(&params, [6, 4, 2], &[], |_| vec![], 2_000_000);
     let cfg = SystemConfig::new(
         vec![
             NodeConfig::reliable(1.08, 6),

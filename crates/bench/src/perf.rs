@@ -44,7 +44,7 @@ use churnbal_cluster::{
     Policy, QueueBackend, SimOptions, SystemConfig, Topology,
 };
 use churnbal_core::{Lbp2, PolicySpec};
-use churnbal_model::bridge::{self, TwoNodeSysState};
+use churnbal_model::exact;
 use churnbal_model::{lbp1_cdf, optimize_lbp1, HatTable, TwoNodeParams, WorkState};
 use churnbal_stochastic::{digest_f64s, fnv1a_bytes};
 
@@ -1242,7 +1242,7 @@ fn ctmc_mean(s: &Settings, _: bool) -> Outcome {
     let params = TwoNodeParams::paper();
     let (m, l) = pick(s, (([12, 7], 4), ([25, 15], 8)));
     kernel(
-        || bridge::lbp1_mean_exact(black_box(&params), m, 0, l, WorkState::BOTH_UP),
+        || exact::lbp1_mean_exact(black_box(&params), m, 0, l, WorkState::BOTH_UP),
         |&mean| vec![mean],
     )
 }
@@ -1252,18 +1252,13 @@ fn ctmc_mean(s: &Settings, _: bool) -> Outcome {
 /// outside the timed call).
 fn uniformization(s: &Settings, _: bool) -> Outcome {
     let params = TwoNodeParams::paper();
-    let (m, l) = pick(s, (([10, 6], 3), ([20, 12], 5)));
-    let explored = bridge::lbp1_chain(&params, m, Some((1, l)), 1_000_000);
-    let start = explored
-        .index(&TwoNodeSysState {
-            m,
-            up: WorkState::BOTH_UP,
-            transit: Some((1, l)),
-        })
-        .expect("the initial state is explored");
+    let (m0, l) = pick(s, (([13, 6], 3), ([25, 12], 5)));
+    let (chain, start) =
+        exact::two_node_chain(&params, m0, (0, l), [0, 0], WorkState::BOTH_UP, 1_000_000)
+            .expect("a non-empty workload");
     let times: Vec<f64> = (0..=40).map(|i| f64::from(i) * 2.0).collect();
     kernel(
-        || churnbal_ctmc::absorption_cdf(black_box(&explored.chain), start, &times, 1e-10),
+        || churnbal_ctmc::absorption_cdf(black_box(&chain), start, &times, 1e-10),
         Vec::clone,
     )
 }

@@ -20,7 +20,7 @@ pub fn model_params(config: &SystemConfig) -> TwoNodeParams {
     assert_eq!(
         config.num_nodes(),
         2,
-        "the closed-form model covers two nodes; use the CTMC bridge for small n > 2"
+        "the closed-form model covers two nodes; use multinode_mean_exact for small n > 2"
     );
     TwoNodeParams::new(
         [config.nodes[0].service_rate, config.nodes[1].service_rate],

@@ -10,7 +10,7 @@
 //!   fair share shrinks exactly the way the two-node optimum shrinks `K`
 //!   (Fig. 3);
 //! * a single gain `K` attenuates everything, tuned either by the exact
-//!   small-n model ([`churnbal_model::multinode`]) or by Monte-Carlo
+//!   small-n model ([`churnbal_model::exact`]) or by Monte-Carlo
 //!   ([`crate::optimizer`]);
 //! * like LBP-1, it acts once at `t = 0` and never again.
 

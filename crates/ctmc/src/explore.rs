@@ -47,12 +47,8 @@ where
     let mut index_of: HashMap<S, StateIndex> = HashMap::new();
     let mut states: Vec<S> = Vec::new();
     let mut rows: Vec<Vec<(StateIndex, f64)>> = Vec::new();
-    let mut frontier: Vec<StateIndex> = Vec::new();
 
-    let intern = |s: S,
-                  states: &mut Vec<S>,
-                  index_of: &mut HashMap<S, StateIndex>,
-                  frontier: &mut Vec<StateIndex>| {
+    let intern = |s: S, states: &mut Vec<S>, index_of: &mut HashMap<S, StateIndex>| {
         if let Some(&i) = index_of.get(&s) {
             return i;
         }
@@ -63,28 +59,24 @@ where
         );
         states.push(s.clone());
         index_of.insert(s, i);
-        frontier.push(i);
         i
     };
 
     for s in initial {
-        intern(s.clone(), &mut states, &mut index_of, &mut frontier);
+        intern(s.clone(), &mut states, &mut index_of);
     }
-    // BFS in insertion order (frontier used as a queue via index cursor).
-    let mut cursor = 0;
-    while cursor < states.len() {
-        let s = states[cursor].clone();
-        let succ = successors(&s);
+    // Breadth-first in insertion order: row `i` expands `states[i]`.
+    while rows.len() < states.len() {
+        let succ = successors(&states[rows.len()]);
         let mut row = Vec::with_capacity(succ.len());
         for (rate, target) in succ {
             let idx = match target {
-                Some(t) => intern(t, &mut states, &mut index_of, &mut frontier),
+                Some(t) => intern(t, &mut states, &mut index_of),
                 None => ABSORBING,
             };
             row.push((idx, rate));
         }
         rows.push(row);
-        cursor += 1;
     }
 
     Explored {

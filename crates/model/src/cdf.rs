@@ -19,7 +19,7 @@
 
 use churnbal_ctmc::{Chain, ABSORBING};
 
-use crate::bridge::{lbp1_chain, TwoNodeSysState};
+use crate::exact::two_node_chain;
 use crate::rates::TwoNodeParams;
 use crate::state::WorkState;
 
@@ -210,27 +210,11 @@ pub fn lbp1_cdf(
     initial: WorkState,
     times: &[f64],
 ) -> CompletionCdf {
-    assert!(sender < 2 && l <= m0[sender], "invalid transfer spec");
-    if m0[0] + m0[1] == 0 {
+    let values = match two_node_chain(params, m0, (sender, l), [0, 0], initial, 4_000_000) {
         // Zero workload: T = 0, so P(T <= t) = 1 on the whole (t >= 0) grid.
-        return CompletionCdf {
-            times: times.to_vec(),
-            values: vec![1.0; times.len()],
-        };
-    }
-    let mut m = m0;
-    m[sender] -= l;
-    let transit = if l > 0 { Some((1 - sender, l)) } else { None };
-    let explored = lbp1_chain(params, m, transit, 4_000_000);
-    let start = TwoNodeSysState {
-        m,
-        up: initial,
-        transit: transit.map(|(r, s)| (r as u8, s)),
+        None => vec![1.0; times.len()],
+        Some((chain, start)) => cdf_from_chain(&chain, start, times, 8.0),
     };
-    let idx = explored
-        .index(&start)
-        .expect("initial state is in the chain");
-    let values = cdf_from_chain(&explored.chain, idx, times, 8.0);
     CompletionCdf {
         times: times.to_vec(),
         values,
@@ -304,16 +288,11 @@ mod tests {
     #[test]
     fn rk4_matches_uniformization() {
         let p = TwoNodeParams::paper();
-        let explored = crate::bridge::lbp1_chain(&p, [5, 3], Some((1, 2)), 100_000);
-        let start = TwoNodeSysState {
-            m: [5, 3],
-            up: WorkState::BOTH_UP,
-            transit: Some((1, 2)),
-        };
-        let idx = explored.index(&start).expect("state");
+        let (chain, idx) = two_node_chain(&p, [7, 3], (0, 2), [0, 0], WorkState::BOTH_UP, 100_000)
+            .expect("a non-empty workload");
         let times = grid(40.0, 40);
-        let rk4 = cdf_from_chain(&explored.chain, idx, &times, 8.0);
-        let unif = churnbal_ctmc::absorption_cdf(&explored.chain, idx, &times, 1e-12);
+        let rk4 = cdf_from_chain(&chain, idx, &times, 8.0);
+        let unif = churnbal_ctmc::absorption_cdf(&chain, idx, &times, 1e-12);
         for ((&t, &a), &b) in times.iter().zip(&rk4).zip(&unif) {
             assert!((a - b).abs() < 1e-6, "t={t}: rk4 {a} vs uniformization {b}");
         }

@@ -68,41 +68,49 @@ impl DelayModel {
     }
 }
 
-/// Full parameter set of the two-node model (§2 of the paper).
+/// Full parameter set of an `N`-node system (§2 of the paper for `N = 2`).
 ///
 /// * `service[i]` — `λ_{d_i}`, tasks per second (1.08 and 1.86 in §4);
 /// * `failure[i]` — `λ_{f_i}`, failures per second (1/20 in §4); zero
 ///   disables churn for that node (the "no-failure case");
 /// * `recovery[i]` — `λ_{r_i}`, recoveries per second (1/10 and 1/20);
-/// * `delay` — the transfer-delay model.
+/// * `delay` — the transfer-delay model (a shared network).
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct TwoNodeParams {
+pub struct MultiNodeParams<const N: usize> {
     /// Service rates `λ_d` (tasks/s).
-    pub service: [f64; 2],
+    pub service: [f64; N],
     /// Failure rates `λ_f` (1/s); `0` = the node never fails.
-    pub failure: [f64; 2],
+    pub failure: [f64; N],
     /// Recovery rates `λ_r` (1/s); must be positive wherever `failure > 0`.
-    pub recovery: [f64; 2],
+    pub recovery: [f64; N],
     /// Load-transfer delay model.
     pub delay: DelayModel,
 }
 
-impl TwoNodeParams {
+/// The two-node parameter set the paper's recursions (Eqs. 4–5) cover.
+pub type TwoNodeParams = MultiNodeParams<2>;
+
+impl<const N: usize> MultiNodeParams<N> {
     /// Validates and constructs a parameter set.
     ///
     /// # Panics
-    /// Panics if any service rate is non-positive, any failure/recovery
-    /// rate is negative, or a node can fail (`failure > 0`) but never
-    /// recover (`recovery = 0`) — its expected completion time would be
-    /// infinite.
+    /// Panics unless `2 <= N <= 16` (the exact chain's up-mask is 16 bits),
+    /// if any service rate is non-positive or any rate non-finite, any
+    /// failure/recovery rate is negative, or a node can fail
+    /// (`failure > 0`) but never recover (`recovery = 0`) — its expected
+    /// completion time would be infinite.
     #[must_use]
     pub fn new(
-        service: [f64; 2],
-        failure: [f64; 2],
-        recovery: [f64; 2],
+        service: [f64; N],
+        failure: [f64; N],
+        recovery: [f64; N],
         delay: DelayModel,
     ) -> Self {
-        for i in 0..2 {
+        assert!(
+            (2..=16).contains(&N),
+            "the model covers 2 to 16 nodes (the exact chain's up-mask is 16 bits)"
+        );
+        for i in 0..N {
             assert!(
                 service[i] > 0.0 && service[i].is_finite(),
                 "service rate of node {i} must be positive"
@@ -128,35 +136,12 @@ impl TwoNodeParams {
         }
     }
 
-    /// The exact parameter set of the paper's §4 experiments:
-    /// `λ_d = (1.08, 1.86)`, mean failure time 20 s for both nodes, mean
-    /// recovery times (10 s, 20 s), mean transfer delay 0.02 s per task.
-    #[must_use]
-    pub fn paper() -> Self {
-        Self::new(
-            [1.08, 1.86],
-            [1.0 / 20.0, 1.0 / 20.0],
-            [1.0 / 10.0, 1.0 / 20.0],
-            DelayModel::per_task(0.02),
-        )
-    }
-
-    /// Same node speeds and delay but churn disabled — the paper's
-    /// "no failure case" reference curves.
-    #[must_use]
-    pub fn paper_no_failure() -> Self {
-        let mut p = Self::paper();
-        p.failure = [0.0, 0.0];
-        p.recovery = [0.0, 0.0];
-        p
-    }
-
-    /// Copy with churn disabled on both nodes.
+    /// Copy with churn disabled on every node.
     #[must_use]
     pub fn without_failures(&self) -> Self {
         Self {
-            failure: [0.0, 0.0],
-            recovery: [0.0, 0.0],
+            failure: [0.0; N],
+            recovery: [0.0; N],
             ..*self
         }
     }
@@ -185,6 +170,28 @@ impl TwoNodeParams {
         } else {
             1.0
         }
+    }
+}
+
+impl TwoNodeParams {
+    /// The exact parameter set of the paper's §4 experiments:
+    /// `λ_d = (1.08, 1.86)`, mean failure time 20 s for both nodes, mean
+    /// recovery times (10 s, 20 s), mean transfer delay 0.02 s per task.
+    #[must_use]
+    pub fn paper() -> Self {
+        Self::new(
+            [1.08, 1.86],
+            [1.0 / 20.0, 1.0 / 20.0],
+            [1.0 / 10.0, 1.0 / 20.0],
+            DelayModel::per_task(0.02),
+        )
+    }
+
+    /// Same node speeds and delay but churn disabled — the paper's
+    /// "no failure case" reference curves.
+    #[must_use]
+    pub fn paper_no_failure() -> Self {
+        Self::paper().without_failures()
     }
 }
 

@@ -9,13 +9,14 @@
 //! variance.
 
 use churnbal_ctmc::moments::absorption_moments;
+use churnbal_ctmc::{Chain, StateIndex};
 
-use crate::bridge::{lbp1_chain, lbp2_chain, Lbp2State, TwoNodeSysState};
+use crate::exact::{lbp2_transfer, two_node_chain};
 use crate::rates::TwoNodeParams;
 use crate::state::WorkState;
 
 /// First two moments of a completion time.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct CompletionMoments {
     /// Mean completion time (seconds).
     pub mean: f64,
@@ -23,6 +24,19 @@ pub struct CompletionMoments {
     pub std_dev: f64,
     /// Squared coefficient of variation (`variance / mean²`).
     pub cv2: f64,
+}
+
+/// The moments at the start row of a built chain; an empty workload
+/// (no chain) completes at `T = 0`, whose cv² is taken as 0.
+fn moments_at(built: Option<(Chain, StateIndex)>) -> CompletionMoments {
+    built.map_or_else(CompletionMoments::default, |(chain, start)| {
+        let mm = absorption_moments(&chain);
+        CompletionMoments {
+            mean: mm.mean[start],
+            std_dev: mm.std_dev(start),
+            cv2: mm.cv2(start),
+        }
+    })
 }
 
 /// Moments of the LBP-1 completion time (exact, via the CTMC).
@@ -37,32 +51,8 @@ pub fn lbp1_moments(
     l: u32,
     initial: WorkState,
 ) -> CompletionMoments {
-    assert!(sender < 2 && l <= m0[sender], "invalid transfer spec");
-    if m0[0] + m0[1] == 0 {
-        // Zero workload: the chain never absorbs, but T is identically 0
-        // (cv² of a point mass is taken as 0).
-        return CompletionMoments {
-            mean: 0.0,
-            std_dev: 0.0,
-            cv2: 0.0,
-        };
-    }
-    let mut m = m0;
-    m[sender] -= l;
-    let transit = if l > 0 { Some((1 - sender, l)) } else { None };
-    let explored = lbp1_chain(params, m, transit, 4_000_000);
-    let start = TwoNodeSysState {
-        m,
-        up: initial,
-        transit: transit.map(|(r, s)| (r as u8, s)),
-    };
-    let idx = explored.index(&start).expect("initial state present");
-    let mm = absorption_moments(&explored.chain);
-    CompletionMoments {
-        mean: mm.mean[idx],
-        std_dev: mm.std_dev(idx),
-        cv2: mm.cv2(idx),
-    }
+    let built = two_node_chain(params, m0, (sender, l), [0, 0], initial, 4_000_000);
+    moments_at(built)
 }
 
 /// Moments of the LBP-2 completion time (exact, via the CTMC; the paper
@@ -81,37 +71,9 @@ pub fn lbp2_moments(
     initial: WorkState,
     max_states: usize,
 ) -> CompletionMoments {
-    let mut m = m0;
-    let mut flights = Vec::new();
-    if let Some((sender, l)) = initial_transfer {
-        assert!(
-            sender < 2 && l <= m0[sender] && l > 0,
-            "invalid initial transfer"
-        );
-        m[sender] -= l;
-        flights.push((1 - sender, l));
-    }
-    if m0[0] + m0[1] == 0 {
-        // Same zero-workload guard as `lbp1_moments`.
-        return CompletionMoments {
-            mean: 0.0,
-            std_dev: 0.0,
-            cv2: 0.0,
-        };
-    }
-    let explored = lbp2_chain(params, m, lf_on_failure, &flights, max_states);
-    let start = Lbp2State {
-        m,
-        up: initial,
-        flights: flights.iter().map(|&(r, l)| (r as u8, l)).collect(),
-    };
-    let idx = explored.index(&start).expect("initial state present");
-    let mm = absorption_moments(&explored.chain);
-    CompletionMoments {
-        mean: mm.mean[idx],
-        std_dev: mm.std_dev(idx),
-        cv2: mm.cv2(idx),
-    }
+    let transfer = lbp2_transfer(m0, initial_transfer);
+    let built = two_node_chain(params, m0, transfer, lf_on_failure, initial, max_states);
+    moments_at(built)
 }
 
 #[cfg(test)]

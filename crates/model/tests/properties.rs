@@ -2,7 +2,7 @@
 //! sets: the recursion must agree with the independent CTMC solver, and
 //! structural monotonicities must hold.
 
-use churnbal_model::bridge::lbp1_mean_exact;
+use churnbal_model::exact::lbp1_mean_exact;
 use churnbal_model::mean::{lbp1_mean, HatTable};
 use churnbal_model::{DelayModel, TwoNodeParams, WorkState};
 use proptest::prelude::*;

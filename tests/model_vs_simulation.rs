@@ -2,7 +2,7 @@
 //! Monte-Carlo simulation, exact CTMC — must agree with each other on the
 //! same dynamics, for both policies.
 
-use churnbal::model::bridge;
+use churnbal::model::exact::{lbp1_mean_exact, lbp2_mean_exact};
 use churnbal::prelude::*;
 
 /// Mean of the LBP-1 dynamics: recursion vs Monte-Carlo confidence band.
@@ -54,7 +54,7 @@ fn lbp2_mc_matches_exact_ctmc() {
     let excess0 = (f64::from(m0[0]) - share0).max(0.0);
     let l0 = excess0.round() as u32;
 
-    let exact = bridge::lbp2_mean_exact(
+    let exact = lbp2_mean_exact(
         &params,
         m0,
         lf,
@@ -103,13 +103,13 @@ fn lbp1_cdf_matches_mc_ecdf() {
 
 /// The same system described through the simulator's config and through
 /// the model's parameter type must produce the same analytic answer as the
-/// CTMC bridge built from either.
+/// exact CTMC built from either.
 #[test]
 fn recursion_vs_ctmc_on_paper_parameters() {
     let params = model_params(&SystemConfig::paper([12, 7]));
     for l in [0u32, 4, 12] {
         let rec = churnbal::model::mean::lbp1_mean(&params, [12, 7], 0, l, WorkState::BOTH_UP);
-        let exact = bridge::lbp1_mean_exact(&params, [12, 7], 0, l, WorkState::BOTH_UP);
+        let exact = lbp1_mean_exact(&params, [12, 7], 0, l, WorkState::BOTH_UP);
         assert!((rec - exact).abs() < 1e-7, "L={l}: {rec} vs {exact}");
     }
 }

@@ -3,7 +3,7 @@
 //! simulator and the Eq. 6–8 machinery are n-node already, and the exact
 //! CTMC validates them at n = 3.
 
-use churnbal::ctmc::{expected_absorption_times, explore};
+use churnbal::model::{multinode_mean_exact, MultiNodeParams};
 use churnbal::prelude::*;
 
 /// Exact 3-node no-policy completion time vs Monte-Carlo.
@@ -16,50 +16,13 @@ fn three_node_no_policy_matches_exact_ctmc() {
     ];
     let config = SystemConfig::new(nodes.to_vec(), NetworkConfig::exponential(0.05));
 
-    // State: queues + up-mask. No transfers (NoBalancing).
-    #[derive(Clone, PartialEq, Eq, Hash)]
-    struct S {
-        m: [u32; 3],
-        up: u8,
-    }
-    let explored = explore(
-        &[S {
-            m: [6, 4, 5],
-            up: 0b111,
-        }],
-        |s| {
-            let mut out: Vec<(f64, Option<S>)> = Vec::new();
-            let total: u32 = s.m.iter().sum();
-            for (i, node) in nodes.iter().enumerate() {
-                let up = s.up & (1 << i) != 0;
-                if up {
-                    if s.m[i] > 0 {
-                        let mut n = s.clone();
-                        n.m[i] -= 1;
-                        out.push((node.service_rate, if total == 1 { None } else { Some(n) }));
-                    }
-                    if node.failure_rate > 0.0 {
-                        let mut n = s.clone();
-                        n.up &= !(1 << i);
-                        out.push((node.failure_rate, Some(n)));
-                    }
-                } else {
-                    let mut n = s.clone();
-                    n.up |= 1 << i;
-                    out.push((node.recovery_rate, Some(n)));
-                }
-            }
-            out
-        },
-        1_000_000,
+    let params = MultiNodeParams::new(
+        nodes.map(|n| n.service_rate),
+        nodes.map(|n| n.failure_rate),
+        nodes.map(|n| n.recovery_rate),
+        DelayModel::per_task(0.05),
     );
-    let idx = explored
-        .index(&S {
-            m: [6, 4, 5],
-            up: 0b111,
-        })
-        .expect("initial");
-    let exact = expected_absorption_times(&explored.chain)[idx];
+    let exact = multinode_mean_exact(&params, [6, 4, 5], &[], |_| vec![], 1_000_000);
 
     let mc = run_replications(&config, &|_| NoBalancing, 6000, 3, 0, SimOptions::default());
     assert!(
