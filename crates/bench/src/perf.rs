@@ -804,29 +804,19 @@ fn grid_jobs<'a>(configs: &'a [SystemConfig], reps: &[u64], seed: u64) -> Vec<Po
         .collect()
 }
 
-/// One [`run_grid`] pass over `jobs` × `policies` variants at
-/// [`SWEEP_GRID_THREADS`]: the completion times per cell in `(point,
-/// policy)` order, and the events dispatched.
+/// One [`run_grid`] pass over `jobs` at [`SWEEP_GRID_THREADS`]: the
+/// completion times per job, in order, and the events dispatched.
 fn grid_pass<P: Policy>(
     jobs: &[PointJob<'_>],
-    policies: usize,
-    make: &(impl Fn(usize, usize, u64) -> P + Sync),
+    make: &(impl Fn(usize, u64) -> P + Sync),
 ) -> (Vec<Vec<f64>>, u64) {
-    let mut cells = Vec::with_capacity(jobs.len() * policies);
+    let mut cells = Vec::with_capacity(jobs.len());
     let mut events = 0;
-    run_grid(
-        jobs,
-        policies,
-        make,
-        SWEEP_GRID_THREADS,
-        0,
-        Vec::new(),
-        |_, _, stats| {
-            events += stats.total_events;
-            cells.push(stats.completion_times);
-            Ok(())
-        },
-    )
+    run_grid(jobs, make, SWEEP_GRID_THREADS, 0, |_, stats| {
+        events += stats.total_events;
+        cells.push(stats.completion_times);
+        Ok(())
+    })
     .expect("perf grid pass");
     (cells, events)
 }
@@ -857,7 +847,7 @@ fn sweep_grid_row(s: &Settings, mirrored: bool) -> Outcome {
     };
     let (((cells, events), wall), ((seq_cells, seq_events), seq_wall)) = in_order(
         mirrored,
-        || timed(|| grid_pass(&jobs, 1, &|_, _, _| Lbp2::new(1.0))),
+        || timed(|| grid_pass(&jobs, &|_, _| Lbp2::new(1.0))),
         || timed(sequential),
     );
     assert_eq!(
@@ -879,15 +869,20 @@ fn compare_grid_policies() -> Vec<PolicySpec> {
 }
 
 /// `compare-grid`: the `sweep-grid` systems × a 3-policy set through one
-/// shared `(point, policy, replication)` pass — how `churnbal-lab compare`
-/// executes — against K sequential single-policy sweeps. The bit-exact
-/// cross-check of the two modes is the common-random-numbers invariant,
-/// measured instead of assumed.
+/// shared scheduler pass, one job per `(point, policy)` cell on the
+/// point's seed — how `churnbal-lab compare` executes — against K
+/// sequential single-policy sweeps. The bit-exact cross-check of the two
+/// modes is the common-random-numbers invariant, measured instead of
+/// assumed.
 fn compare_grid(s: &Settings, mirrored: bool) -> Outcome {
     let (configs, reps) = sweep_grid(s.quick);
     let jobs = grid_jobs(&configs, &reps, s.seed);
     let policies = compare_grid_policies();
     let k = policies.len();
+    let cell_jobs: Vec<PointJob<'_>> = jobs
+        .iter()
+        .flat_map(|job| std::iter::repeat_n(*job, k))
+        .collect();
     let build = |p: usize, v: usize| {
         policies[v]
             .build(jobs[p].config)
@@ -895,7 +890,7 @@ fn compare_grid(s: &Settings, mirrored: bool) -> Outcome {
     };
     let sequential = || {
         let passes: Vec<_> = (0..k)
-            .map(|v| grid_pass(&jobs, 1, &|p, _, _| build(p, v)))
+            .map(|v| grid_pass(&jobs, &|p, _| build(p, v)))
             .collect();
         let events = passes.iter().map(|(_, e)| e).sum::<u64>();
         // Interleave into the shared pass's (point, policy) cell order.
@@ -906,7 +901,7 @@ fn compare_grid(s: &Settings, mirrored: bool) -> Outcome {
     };
     let (((cells, events), wall), ((seq_cells, seq_events), seq_wall)) = in_order(
         mirrored,
-        || timed(|| grid_pass(&jobs, k, &|p, v, _| build(p, v))),
+        || timed(|| grid_pass(&cell_jobs, &|j, _| build(j / k, j % k))),
         || timed(sequential),
     );
     assert_eq!(

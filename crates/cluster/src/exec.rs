@@ -1,6 +1,6 @@
 //! The sweep scheduler: one shared worker pool over the flattened
-//! `(grid point, policy, replication)` index space, behind the single
-//! entry point [`run_grid`].
+//! `(job, replication)` index space, behind the single entry point
+//! [`run_grid`].
 //!
 //! The Monte-Carlo runner of `mc` parallelises replications *within* one
 //! system; a parameter sweep runs many systems, and driving them through
@@ -10,36 +10,30 @@
 //! This module removes the barrier:
 //!
 //! * the whole grid is flattened into one task space, task `t` being the
-//!   `r`-th replication of one `(point, policy)` cell (cells point-major,
-//!   replications in index order within a cell);
+//!   `r`-th replication of one job (jobs in order, replications in index
+//!   order within a job);
 //! * a fixed pool of workers claims **chunks** of that space from a single
 //!   atomic cursor (a lock-light chunked work queue: claiming costs one
 //!   `fetch_add`, and idle workers automatically "steal" whatever the
 //!   busy ones have not claimed yet);
-//! * each worker owns one long-lived [`Simulator`] and cycles it through
-//!   [`Simulator::reset`] within a point and [`Simulator::rebind`] across
-//!   points, so simulator allocations are per-worker, not per-point;
-//! * a worker runs the part of its chunk that falls in one cell into a
-//!   local **result block** and hands the block to that cell under one
-//!   lock; the drain thread folds a completed cell's blocks, sorted by
+//! * each worker owns one long-lived [`Simulator`] and re-arms it for
+//!   every replication ([`Simulator::reset`] is [`Simulator::rebind`] to
+//!   the bound system), so simulator allocations are per-worker;
+//! * a worker runs the part of its chunk that falls in one job into a
+//!   local **result block** and hands the block to that job under one
+//!   lock; the drain thread folds a completed job's blocks, sorted by
 //!   first replication, into [`PointStats`] and frees them, and a reorder
-//!   buffer makes the caller's `on_cell` callback fire in **`(point,
-//!   policy)` order** even when a later cell finishes first. Result memory
-//!   thus follows the cells in flight, not the whole grid.
+//!   buffer makes the caller's `on_cell` callback fire in **job order**
+//!   even when a later job finishes first. Result memory thus follows the
+//!   jobs in flight, not the whole grid.
 //!
-//! Determinism: replication `r` of point `p` always runs on the streams
-//! derived from `(jobs[p].seed, r)` — worker placement, thread count and
-//! chunk size cannot change a single sampled value, only who computes it.
-//! The in-order drain then makes the *observable output* (rows, bytes)
-//! independent of scheduling too; both invariants are pinned by tests.
-//!
-//! The **policy axis** shares those streams: `N` policies evaluate per
-//! grid point in one pass, every variant's replication `r` reusing the
-//! *identical* `(seed, r)` streams — common random numbers across
-//! policies by construction, which is what makes paired policy deltas a
-//! variance-reduction device rather than a subtraction of noise. Cells a
-//! caller already holds (a result cache) come in through `preloaded` and
-//! are emitted at their turn without running a replication.
+//! Determinism: replication `r` of a job always runs on the streams
+//! derived from `(seed, rep_base + r)` — worker placement, thread count
+//! and chunk size cannot change a single sampled value, only who computes
+//! it, and the in-order drain makes the output bytes schedule-free too.
+//! Jobs with equal seeds share those streams: that is how the
+//! `(grid point, policy)` cells of the lab's `cells` module, one job
+//! each, get common random numbers.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -53,8 +47,9 @@ use crate::engine::{RunSummary, SimOptions, Simulator};
 use crate::policy::Policy;
 use crate::probe::ProbeReport;
 
-/// One grid point to execute: a system, how many replications, and the
-/// master seed its streams derive from.
+/// One job to execute: a system, how many replications, and the master
+/// seed its streams derive from. The lab runs one job per
+/// `(grid point, policy)` cell.
 #[derive(Clone, Copy, Debug)]
 pub struct PointJob<'a> {
     /// The system under test.
@@ -102,7 +97,7 @@ impl PointJob<'_> {
     }
 }
 
-/// Slot-stable per-replication results of one completed grid point, in
+/// Slot-stable per-replication results of one completed job, in
 /// replication order.
 #[derive(Clone, Debug, Default)]
 pub struct PointStats {
@@ -169,16 +164,14 @@ impl PointStats {
     }
 }
 
-/// One quarantined `(point, policy, replication)` task: the sweep kept
-/// going without it, and the failure is reported here instead of tearing
-/// the whole run down.
+/// One quarantined `(job, replication)` task: the sweep kept going
+/// without it, and the failure is reported here instead of tearing the
+/// whole run down.
 #[derive(Clone, Debug, PartialEq)]
 pub struct QuarantineReport {
-    /// Grid-point index.
+    /// Index of the job (the [`PointJob`]) in the `jobs` slice.
     pub point: usize,
-    /// Policy-variant index.
-    pub policy: usize,
-    /// Replication index within the point.
+    /// Replication index within the job.
     pub rep: u64,
     /// The panic payload (for panicking tasks) or the watchdog verdict
     /// (for timed-out tasks).
@@ -186,10 +179,10 @@ pub struct QuarantineReport {
 }
 
 /// The results of consecutive replications `first..first + len` of one
-/// `(point, policy)` cell: what a worker produces for its share of a
-/// chunk, and — merged in replication order by [`fold`] — what becomes the
-/// cell's [`PointStats`]. The inline path runs each cell as one block, so
-/// both schedules build their stats through this one accumulator.
+/// job: what a worker produces for its share of a chunk, and — merged in
+/// replication order by [`fold`] — what becomes the job's [`PointStats`].
+/// The inline path runs each job as one block, so both schedules build
+/// their stats through this one accumulator.
 struct Block {
     /// Replication index of the first entry.
     first: u64,
@@ -206,11 +199,11 @@ struct Block {
 }
 
 impl Block {
-    /// Runs replications `reps` of cell `(p, v)` on the worker's
-    /// long-lived simulator.
+    /// Runs replications `reps` of job `j` on the worker's long-lived
+    /// simulator.
     fn run<'a, P, F>(
         jobs: &[PointJob<'a>],
-        (p, v): (usize, usize),
+        j: usize,
         reps: Range<u64>,
         sim: &mut Option<(usize, Simulator<'a>)>,
         make_policy: &F,
@@ -218,10 +211,10 @@ impl Block {
     ) -> Self
     where
         P: Policy,
-        F: Fn(usize, usize, u64) -> P + Sync,
+        F: Fn(usize, u64) -> P + Sync,
     {
         let len = usize::try_from(reps.end - reps.start).expect("replication count fits usize");
-        let probes = if jobs[p].options.probe_dt.is_some() {
+        let probes = if jobs[j].options.probe_dt.is_some() {
             len
         } else {
             0
@@ -240,7 +233,7 @@ impl Block {
         };
         let s = &mut block.stats;
         for r in reps {
-            match run_one(jobs, p, v, r, sim, make_policy, local) {
+            match run_one(jobs, j, r, sim, make_policy, local) {
                 Ok((out, probe)) => {
                     s.completion_times.push(out.completion_time);
                     s.failures_per_rep.push(out.failures);
@@ -266,8 +259,7 @@ impl Block {
                     block.transit.push(0.0);
                     s.quarantined_reps.push(r);
                     block.quarantines.push(QuarantineReport {
-                        point: p,
-                        policy: v,
+                        point: j,
                         rep: r,
                         message,
                     });
@@ -293,25 +285,25 @@ impl Block {
         self.quarantines.append(&mut next.quarantines);
     }
 
-    /// The whole cell's stats (the block must cover every replication);
+    /// The whole job's stats (the block must cover every replication);
     /// its quarantine reports move to `quarantines`.
     fn into_stats(mut self, quarantines: &mut Vec<QuarantineReport>) -> PointStats {
-        debug_assert_eq!(self.first, 0, "a cell's stats start at replication 0");
+        debug_assert_eq!(self.first, 0, "a job's stats start at replication 0");
         self.stats.transit_task_seconds = self.transit.iter().fold(0.0, |sum, t| sum + t);
         quarantines.append(&mut self.quarantines);
         self.stats
     }
 }
 
-/// Folds the blocks of one completed cell, in any order, into its stats:
+/// Folds the blocks of one completed job, in any order, into its stats:
 /// sorted by first replication, merged into the first block (reserved
-/// once to the cell's size) and freed as they go.
+/// once to the job's size) and freed as they go.
 fn fold(mut blocks: Vec<Block>, quarantines: &mut Vec<QuarantineReport>) -> PointStats {
     blocks.sort_unstable_by_key(|b| b.first);
     let reps: usize = blocks.iter().map(|b| b.transit.len()).sum();
     let probes: usize = blocks.iter().map(|b| b.stats.probes.len()).sum();
     let mut blocks = blocks.into_iter();
-    let mut cell = blocks.next().expect("a completed cell holds a block");
+    let mut cell = blocks.next().expect("a completed job holds a block");
     let more = reps - cell.transit.len();
     let s = &mut cell.stats;
     s.completion_times.reserve_exact(more);
@@ -325,7 +317,7 @@ fn fold(mut blocks: Vec<Block>, quarantines: &mut Vec<QuarantineReport>) -> Poin
     cell.into_stats(quarantines)
 }
 
-/// A pending cell on the result board: the blocks handed in so far and
+/// A pending job on the result board: the blocks handed in so far and
 /// the replications still outstanding.
 struct PendingCell {
     blocks: Vec<Block>,
@@ -362,15 +354,15 @@ fn resolve_chunk(chunk: usize, total_tasks: u64, threads: usize) -> u64 {
 /// the timings always do, so nothing here is ever digested.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct WorkerReport {
-    /// `(point, policy, replication)` tasks this worker executed.
+    /// `(job, replication)` tasks this worker executed.
     pub tasks: u64,
     /// Chunks claimed from the shared cursor (0 on the inline path, which
     /// claims nothing).
     pub chunks: u64,
     /// Claim attempts that found the task space exhausted.
     pub idle_claims: u64,
-    /// Simulator rebinds — grid-point transitions, including the first
-    /// binding of the worker's long-lived simulator.
+    /// Simulator rebinds — job transitions, including the first binding
+    /// of the worker's long-lived simulator.
     pub rebinds: u64,
     /// Engine events this worker dispatched.
     pub events: u64,
@@ -399,10 +391,9 @@ pub struct ExecReport {
     pub workers: Vec<WorkerReport>,
     /// Wall-clock seconds of the whole pass (spawn to drain).
     pub wall_seconds: f64,
-    /// Tasks that panicked or timed out, sorted by
-    /// `(point, policy, rep)`; empty on a clean pass. The sweep completed
-    /// *around* these — their cells are degraded, never silently
-    /// averaged.
+    /// Tasks that panicked or timed out, sorted by `(point, rep)`; empty
+    /// on a clean pass. The sweep completed *around* these — their jobs are
+    /// degraded, never silently averaged.
     pub quarantines: Vec<QuarantineReport>,
 }
 
@@ -433,28 +424,12 @@ impl ExecReport {
     }
 }
 
-/// Executes the full `(point, policy, replication)` task space of
-/// `jobs × policies` on one shared worker pool and hands each cell's
-/// [`PointStats`] to `on_cell(point, policy, stats)` **in lexicographic
-/// `(point, policy)` order** as cells complete (a reorder buffer holds
-/// early finishers), so a paired-delta consumer always sees a point's
-/// baseline variant first. `make_policy(point, policy, rep)` builds one
-/// replication's policy.
-///
-/// Replication `r` of *every* policy variant of point `p` runs on the
-/// streams derived from `(jobs[p].seed, r)`: common random numbers across
-/// the policy axis hold **by construction**, so per-replication deltas
-/// between two policies of the same point are paired samples. Because all
-/// variants of a point share one configuration, a worker moving between
-/// them keeps its simulator bound ([`Simulator::reset`], not
-/// [`Simulator::rebind`]).
-///
-/// `preloaded` is either empty (run every cell) or holds one slot per
-/// `(point, policy)` cell, point-major. A `Some(stats)` slot is a cell
-/// already completed elsewhere — a result cache — and is emitted at its
-/// in-order turn without running a single replication; only `None` cells
-/// are scheduled. The emitted byte stream is therefore identical however
-/// the work was split between passes.
+/// Executes the full `(job, replication)` task space of `jobs` on one
+/// shared worker pool and hands each job's [`PointStats`] to
+/// `on_cell(job, stats)` **in job order** as jobs complete (a reorder
+/// buffer holds early finishers). `make_policy(job, rep)` builds one
+/// replication's policy, which runs on the streams of
+/// [`PointJob::streams_for_rep`].
 ///
 /// `threads = 0` picks the available parallelism and `chunk = 0` an
 /// automatic claim size; results are independent of both. With
@@ -463,37 +438,33 @@ impl ExecReport {
 /// bit-exact reference schedule for the parallel path. The returned
 /// [`ExecReport`] is observational only and never digested.
 ///
-/// Memory: a cell holds 32 bytes per replication (and a probe report
-/// when probing is armed) from the time its replications run until it
-/// is emitted. Workers claim at most `4 × threads × chunk` tasks past the
-/// end of the cell `on_cell` waits for, so live results stay about one
-/// cell plus that window whatever the grid size; a slow `on_cell` holds
-/// the workers there instead of letting results pile up.
+/// Memory: a job holds 32 bytes per replication (and a probe report when
+/// probing is armed) from the time its replications run until it is
+/// emitted. Workers claim at most `4 × threads × chunk` tasks past the
+/// end of the job `on_cell` waits for, so live results stay about one job
+/// plus that window whatever the grid size; a slow `on_cell` holds the
+/// workers there instead of letting results pile up.
 ///
 /// # Errors
 /// Propagates the first error `on_cell` returns; remaining work is
 /// abandoned (workers stop at their next chunk claim).
 ///
 /// # Panics
-/// Panics if `policies == 0`, if any job has `reps == 0`, or if a
-/// non-empty `preloaded` does not hold exactly `jobs.len() * policies`
-/// slots. A panic *inside a task* does not propagate: the replication is
-/// quarantined (see [`QuarantineReport`]) and the pass completes degraded.
+/// Panics if any job has `reps == 0`. A panic *inside a task* does not
+/// propagate: the replication is quarantined (see [`QuarantineReport`])
+/// and the pass completes degraded.
 pub fn run_grid<P, F, G>(
     jobs: &[PointJob<'_>],
-    policies: usize,
     make_policy: &F,
     threads: usize,
     chunk: usize,
-    mut preloaded: Vec<Option<PointStats>>,
     mut on_cell: G,
 ) -> Result<ExecReport, String>
 where
     P: Policy,
-    F: Fn(usize, usize, u64) -> P + Sync,
-    G: FnMut(usize, usize, PointStats) -> Result<(), String>,
+    F: Fn(usize, u64) -> P + Sync,
+    G: FnMut(usize, PointStats) -> Result<(), String>,
 {
-    assert!(policies > 0, "need at least one policy variant");
     assert!(
         jobs.iter().all(|j| j.reps > 0),
         "every grid point needs at least one replication"
@@ -501,62 +472,47 @@ where
     if jobs.is_empty() {
         return Ok(ExecReport::default());
     }
-    if preloaded.is_empty() {
-        preloaded.resize(jobs.len() * policies, None);
-    }
-    assert_eq!(
-        preloaded.len(),
-        jobs.len() * policies,
-        "one preloaded slot per (point, policy) cell"
-    );
     let wall_start = Instant::now();
-    // Pending cells (no preloaded result) form the flattened task space:
-    // pending cell s owns flat indices [seg_starts[s], seg_starts[s+1]) —
-    // its `reps` replications. With nothing preloaded this is exactly the
-    // pre-resume task order: cells point-major, `reps` consecutive tasks
-    // per policy variant, so a chunk tends to stay within one
-    // (point, policy) run of simulator resets.
-    let pending: Vec<usize> = (0..preloaded.len())
-        .filter(|&idx| preloaded[idx].is_none())
-        .collect();
-    let mut seg_starts = Vec::with_capacity(pending.len() + 1);
+    // The flattened task space: job j owns flat indices
+    // [seg_starts[j], seg_starts[j+1]) — its `reps` replications, so a
+    // chunk tends to stay within one job's run of simulator resets.
+    let mut seg_starts = Vec::with_capacity(jobs.len() + 1);
     let mut acc = 0u64;
-    for &idx in &pending {
+    for job in jobs {
         seg_starts.push(acc);
-        acc += jobs[idx / policies].reps;
+        acc += job.reps;
     }
     seg_starts.push(acc);
     let total = acc;
     let threads = resolve_threads(threads, total);
 
     if threads == 1 {
-        return run_grid_inline(jobs, policies, make_policy, preloaded, &mut on_cell);
+        return run_grid_inline(jobs, make_policy, &mut on_cell);
     }
 
     let chunk = resolve_chunk(chunk, total, threads);
     let cursor = AtomicU64::new(0);
     let abort = AtomicBool::new(false);
     // Claim window: workers claim no further than `slack` tasks past the
-    // end of the cell the drain loop waits for next. That is room for
+    // end of the job the drain loop waits for next. That is room for
     // every worker to hold a few chunks, so it binds only when the drain
-    // (or the worker finishing that cell) stalls — and then it keeps the
-    // others from filling memory with blocks of cells that cannot be
-    // emitted yet. Live blocks stay within one cell plus `slack` tasks.
+    // (or the worker finishing that job) stalls — and then it keeps the
+    // others from filling memory with blocks of jobs that cannot be
+    // emitted yet. Live blocks stay within one job plus `slack` tasks.
     // `limit` publishes no data (blocks travel under the board lock), so
     // its loads and stores are relaxed.
     // Saturating: `chunk` comes from the command line.
     let slack = (4 * threads as u64).saturating_mul(chunk);
-    let limit_for = |next: usize| seg_starts[(next + 1).min(pending.len())].saturating_add(slack);
+    let limit_for = |next: usize| seg_starts[(next + 1).min(jobs.len())].saturating_add(slack);
     let limit = AtomicU64::new(limit_for(0));
-    // The result board, one entry per *pending* (point, policy) in pending
-    // order, behind the rendezvous lock: workers hand blocks in under it
-    // and notify when a cell's countdown reaches zero; the drain loop
-    // waits on it for the next cell in order.
-    let board: Vec<PendingCell> = pending
+    // The result board, one entry per job, behind the rendezvous lock:
+    // workers hand blocks in under it and notify when a job's countdown
+    // reaches zero; the drain loop waits on it for the next job in order.
+    let board: Vec<PendingCell> = jobs
         .iter()
-        .map(|&idx| PendingCell {
+        .map(|job| PendingCell {
             blocks: Vec::new(),
-            remaining: jobs[idx / policies].reps,
+            remaining: job.reps,
         })
         .collect();
     let rendezvous = (Mutex::new(board), Condvar::new());
@@ -575,7 +531,6 @@ where
             let limit = &limit;
             let rendezvous = &rendezvous;
             let seg_starts = &seg_starts;
-            let pending = &pending;
             scope.spawn(move || {
                 // Wake the drain loop even if this worker unwinds, so a
                 // panicking worker cannot leave the main thread waiting
@@ -608,16 +563,15 @@ where
                     }
                     local.chunks += 1;
                     let end = (begin + chunk).min(total);
-                    // One block per pending cell the chunk overlaps
-                    // (seg_starts is sorted, one entry past the end).
+                    // One block per job the chunk overlaps (seg_starts is
+                    // sorted, one entry past the end).
                     let mut flat = begin;
                     while flat < end {
                         let seg = seg_starts.partition_point(|&s| s <= flat) - 1;
-                        let idx = pending[seg];
                         let (base, stop) = (seg_starts[seg], end.min(seg_starts[seg + 1]));
                         let block = Block::run(
                             jobs,
-                            (idx / policies, idx % policies),
+                            seg,
                             flat - base..stop - base,
                             &mut sim,
                             make_policy,
@@ -637,47 +591,39 @@ where
             });
         }
 
-        // Drain loop: emit cells strictly in (point, policy) order —
-        // preloaded cells immediately at their turn, pending cells as
-        // they complete (cells that complete early wait on the board, the
-        // reorder buffer, until their turn). However it ends — an
-        // `on_cell` error or panic included — the guard wakes workers
-        // waiting on the claim window, and they see `abort`.
+        // Drain loop: emit jobs strictly in order as they complete (jobs
+        // that complete early wait on the board, the reorder buffer,
+        // until their turn). However it ends — an `on_cell` error or panic
+        // included — the guard wakes workers waiting on the claim window,
+        // and they see `abort`.
         let _wake = NotifyOnDrop {
             rendezvous: &rendezvous,
             abort: &abort,
         };
-        let mut next_seg = 0usize;
-        for (idx, slot) in preloaded.iter_mut().enumerate() {
-            let stats = if let Some(ready) = slot.take() {
-                ready
-            } else {
-                let seg = next_seg;
-                next_seg += 1;
-                let mut board = rendezvous.0.lock().expect("result board poisoned");
-                while board[seg].remaining > 0 && !abort.load(Ordering::Relaxed) {
-                    board = rendezvous.1.wait(board).expect("result board poisoned");
-                }
-                if board[seg].remaining > 0 {
-                    break; // a worker died before finishing this cell
-                }
-                let blocks = std::mem::take(&mut board[seg].blocks);
-                // Open the claim window up to the next cell's end.
-                limit.store(limit_for(next_seg), Ordering::Relaxed);
-                rendezvous.1.notify_all();
-                drop(board);
-                fold(blocks, &mut quarantines)
-            };
+        for j in 0..jobs.len() {
+            let mut board = rendezvous.0.lock().expect("result board poisoned");
+            while board[j].remaining > 0 && !abort.load(Ordering::Relaxed) {
+                board = rendezvous.1.wait(board).expect("result board poisoned");
+            }
+            if board[j].remaining > 0 {
+                break; // a worker died before finishing this job
+            }
+            let blocks = std::mem::take(&mut board[j].blocks);
+            // Open the claim window up to the next job's end.
+            limit.store(limit_for(j + 1), Ordering::Relaxed);
+            rendezvous.1.notify_all();
+            drop(board);
+            let stats = fold(blocks, &mut quarantines);
             // An on_cell error must stop claim processing.
-            if let Err(e) = on_cell(idx / policies, idx % policies, stats) {
+            if let Err(e) = on_cell(j, stats) {
                 abort.store(true, Ordering::Relaxed);
                 result = Err(e);
                 break;
             }
         }
     });
-    // Cells emit in (point, policy) order and each cell's blocks fold in
-    // replication order, so the quarantine log is already sorted.
+    // Jobs emit in order and each job's blocks fold in replication order,
+    // so the quarantine log is already sorted.
     let report = ExecReport {
         workers: worker_reports
             .into_iter()
@@ -690,35 +636,28 @@ where
 }
 
 /// The single-threaded schedule: flattened task order on the calling
-/// thread, each `(point, policy)` cell run as one [`Block`] and emitted as
-/// its last replication finishes. This is both the `threads == 1` fast
-/// path (no spawn, no locks) and the reference the parallel path must
-/// reproduce byte-for-byte.
+/// thread, each job run as one [`Block`] and emitted as its last
+/// replication finishes. This is both the `threads == 1` fast path (no
+/// spawn, no locks) and the reference the parallel path must reproduce
+/// byte-for-byte.
 fn run_grid_inline<P, F, G>(
     jobs: &[PointJob<'_>],
-    policies: usize,
     make_policy: &F,
-    mut preloaded: Vec<Option<PointStats>>,
     on_cell: &mut G,
 ) -> Result<ExecReport, String>
 where
     P: Policy,
-    F: Fn(usize, usize, u64) -> P + Sync,
-    G: FnMut(usize, usize, PointStats) -> Result<(), String>,
+    F: Fn(usize, u64) -> P + Sync,
+    G: FnMut(usize, PointStats) -> Result<(), String>,
 {
     let wall_start = Instant::now();
     let mut sim: Option<(usize, Simulator<'_>)> = None;
     let mut local = WorkerReport::default();
     let mut quarantines: Vec<QuarantineReport> = Vec::new();
-    for (p, job) in jobs.iter().enumerate() {
-        for v in 0..policies {
-            let stats = match preloaded[p * policies + v].take() {
-                Some(ready) => ready,
-                None => Block::run(jobs, (p, v), 0..job.reps, &mut sim, make_policy, &mut local)
-                    .into_stats(&mut quarantines),
-            };
-            on_cell(p, v, stats)?;
-        }
+    for (j, job) in jobs.iter().enumerate() {
+        let stats = Block::run(jobs, j, 0..job.reps, &mut sim, make_policy, &mut local)
+            .into_stats(&mut quarantines);
+        on_cell(j, stats)?;
     }
     Ok(ExecReport {
         workers: vec![local],
@@ -727,14 +666,14 @@ where
     })
 }
 
-/// Returns the worker's long-lived simulator bound to point `p` and
+/// Returns the worker's long-lived simulator bound to job `j` and
 /// re-armed on the streams of replication `r` — creating on first use,
-/// [`Simulator::reset`] within a point, [`Simulator::rebind`] across
-/// points. The ONE binding protocol shared by the inline and the
-/// parallel path, so the two schedules cannot drift apart.
+/// [`Simulator::reset`] within a job, [`Simulator::rebind`] across jobs.
+/// The ONE binding protocol shared by the inline and the parallel path,
+/// so the two schedules cannot drift apart.
 fn bind_simulator<'s, 'a>(
     slot: &'s mut Option<(usize, Simulator<'a>)>,
-    p: usize,
+    j: usize,
     job: &PointJob<'a>,
     r: u64,
     rebinds: &mut u64,
@@ -742,26 +681,26 @@ fn bind_simulator<'s, 'a>(
     let streams = job.streams_for_rep(r);
     match slot {
         Some((bound, sim)) => {
-            if *bound == p {
+            if *bound == j {
                 sim.reset(&streams);
             } else {
                 sim.rebind(job.config, &streams, job.options);
-                *bound = p;
+                *bound = j;
                 *rebinds += 1;
             }
             sim
         }
         none => {
-            *none = Some((p, Simulator::new(job.config, &streams, job.options)));
+            *none = Some((j, Simulator::new(job.config, &streams, job.options)));
             *rebinds += 1;
             &mut none.as_mut().expect("just set").1
         }
     }
 }
 
-/// Runs one `(point, policy, replication)` task on the worker's
-/// long-lived simulator (creating or rebinding it as needed) inside a
-/// panic boundary, and accumulates the worker's instrumentation.
+/// Runs one `(job, replication)` task on the worker's long-lived
+/// simulator (creating or rebinding it as needed) inside a panic boundary,
+/// and accumulates the worker's instrumentation.
 ///
 /// Returns the run's summary and probe report, or `Err(message)` when
 /// the task must be quarantined: it panicked, or the
@@ -773,8 +712,7 @@ fn bind_simulator<'s, 'a>(
 /// reset/rebind re-arms it.
 fn run_one<'a, P, F>(
     jobs: &[PointJob<'a>],
-    p: usize,
-    v: usize,
+    j: usize,
     r: u64,
     sim: &mut Option<(usize, Simulator<'a>)>,
     make_policy: &F,
@@ -782,16 +720,16 @@ fn run_one<'a, P, F>(
 ) -> Result<(RunSummary, Option<ProbeReport>), String>
 where
     P: Policy,
-    F: Fn(usize, usize, u64) -> P + Sync,
+    F: Fn(usize, u64) -> P + Sync,
 {
-    let job = &jobs[p];
+    let job = &jobs[j];
     let task_start = Instant::now();
     // AssertUnwindSafe: on Err every touched structure is either dropped
     // (the simulator slot, reset to None below) or append-only
     // instrumentation re-written unconditionally (local counters).
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let sim = bind_simulator(sim, p, job, r, &mut local.rebinds);
-        let mut policy = make_policy(p, v, r);
+        let sim = bind_simulator(sim, j, job, r, &mut local.rebinds);
+        let mut policy = make_policy(j, r);
         let out = sim.run_summary(&mut policy);
         let probe = sim.take_probe_report();
         (out, probe)
@@ -803,10 +741,7 @@ where
             local.events += out.events;
             if out.aborted {
                 let limit = job.options.task_timeout.unwrap_or(f64::INFINITY);
-                return Err(format!(
-                    "exceeded the task timeout of {limit}s \
-                     (point {p}, policy {v}, rep {r})"
-                ));
+                return Err(format!("exceeded the task timeout of {limit}s"));
             }
             Ok((out, probe))
         }
@@ -882,28 +817,18 @@ mod tests {
         }
     }
 
-    /// Runs `jobs × policies` under `NoBalancing`, returning every emitted
-    /// `(point, policy, stats)` cell in order plus the runtime report.
+    /// Runs `jobs` under `NoBalancing`, returning every emitted
+    /// `(job, stats)` pair in order plus the runtime report.
     fn run_cells(
         jobs: &[PointJob<'_>],
-        policies: usize,
         threads: usize,
         chunk: usize,
-        preloaded: Vec<Option<PointStats>>,
-    ) -> (Vec<(usize, usize, PointStats)>, ExecReport) {
+    ) -> (Vec<(usize, PointStats)>, ExecReport) {
         let mut out = Vec::new();
-        let report = run_grid(
-            jobs,
-            policies,
-            &|_, _, _| NoBalancing,
-            threads,
-            chunk,
-            preloaded,
-            |p, v, stats| {
-                out.push((p, v, stats));
-                Ok(())
-            },
-        )
+        let report = run_grid(jobs, &|_, _| NoBalancing, threads, chunk, |j, stats| {
+            out.push((j, stats));
+            Ok(())
+        })
         .expect("grid runs");
         (out, report)
     }
@@ -919,8 +844,7 @@ mod tests {
             .zip(reps)
             .map(|(config, &reps)| job(config, reps, 42))
             .collect();
-        let (cells, _) = run_cells(&jobs, 1, threads, chunk, Vec::new());
-        cells.into_iter().map(|(p, _, stats)| (p, stats)).collect()
+        run_cells(&jobs, threads, chunk).0
     }
 
     #[test]
@@ -1039,8 +963,8 @@ mod tests {
             },
             ..job(&config, 4, 7)
         }];
-        let (cells, _) = run_cells(&jobs, 1, 2, 1, Vec::new());
-        assert_eq!(cells[0].2.incomplete, 4);
+        let (cells, _) = run_cells(&jobs, 2, 1);
+        assert_eq!(cells[0].1.incomplete, 4);
     }
 
     #[test]
@@ -1049,22 +973,14 @@ mod tests {
         let jobs: Vec<PointJob<'_>> = configs.iter().map(|c| job(c, 2, 1)).collect();
         for threads in [1, 4] {
             let mut seen = 0;
-            let err = run_grid(
-                &jobs,
-                1,
-                &|_, _, _| NoBalancing,
-                threads,
-                1,
-                Vec::new(),
-                |p, _, _| {
-                    seen += 1;
-                    if p == 1 {
-                        Err("disk full".to_string())
-                    } else {
-                        Ok(())
-                    }
-                },
-            )
+            let err = run_grid(&jobs, &|_, _| NoBalancing, threads, 1, |p, _| {
+                seen += 1;
+                if p == 1 {
+                    Err("disk full".to_string())
+                } else {
+                    Ok(())
+                }
+            })
             .unwrap_err();
             assert_eq!(err, "disk full", "threads={threads}");
             assert_eq!(seen, 2, "threads={threads}: drain must stop at the error");
@@ -1082,22 +998,20 @@ mod tests {
         // plus two claims that raced past the check.
         let configs: Vec<SystemConfig> = (0..24).map(|k| small([3 + k % 5, 2])).collect();
         let jobs: Vec<PointJob<'_>> = configs.iter().map(|c| job(c, 4, 5)).collect();
-        let (reference, _) = run_cells(&jobs, 1, 1, 0, Vec::new());
+        let (reference, _) = run_cells(&jobs, 1, 0);
         let started = AtomicU64::new(0);
         for fail_at in [None, Some(6)] {
             started.store(0, Ordering::SeqCst);
             let mut got = Vec::new();
             let result = run_grid(
                 &jobs,
-                1,
-                &|p, _, r| {
+                &|p, r| {
                     started.fetch_max(p as u64 * 4 + r, Ordering::SeqCst);
                     NoBalancing
                 },
                 3,
                 1,
-                Vec::new(),
-                |p, v, stats| {
+                |p, stats| {
                     if p == 0 {
                         let t = Instant::now();
                         while started.load(Ordering::SeqCst) < 19 {
@@ -1113,7 +1027,7 @@ mod tests {
                     if Some(p) == fail_at {
                         return Err("stop".to_string());
                     }
-                    got.push((p, v, stats));
+                    got.push((p, stats));
                     Ok(())
                 },
             );
@@ -1123,7 +1037,7 @@ mod tests {
                 None => {
                     result.expect("grid runs");
                     assert_eq!(got.len(), reference.len());
-                    for ((_, _, a), (_, _, b)) in reference.iter().zip(&got) {
+                    for ((_, a), (_, b)) in reference.iter().zip(&got) {
                         assert_same_stats(a, b, "stalled drain");
                     }
                 }
@@ -1139,24 +1053,27 @@ mod tests {
     #[should_panic(expected = "at least one replication")]
     fn zero_rep_points_are_rejected() {
         let config = small([1, 1]);
-        run_cells(&[job(&config, 0, 1)], 1, 1, 1, Vec::new());
+        run_cells(&[job(&config, 0, 1)], 1, 1);
     }
 
     #[test]
     fn policy_variants_share_replication_streams() {
-        // Two variants of the *same* policy must sample identical
-        // trajectories — the common-random-numbers invariant of the
-        // policy axis, bit for bit.
+        // Two jobs of the *same* system, seed and policy must sample
+        // identical trajectories — the common-random-numbers invariant
+        // of a grid point's cells, bit for bit.
         let configs = grid();
-        let jobs: Vec<PointJob<'_>> = configs.iter().map(|c| job(c, 5, 42)).collect();
+        // Every (point, policy) cell one job, a point's cells on its seed.
+        let jobs: Vec<_> = configs
+            .iter()
+            .flat_map(|c| std::iter::repeat_n(job(c, 5, 42), 2))
+            .collect();
         for threads in [1, 4] {
-            let (cells, _) = run_cells(&jobs, 2, threads, 1, Vec::new());
-            assert_eq!(cells.len(), 2 * jobs.len(), "threads={threads}");
+            let (cells, _) = run_cells(&jobs, threads, 1);
+            assert_eq!(cells.len(), jobs.len(), "threads={threads}");
             for (point, pair) in cells.chunks(2).enumerate() {
-                let (p0, v0, a) = &pair[0];
-                let (p1, v1, b) = &pair[1];
-                assert_eq!((*p0, *v0), (point, 0), "cell order");
-                assert_eq!((*p1, *v1), (point, 1), "cell order");
+                let (j0, a) = &pair[0];
+                let (j1, b) = &pair[1];
+                assert_eq!((*j0, *j1), (2 * point, 2 * point + 1), "cell order");
                 assert_eq!(a.completion_times, b.completion_times);
                 assert_eq!(a.failures_per_rep, b.failures_per_rep);
                 assert_eq!(a.total_events, b.total_events);
@@ -1166,41 +1083,36 @@ mod tests {
 
     #[test]
     fn policy_variants_match_independent_single_policy_passes() {
-        // A variant pass over K distinct policies must reproduce, bit for
-        // bit, K independent single-policy passes with the same seeds —
-        // the compare ≡ K sweeps contract.
+        // One pass over every (point, policy) cell of K distinct policies
+        // must reproduce, bit for bit, K independent single-policy passes
+        // with the same seeds — the compare ≡ K sweeps contract.
         use churnbal_core_free::gains;
         let configs = grid();
-        let jobs: Vec<PointJob<'_>> = configs
-            .iter()
-            .enumerate()
-            .map(|(k, config)| job(config, 3 + (k as u64 % 3), 7))
+        let reps = |p: usize| 3 + (p as u64 % 3);
+        let k = gains().len();
+        let jobs: Vec<PointJob<'_>> = (0..configs.len() * k)
+            .map(|j| job(&configs[j / k], reps(j / k), 7))
             .collect();
-        let times = |policies: &[ShipAtStart], threads: usize, chunk: usize| {
-            let mut out: Vec<(usize, usize, Vec<f64>)> = Vec::new();
-            run_grid(
-                &jobs,
-                policies.len(),
-                &|_, v, _| policies[v].clone(),
-                threads,
-                chunk,
-                Vec::new(),
-                |p, v, stats| {
-                    out.push((p, v, stats.completion_times));
+        let times =
+            |jobs: &[PointJob<'_>], policy: &(dyn Fn(usize) -> ShipAtStart + Sync), threads| {
+                let mut out: Vec<Vec<f64>> = Vec::new();
+                run_grid(jobs, &|j, _| policy(j), threads, 2, |_, stats| {
+                    out.push(stats.completion_times);
                     Ok(())
-                },
-            )
-            .expect("pass runs");
-            out
-        };
-        let combined = times(&gains(), 3, 2);
-        for (v, policy) in gains().into_iter().enumerate() {
-            for (p, _, single) in times(&[policy], 1, 0) {
-                let cell = combined
-                    .iter()
-                    .find(|&&(cp, cv, _)| cp == p && cv == v)
-                    .expect("cell present");
-                assert_eq!(cell.2, single, "point {p} policy {v} diverged");
+                })
+                .expect("pass runs");
+                out
+            };
+        let variants = gains();
+        let combined = times(&jobs, &|j| variants[j % k].clone(), 3);
+        let points: Vec<PointJob<'_>> = jobs.iter().step_by(k).copied().collect();
+        for (v, policy) in variants.iter().enumerate() {
+            for (p, single) in times(&points, &|_| policy.clone(), 1).iter().enumerate() {
+                assert_eq!(
+                    &combined[p * k + v],
+                    single,
+                    "point {p} policy {v} diverged"
+                );
             }
         }
     }
@@ -1243,35 +1155,26 @@ mod tests {
     #[test]
     fn variant_cells_drain_in_point_major_order_across_threads() {
         let configs = grid();
-        let jobs: Vec<PointJob<'_>> = configs.iter().map(|c| job(c, 2, 3)).collect();
+        let jobs: Vec<_> = configs
+            .iter()
+            .flat_map(|c| std::iter::repeat_n(job(c, 2, 3), 3))
+            .collect();
         for threads in [1, 3, 8] {
-            let (cells, _) = run_cells(&jobs, 3, threads, 1, Vec::new());
-            let order: Vec<(usize, usize)> = cells.iter().map(|&(p, v, _)| (p, v)).collect();
-            let expected: Vec<(usize, usize)> = (0..jobs.len())
-                .flat_map(|p| (0..3).map(move |v| (p, v)))
-                .collect();
-            assert_eq!(order, expected, "threads={threads}");
+            let (cells, _) = run_cells(&jobs, threads, 1);
+            let order: Vec<usize> = cells.iter().map(|&(j, _)| j).collect();
+            assert_eq!(
+                order,
+                (0..jobs.len()).collect::<Vec<_>>(),
+                "threads={threads}"
+            );
         }
     }
 
     #[test]
-    #[should_panic(expected = "at least one policy")]
-    fn zero_policies_are_rejected() {
-        let config = small([1, 1]);
-        run_cells(&[job(&config, 1, 1)], 0, 1, 1, Vec::new());
-    }
-
-    #[test]
     fn empty_grid_is_a_no_op() {
-        let called = run_grid::<NoBalancing, _, _>(
-            &[],
-            1,
-            &|_, _, _| NoBalancing,
-            4,
-            0,
-            Vec::new(),
-            |_, _, _| Err("must not be called".into()),
-        );
+        let called = run_grid::<NoBalancing, _, _>(&[], &|_, _| NoBalancing, 4, 0, |_, _| {
+            Err("must not be called".into())
+        });
         assert_eq!(called, Ok(ExecReport::default()));
     }
 
@@ -1319,13 +1222,13 @@ mod tests {
                 ..job(c, 4, 42)
             })
             .collect();
-        let (reference, _) = run_cells(&jobs, 1, 1, 1, Vec::new());
-        for (p, _, stats) in &reference {
+        let (reference, _) = run_cells(&jobs, 1, 1);
+        for (p, stats) in &reference {
             assert_eq!(stats.probes.len(), 4, "point {p}: one report per rep");
             assert!(stats.probes.iter().any(|r| !r.samples.is_empty()));
         }
-        let (parallel, _) = run_cells(&jobs, 1, 4, 1, Vec::new());
-        for ((_, _, a), (_, _, b)) in reference.iter().zip(&parallel) {
+        let (parallel, _) = run_cells(&jobs, 4, 1);
+        for ((_, a), (_, b)) in reference.iter().zip(&parallel) {
             assert_eq!(
                 a.probes, b.probes,
                 "probe telemetry must be thread-invariant"
@@ -1336,16 +1239,19 @@ mod tests {
     #[test]
     fn exec_report_accounts_for_every_task() {
         let configs = grid();
-        let jobs: Vec<PointJob<'_>> = configs.iter().map(|c| job(c, 3, 9)).collect();
+        let jobs: Vec<_> = configs
+            .iter()
+            .flat_map(|c| std::iter::repeat_n(job(c, 3, 9), 2))
+            .collect();
         for threads in [1, 4] {
-            let (cells, report) = run_cells(&jobs, 2, threads, 1, Vec::new());
-            let events: u64 = cells.iter().map(|(_, _, s)| s.total_events).sum();
+            let (cells, report) = run_cells(&jobs, threads, 1);
+            let events: u64 = cells.iter().map(|(_, s)| s.total_events).sum();
             let totals = report.totals();
-            assert_eq!(totals.tasks, 2 * 3 * jobs.len() as u64, "threads={threads}");
+            assert_eq!(totals.tasks, 3 * jobs.len() as u64, "threads={threads}");
             assert_eq!(totals.events, events, "threads={threads}");
             assert!(
                 totals.rebinds >= jobs.len() as u64 - 1,
-                "every point transition rebinds"
+                "every job transition rebinds"
             );
             assert!(report.wall_seconds > 0.0);
             assert!(totals.busy_seconds > 0.0);
@@ -1392,14 +1298,12 @@ mod tests {
             let mut cells: Vec<(usize, PointStats)> = Vec::new();
             let report = run_grid(
                 &jobs,
-                1,
-                &|p, _v, r| PanicOn {
+                &|p, r| PanicOn {
                     armed: p == 1 && r == 1,
                 },
                 threads,
                 chunk,
-                Vec::new(),
-                |p, _v, stats| {
+                |p, stats| {
                     cells.push((p, stats));
                     Ok(())
                 },
@@ -1412,7 +1316,7 @@ mod tests {
             );
             assert_eq!(report.quarantines.len(), 1, "threads={threads}");
             let q = &report.quarantines[0];
-            assert_eq!((q.point, q.policy, q.rep), (1, 0, 1));
+            assert_eq!((q.point, q.rep), (1, 1));
             assert!(q.message.contains("injected panic"), "{}", q.message);
             for (i, (p, stats)) in cells.iter().enumerate() {
                 assert_eq!(*p, i);
@@ -1445,39 +1349,6 @@ mod tests {
     }
 
     #[test]
-    fn preloaded_cells_are_emitted_in_order_without_rerunning() {
-        let configs = grid();
-        let jobs: Vec<PointJob<'_>> = configs.iter().map(|c| job(c, 4, 42)).collect();
-        let reference = collect(&configs, &[4, 4, 4, 4], 1, 0);
-        for threads in [1, 4] {
-            // Cells 0 and 2 come preloaded; 1 and 3 must run live.
-            let preloaded: Vec<Option<PointStats>> = (0..jobs.len())
-                .map(|i| (i % 2 == 0).then(|| reference[i].1.clone()))
-                .collect();
-            let (cells, report) = run_cells(&jobs, 1, threads, 1, preloaded);
-            assert_eq!(
-                report.totals().tasks,
-                2 * 4,
-                "threads={threads}: only pending cells run"
-            );
-            assert_eq!(cells.len(), jobs.len());
-            for (i, (p, _, stats)) in cells.iter().enumerate() {
-                assert_eq!(*p, i, "threads={threads}: strict cell order");
-                assert_eq!(
-                    stats.completion_times, reference[i].1.completion_times,
-                    "threads={threads}: resumed bytes match the clean run"
-                );
-            }
-        }
-        // Everything preloaded: a pure replay, zero tasks executed.
-        let preloaded: Vec<Option<PointStats>> =
-            reference.iter().map(|(_, s)| Some(s.clone())).collect();
-        let (cells, report) = run_cells(&jobs, 1, 4, 0, preloaded);
-        assert_eq!(cells.len(), jobs.len());
-        assert_eq!(report.totals().tasks, 0);
-    }
-
-    #[test]
     fn zero_task_timeout_quarantines_every_replication() {
         let config = small([40, 25]);
         let jobs = [PointJob {
@@ -1487,11 +1358,11 @@ mod tests {
             },
             ..job(&config, 2, 7)
         }];
-        let (cells, report) = run_cells(&jobs, 1, 1, 1, Vec::new());
+        let (cells, report) = run_cells(&jobs, 1, 1);
         assert_eq!(report.quarantines.len(), 2);
         assert!(report.quarantines[0].message.contains("task timeout"));
-        assert_eq!(cells[0].2.quarantined_reps, vec![0, 1]);
-        assert_eq!(cells[0].2.incomplete, 0);
+        assert_eq!(cells[0].1.quarantined_reps, vec![0, 1]);
+        assert_eq!(cells[0].1.incomplete, 0);
     }
 
     #[test]
@@ -1505,7 +1376,7 @@ mod tests {
                 },
                 ..job(&config, 6, 11)
             }];
-            run_cells(&jobs, 1, 2, 1, Vec::new()).0.remove(0).2
+            run_cells(&jobs, 2, 1).0.remove(0).1
         };
         let plain = run(None);
         let watched = run(Some(3600.0));

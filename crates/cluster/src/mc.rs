@@ -194,12 +194,10 @@ where
     let mut stats = None;
     run_grid(
         std::slice::from_ref(&job),
-        1,
-        &|_, _, r| make_policy(r),
+        &|_, r| make_policy(r),
         threads,
         0,
-        Vec::new(),
-        |_, _, s| {
+        |_, s| {
             stats = Some(s);
             Ok(())
         },

@@ -22,94 +22,19 @@
 
 use churnbal_cluster::TransferOrder;
 
-/// Streams the Eq. (6)–(7) balancing orders for an `n`-node system into
-/// `sink` without allocating: node `j`'s excess over its weight-
-/// proportional share, attenuated by `gain` and partitioned over the other
-/// nodes, one order per positive rounded amount.
+/// Streams the Eq. (6)–(7) balancing orders of one sender `j` into `sink`
+/// without allocating: `j`'s excess over its weight-proportional share of
+/// its *closed neighborhood* (`j` plus `receivers`), attenuated by `gain`
+/// and partitioned over `receivers`, one order per positive rounded
+/// amount, at O(degree) cost. `receivers` must yield node indices in
+/// ascending order without `j` — what `SystemView::neighbors` yields, all
+/// other nodes when there is no topology. On that complete graph the
+/// arithmetic is the exact operation sequence of [`excess_loads`] +
+/// [`partition_fractions`], so the orders are bit-identical to theirs.
 ///
 /// `queue(i)` / `weight(i)` describe the system (the weight is the service
 /// rate for LBP-2, or an availability-discounted rate for the multi-node
-/// preemptive policy). The arithmetic performs the exact operation
-/// sequence of [`excess_loads`] + [`partition_fractions`], so orders are
-/// bit-identical to the historical collect-then-partition path.
-///
-/// # Panics
-/// Panics if `n < 2` or any weight is non-positive.
-pub fn balancing_orders_into(
-    n: usize,
-    queue: impl Fn(usize) -> u32,
-    weight: impl Fn(usize) -> f64,
-    gain: f64,
-    sink: &mut Vec<TransferOrder>,
-) {
-    assert!(n >= 2, "need at least two nodes");
-    let mut total_rate = 0.0;
-    let mut total_load = 0.0;
-    for l in 0..n {
-        let w = weight(l);
-        assert!(w > 0.0, "service rates must be positive");
-        total_rate += w;
-        total_load += f64::from(queue(l));
-    }
-    for j in 0..n {
-        let ex = (f64::from(queue(j)) - weight(j) / total_rate * total_load).max(0.0);
-        if ex <= 0.0 {
-            continue;
-        }
-        if n == 2 {
-            // The two-node partition is trivially p = 1 for the other node.
-            let amount = (gain * 1.0 * ex).round() as u32;
-            if amount > 0 {
-                sink.push(TransferOrder {
-                    from: j,
-                    to: 1 - j,
-                    tasks: amount,
-                });
-            }
-            continue;
-        }
-        // Σ_{l≠j} m_l/λ_l, accumulated in index order like the historical
-        // per-`l` vector sum.
-        let mut w_total = 0.0;
-        for l in 0..n {
-            if l != j {
-                w_total += f64::from(queue(l)) / weight(l);
-            }
-        }
-        for i in 0..n {
-            if i == j {
-                continue;
-            }
-            let frac = if w_total > 0.0 {
-                (1.0 - (f64::from(queue(i)) / weight(i)) / w_total) / (n as f64 - 2.0)
-            } else {
-                1.0 / (n as f64 - 1.0)
-            };
-            let amount = (gain * frac * ex).round() as u32;
-            if amount > 0 {
-                sink.push(TransferOrder {
-                    from: j,
-                    to: i,
-                    tasks: amount,
-                });
-            }
-        }
-    }
-}
-
-/// Neighborhood-local form of [`balancing_orders_into`] for one sender
-/// `j`: the Eq. (6)–(7) arithmetic runs over `j`'s *closed neighborhood*
-/// (`j` plus `receivers`) instead of the whole system, so per-sender cost
-/// is O(degree). `receivers` must yield node indices in ascending order
-/// and must not contain `j` — exactly what a CSR adjacency row (or
-/// `SystemView::neighbors`) provides.
-///
-/// On the complete graph (`receivers` = all other nodes) the closed
-/// neighborhood is the whole system walked in the same `0..n` order as
-/// [`balancing_orders_into`], so every float accumulates identically and
-/// the emitted orders are bit-for-bit those of the global scan.
-///
-/// A node with no receivers keeps its load (nothing to ship along).
+/// preemptive policy). A node with no receivers keeps its load.
 ///
 /// # Panics
 /// Panics if any weight in the closed neighborhood is non-positive.
@@ -122,8 +47,8 @@ pub fn local_balancing_orders_into(
     sink: &mut Vec<TransferOrder>,
 ) {
     // Totals pass over the closed neighborhood, ascending — merging `j`
-    // into the sorted receiver walk keeps the accumulation order of the
-    // global scan on complete graphs.
+    // into the sorted receiver walk keeps the `0..n` accumulation order
+    // of the reference on complete graphs.
     let mut total_rate = 0.0;
     let mut total_load = 0.0;
     let mut degree = 0usize;
@@ -167,7 +92,8 @@ pub fn local_balancing_orders_into(
         }
         return;
     }
-    // Σ_{l≠j} m_l/λ_l over the receivers, ascending like the global scan.
+    // Σ_{l≠j} m_l/λ_l over the receivers, ascending like the reference's
+    // per-`l` vector sum.
     let mut w_total = 0.0;
     for l in receivers.clone() {
         w_total += f64::from(queue(l)) / weight(l);
@@ -339,8 +265,10 @@ mod tests {
         let _ = partition_fractions(&[1, 2], &[1.0, 1.0], 5);
     }
 
-    /// The streaming sink path must replicate the collect-then-partition
-    /// reference bit-for-bit — order amounts come from the same float ops.
+    /// On the complete graph the streaming scan must replicate the
+    /// collect-then-partition reference bit-for-bit — order amounts come
+    /// from the same float ops, the contract the engine's pinned digests
+    /// rest on.
     #[test]
     fn balancing_orders_into_matches_the_slice_reference() {
         let cases: &[(&[u32], &[f64])] = &[
@@ -350,6 +278,7 @@ mod tests {
             (&[90, 30, 30, 7], &[1.0, 1.0, 10.0, 0.3]),
             (&[50, 0, 0], &[1.0, 2.0, 3.0]),
             (&[0, 0, 0], &[1.0, 2.0, 3.0]),
+            (&[13, 5, 80, 2, 44], &[0.7, 1.1, 2.3, 0.4, 1.9]),
         ];
         for &(queues, rates) in cases {
             for gain in [0.0, 0.33, 0.5, 1.0] {
@@ -371,38 +300,8 @@ mod tests {
                         }
                     }
                 }
+                let n = queues.len();
                 let mut streamed = Vec::new();
-                balancing_orders_into(
-                    queues.len(),
-                    |i| queues[i],
-                    |i| rates[i],
-                    gain,
-                    &mut streamed,
-                );
-                assert_eq!(streamed, reference, "queues {queues:?} gain {gain}");
-            }
-        }
-    }
-
-    /// On the complete graph the neighborhood-local scan must reproduce
-    /// the global scan bit-for-bit — the contract the engine's pinned
-    /// digests rest on.
-    #[test]
-    fn local_orders_on_the_complete_graph_match_the_global_scan() {
-        let cases: &[(&[u32], &[f64])] = &[
-            (&[100, 60], &[1.08, 1.86]),
-            (&[90, 0, 30], &[1.0, 1.0, 1.0]),
-            (&[90, 30, 30, 7], &[1.0, 1.0, 10.0, 0.3]),
-            (&[50, 0, 0], &[1.0, 2.0, 3.0]),
-            (&[0, 0, 0], &[1.0, 2.0, 3.0]),
-            (&[13, 5, 80, 2, 44], &[0.7, 1.1, 2.3, 0.4, 1.9]),
-        ];
-        for &(queues, rates) in cases {
-            let n = queues.len();
-            for gain in [0.0, 0.33, 0.5, 1.0] {
-                let mut global = Vec::new();
-                balancing_orders_into(n, |i| queues[i], |i| rates[i], gain, &mut global);
-                let mut local = Vec::new();
                 for j in 0..n {
                     local_balancing_orders_into(
                         j,
@@ -410,10 +309,10 @@ mod tests {
                         |i| queues[i],
                         |i| rates[i],
                         gain,
-                        &mut local,
+                        &mut streamed,
                     );
                 }
-                assert_eq!(local, global, "queues {queues:?} gain {gain}");
+                assert_eq!(streamed, reference, "queues {queues:?} gain {gain}");
             }
         }
     }

@@ -123,31 +123,20 @@ impl Lbp2 {
     /// `orders` without allocating — the hot-path form used by the engine
     /// hooks at `t = 0` and by the episodic-rebalancing extension.
     ///
-    /// Under a topology every sender computes its excess within its closed
-    /// neighborhood and partitions it over its neighbors only (O(degree)
-    /// per node); on the complete graph this reproduces the global scan
-    /// bit-for-bit, so the topology-free path keeps its single totals
-    /// pass.
+    /// Every sender computes its excess within its closed neighborhood
+    /// and partitions it over its neighbors only (O(degree) per node);
+    /// without a topology the neighborhood is the whole system, which is
+    /// the paper's global partition.
     pub fn balancing_orders_into(&self, view: &SystemView<'_>, orders: &mut Vec<TransferOrder>) {
-        if view.topology.is_none() {
-            crate::excess::balancing_orders_into(
-                view.len(),
+        for j in 0..view.len() {
+            crate::excess::local_balancing_orders_into(
+                j,
+                view.neighbors(j),
                 |i| view.queue_len[i],
                 |i| view.service_rate[i],
                 self.gain,
                 orders,
             );
-        } else {
-            for j in 0..view.len() {
-                crate::excess::local_balancing_orders_into(
-                    j,
-                    view.neighbors(j),
-                    |i| view.queue_len[i],
-                    |i| view.service_rate[i],
-                    self.gain,
-                    orders,
-                );
-            }
         }
     }
 

@@ -15,8 +15,6 @@
 //!   by the failing node's backup system at every failure instant.
 //! * [`baseline`] — reference policies (do nothing; initial balancing
 //!   only; failure response only) for the ablation studies.
-//! * [`optimizer`] — simulation-driven gain search, complementing the
-//!   model-driven search in `churnbal_model::optimize`.
 //! * [`glue`] — conversions between the simulator's [`SystemConfig`] and
 //!   the analytical model's parameter set.
 //! * [`dynamic`] — the dynamic-workload extension sketched in the paper's
@@ -34,7 +32,6 @@ pub mod glue;
 pub mod lbp1;
 pub mod lbp2;
 pub mod multi;
-pub mod optimizer;
 pub mod spec;
 
 pub use baseline::{InitialBalanceOnly, UponFailureOnly};

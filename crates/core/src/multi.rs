@@ -9,9 +9,8 @@
 //!   service rates** `λ_di · λ_ri/(λ_fi+λ_ri)`, so an unreliable node's
 //!   fair share shrinks exactly the way the two-node optimum shrinks `K`
 //!   (Fig. 3);
-//! * a single gain `K` attenuates everything, tuned either by the exact
-//!   small-n model ([`churnbal_model::exact`]) or by Monte-Carlo
-//!   ([`crate::optimizer`]);
+//! * a single gain `K` attenuates everything, tuned by the exact small-n
+//!   model ([`churnbal_model::exact`]) or by a Monte-Carlo gain sweep;
 //! * like LBP-1, it acts once at `t = 0` and never again.
 
 use churnbal_cluster::{Policy, SystemView, TransferOrder};
@@ -67,29 +66,19 @@ impl Lbp1Multi {
     }
 
     /// The `t = 0` orders, appended to `orders` without allocating — the
-    /// hot-path form used by the `on_start` hook. Neighbor-local under a
-    /// topology (each sender partitions its neighborhood excess over its
-    /// neighbors); identical to the global scan on the complete graph.
+    /// hot-path form used by the `on_start` hook. Each sender partitions
+    /// its neighborhood excess over its neighbors; without a topology the
+    /// neighborhood is the whole system.
     pub fn initial_orders_into(&self, view: &SystemView<'_>, orders: &mut Vec<TransferOrder>) {
-        if view.topology.is_none() {
-            excess::balancing_orders_into(
-                view.len(),
+        for j in 0..view.len() {
+            excess::local_balancing_orders_into(
+                j,
+                view.neighbors(j),
                 |i| view.queue_len[i],
                 |i| self.weight(view, i),
                 self.gain,
                 orders,
             );
-        } else {
-            for j in 0..view.len() {
-                excess::local_balancing_orders_into(
-                    j,
-                    view.neighbors(j),
-                    |i| view.queue_len[i],
-                    |i| self.weight(view, i),
-                    self.gain,
-                    orders,
-                );
-            }
         }
     }
 

@@ -334,6 +334,33 @@ impl PolicySpec {
         }
     }
 
+    /// The spec each replication should build, solved once for `config`:
+    /// `lbp1-optimal` becomes the `lbp1 { sender, receiver, gain }` its
+    /// Eq. 4 optimisation picks and `lbp2-optimal` the `lbp2 { gain }` of
+    /// its no-failure optimum; every other kind comes back as written. The
+    /// resolved spec builds a policy that issues exactly the written one's
+    /// orders, without re-solving the model per build.
+    ///
+    /// # Errors
+    /// Same conditions as [`PolicySpec::validate_for`].
+    pub fn resolve(&self, config: &SystemConfig) -> Result<Self, String> {
+        self.validate_for(config)?;
+        Ok(match self {
+            Self::Lbp1Optimal => {
+                let lbp1 = Lbp1::optimal(config);
+                Self::Lbp1 {
+                    sender: lbp1.sender(),
+                    receiver: lbp1.receiver(),
+                    gain: lbp1.gain(),
+                }
+            }
+            Self::Lbp2Optimal => Self::Lbp2 {
+                gain: Lbp2::optimal_initial_gain(config),
+            },
+            other => other.clone(),
+        })
+    }
+
     /// Builds a runnable policy for `config`.
     ///
     /// # Errors
@@ -639,6 +666,60 @@ mod tests {
         let ob = simulate(&cfg, &mut b, 3, SimOptions::default());
         assert_eq!(oa.completion_time, ob.completion_time);
         assert_eq!(oa.metrics, ob.metrics);
+    }
+
+    /// The `t = 0` orders `spec`'s policy issues on `config`.
+    fn start_orders(spec: &PolicySpec, config: &SystemConfig) -> Vec<TransferOrder> {
+        use churnbal_cluster::{NodeView, SystemSnapshot};
+        let nodes: Vec<NodeView> = config
+            .nodes
+            .iter()
+            .enumerate()
+            .map(|(id, n)| NodeView {
+                id,
+                queue_len: n.initial_tasks,
+                up: true,
+                service_rate: n.service_rate,
+                failure_rate: n.failure_rate,
+                recovery_rate: n.recovery_rate,
+            })
+            .collect();
+        let mut orders = Vec::new();
+        let mut policy = spec.build(config).expect("valid");
+        policy.on_start(&SystemSnapshot::from_nodes(&nodes).view(), &mut orders);
+        orders
+    }
+
+    #[test]
+    fn optimal_specs_resolve_to_the_policy_they_solve_to() {
+        for queues in [[100, 60], [60, 100], [12, 0], [0, 12], [30, 30]] {
+            let cfg = SystemConfig::paper(queues);
+            let lbp1 = PolicySpec::Lbp1Optimal.resolve(&cfg).expect("two nodes");
+            assert!(matches!(lbp1, PolicySpec::Lbp1 { .. }), "{lbp1:?}");
+            assert_eq!(
+                start_orders(&lbp1, &cfg),
+                start_orders(&PolicySpec::Lbp1Optimal, &cfg),
+                "{queues:?}"
+            );
+            let lbp2 = PolicySpec::Lbp2Optimal.resolve(&cfg).expect("two nodes");
+            let gain = Lbp2::optimal(&cfg).gain();
+            assert_eq!(lbp2, PolicySpec::Lbp2 { gain });
+            assert_eq!(
+                start_orders(&lbp2, &cfg),
+                start_orders(&PolicySpec::Lbp2Optimal, &cfg),
+                "{queues:?}"
+            );
+        }
+        let cfg = SystemConfig::paper([50, 30]);
+        for kind in PolicySpec::KINDS
+            .iter()
+            .filter(|k| !k.ends_with("-optimal"))
+        {
+            let spec = PolicySpec::parse(kind, &PolicySpec::Lbp2 { gain: 0.7 }).expect("known");
+            assert_eq!(spec.resolve(&cfg).expect("valid"), spec);
+        }
+        let err = PolicySpec::Lbp1Optimal.resolve(&three_node()).unwrap_err();
+        assert!(err.contains("two nodes"), "{err}");
     }
 
     #[test]

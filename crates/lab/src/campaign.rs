@@ -14,7 +14,10 @@
 //!   FNV-1a digest of its fully-resolved inputs (the point scenario's
 //!   TOML, grid coordinates, policy, seed and stopping rule), and its
 //!   accumulated replications live in `<dir>/cache/<digest>.cell.jsonl`
-//!   (see [`crate::cache`] — the same store `run --cache` uses).
+//!   (see [`crate::cache`] — the same store `run --cache` uses). Cells
+//!   are planned, replayed, run and stored by the lab's one cell runner,
+//!   the path `run` / `sweep` / `compare` take too; this module keeps
+//!   spec parsing, the rounds, the verdicts, the CSV and the report.
 //!   Re-running a campaign recomputes only cells whose inputs changed;
 //!   an interrupted run resumes for free, and a fully warm re-run
 //!   performs **zero** simulations yet emits byte-identical CSV.
@@ -29,9 +32,9 @@
 //! * **Antithetic pairing (opt-in).** With `antithetic = true` in
 //!   `[stopping]`, global replication `2k+1` runs on the mirrored
 //!   streams of replication `2k` (every uniform maps `u ↦ ≈ 1 − u`; see
-//!   [`PointJob::antithetic`]) — classic variance reduction that
-//!   typically reaches tolerance in fewer replications on monotone
-//!   metrics.
+//!   [`churnbal_cluster::exec::PointJob::antithetic`]) — classic variance
+//!   reduction that typically reaches tolerance in fewer replications on
+//!   monotone metrics.
 //!
 //! Campaign spec files sit **directly** in the campaign directory (every
 //! `*.toml` there is a spec); scenario files they reference live in
@@ -59,17 +62,16 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use churnbal_cluster::exec::{run_grid, PointJob, PointStats};
-use churnbal_cluster::{SimOptions, SystemConfig};
-use churnbal_core::PolicySpec;
-use churnbal_stochastic::{t_ci95_half_width, OnlineStats};
+use churnbal_cluster::SimOptions;
+use churnbal_stochastic::OnlineStats;
 
-use crate::cache::{self, write_atomic};
+use crate::cache::write_atomic;
+use crate::cells::{self, Cell, Plan};
 use crate::cli::{load_scenario, parse_axis, parse_policies};
-use crate::experiment::{csv_field, fnum, PolicyEntry};
+use crate::experiment::{csv_field, fnum};
 use crate::registry;
 use crate::scenario::Scenario;
-use crate::sweep::{expand_grid, Axis, AxisParam};
+use crate::sweep::Axis;
 use crate::toml::{Doc, Value};
 
 /// Default first-round batch.
@@ -411,65 +413,40 @@ fn parse_fields(
     Ok(fields)
 }
 
-/// One unit of campaign work: a `(resolved grid point, policy)` pair.
-struct Cell {
-    spec_idx: usize,
-    scenario_name: String,
-    point_index: usize,
-    coords: Vec<(AxisParam, f64)>,
-    config: SystemConfig,
-    deadline: Option<f64>,
-    policy_label: String,
-    policy: PolicySpec,
-    seed: u64,
-    digest: u64,
-    /// Accumulated replications, in global-replication order (the cache
-    /// file's payload).
-    stats: PointStats,
-}
-
-impl Cell {
-    fn n(&self) -> u64 {
-        self.stats.completion_times.len() as u64
-    }
-
-    fn halfwidth(&self) -> f64 {
-        t_ci95_half_width(&self.stats.completion_times)
-    }
-
-    fn verdict(&self, rule: &StoppingRule) -> CellVerdict {
-        rule.verdict(self.n(), self.halfwidth())
-    }
-
-    /// The cell's values for the columns of `BASE_COLUMNS` after `spec`,
-    /// in order: the one place that computes a row's coords, mean, sd,
-    /// half-width and verdict, for the CSV and the report alike.
-    fn row(&self, rule: &StoppingRule, spelling: &Spelling) -> [String; BASE_COLUMNS.len() - 1] {
-        let stats = OnlineStats::from_slice(&self.stats.completion_times);
-        let coords: Vec<String> = self
-            .coords
-            .iter()
-            .map(|(param, value)| format!("{}={}", param.key(), fnum(*value)))
-            .collect();
-        let coords = if coords.is_empty() {
-            spelling.no_coords.to_string()
-        } else {
-            coords.join(spelling.coords_sep)
-        };
-        let converged = self.verdict(rule) == CellVerdict::Converged;
-        [
-            self.scenario_name.clone(),
-            self.point_index.to_string(),
-            coords,
-            self.policy_label.clone(),
-            self.n().to_string(),
-            fnum(stats.mean()),
-            fnum(stats.std_dev()),
-            fnum(self.halfwidth()),
-            self.stats.incomplete.to_string(),
-            spelling.converged[usize::from(converged)].to_string(),
-        ]
-    }
+/// A cell's values for the columns of `BASE_COLUMNS` after `spec`, in
+/// order: the one place that computes a row's coords, mean, sd,
+/// half-width and verdict, for the CSV and the report alike.
+fn row(
+    plan: &Plan,
+    cell: &Cell,
+    rule: &StoppingRule,
+    spelling: &Spelling,
+) -> [String; BASE_COLUMNS.len() - 1] {
+    let point = &plan.points[cell.point];
+    let stats = OnlineStats::from_slice(&cell.stats.completion_times);
+    let coords: Vec<String> = point
+        .coords
+        .iter()
+        .map(|(param, value)| format!("{}={}", param.key(), fnum(*value)))
+        .collect();
+    let coords = if coords.is_empty() {
+        spelling.no_coords.to_string()
+    } else {
+        coords.join(spelling.coords_sep)
+    };
+    let converged = cell.verdict(rule) == CellVerdict::Converged;
+    [
+        point.scenario.name.clone(),
+        point.index.to_string(),
+        coords,
+        plan.labels[cell.policy].clone(),
+        cell.n().to_string(),
+        fnum(stats.mean()),
+        fnum(stats.std_dev()),
+        fnum(cell.halfwidth()),
+        cell.stats.incomplete.to_string(),
+        spelling.converged[usize::from(converged)].to_string(),
+    ]
 }
 
 /// How a renderer spells the two campaign columns whose text differs
@@ -530,9 +507,10 @@ pub struct CampaignRunReport {
 pub struct Campaign {
     dir: PathBuf,
     specs: Vec<CampaignSpec>,
-    cells: Vec<Cell>,
-    /// Cell indices per spec, in CSV row order (scenario, point, policy).
-    spec_cells: Vec<Vec<usize>>,
+    /// One plan per (spec, scenario), in spec then scenario order, with
+    /// its spec's index: the cells of a spec in CSV row order (scenario,
+    /// point, policy).
+    plans: Vec<(usize, Plan)>,
 }
 
 impl Campaign {
@@ -578,105 +556,48 @@ impl Campaign {
             }
         }
 
-        let mut cells = Vec::new();
-        let mut spec_cells = Vec::with_capacity(specs.len());
+        let mut plans = Vec::new();
         for (spec_idx, spec) in specs.iter().enumerate() {
-            let mut indices = Vec::new();
+            let fail = |e: String| format!("spec `{}`: {e}", spec.name);
             for scenario in &spec.scenarios {
-                let entries: Vec<PolicyEntry> = if spec.policy_tokens.is_empty() {
-                    vec![PolicyEntry::from_spec(scenario.policy.clone())]
-                } else {
-                    parse_policies(&spec.policy_tokens, scenario)
-                        .map_err(|e| format!("spec `{}`: {e}", spec.name))?
-                };
-                let points = expand_grid(scenario, &spec.axes)
-                    .map_err(|e| format!("spec `{}`: {e}", spec.name))?;
-                for point in &points {
-                    let config = point
-                        .scenario
-                        .system_config()
-                        .map_err(|e| format!("spec `{}`: {e}", spec.name))?;
-                    // Every policy of the point keys the same scenario text.
-                    let point_toml = point.scenario.to_toml();
-                    for entry in &entries {
-                        let mut policy = entry.spec.clone();
-                        for (param, value) in &point.coords {
-                            if *param == AxisParam::Gain
-                                && policy.gain().is_some()
-                                && !entry.pinned_gain
-                            {
-                                policy = policy.with_gain(*value).map_err(|e| {
-                                    format!("spec `{}`: policy {}: {e}", spec.name, entry.label)
-                                })?;
-                            }
-                        }
-                        policy.validate_for(&config).map_err(|e| {
-                            format!(
-                                "spec `{}`: scenario {}: policy {}: {e}",
-                                spec.name, point.scenario.name, entry.label
-                            )
-                        })?;
-                        let seed = spec.seed.unwrap_or(point.scenario.seed);
-                        let digest = cache::cell_digest(
-                            &point_toml,
-                            &point.coords,
-                            &entry.label,
-                            &policy,
-                            seed,
-                            &spec.stopping,
-                        );
-                        indices.push(cells.len());
-                        cells.push(Cell {
-                            spec_idx,
-                            scenario_name: point.scenario.name.clone(),
-                            point_index: point.index,
-                            coords: point.coords.clone(),
-                            config: config.clone(),
-                            deadline: point.scenario.deadline,
-                            policy_label: entry.label.clone(),
-                            policy,
-                            seed,
-                            digest,
-                            stats: PointStats::default(),
-                        });
-                    }
-                }
+                let entries = parse_policies(&spec.policy_tokens, scenario).map_err(fail)?;
+                let plan = Plan::new(scenario, &spec.axes, &entries, spec.seed, |point| {
+                    let options = SimOptions {
+                        deadline: point.deadline,
+                        ..SimOptions::default()
+                    };
+                    (spec.stopping, options)
+                })
+                .map_err(fail)?;
+                plans.push((spec_idx, plan));
             }
-            spec_cells.push(indices);
         }
-
-        let mut campaign = Self {
+        cells::replay(plans.iter_mut().map(|(_, plan)| plan), &dir.join("cache"))?;
+        Ok(Self {
             dir: dir.to_path_buf(),
             specs,
-            cells,
-            spec_cells,
-        };
-        campaign.warm_from_cache()?;
-        Ok(campaign)
+            plans,
+        })
     }
 
     fn csv_path(&self, spec: &CampaignSpec) -> PathBuf {
         self.dir.join("out").join(format!("{}.csv", spec.name))
     }
 
-    fn cache_dir(&self) -> PathBuf {
-        self.dir.join("cache")
+    /// The cells of spec `spec_idx` with their plans, in CSV row order.
+    fn spec_cells(&self, spec_idx: usize) -> impl Iterator<Item = (&Plan, &Cell)> {
+        self.plans
+            .iter()
+            .filter(move |(s, _)| *s == spec_idx)
+            .flat_map(|(_, plan)| plan.cells.iter().map(move |cell| (plan, cell)))
     }
 
-    fn warm_from_cache(&mut self) -> Result<(), String> {
-        let dir = self.cache_dir();
-        // A cold campaign has no cache yet: skip one failed open per cell.
-        // Anything else (a `cache` file, an unreadable directory) falls
-        // through to the per-cell reads and their errors.
-        if matches!(dir.try_exists(), Ok(false)) {
-            return Ok(());
-        }
-        for cell in &mut self.cells {
-            if let Some(stats) = cache::load(&dir, cell.digest)? {
-                cell.stats = stats;
-            }
-        }
-        Ok(())
+    /// How many cells of spec `spec_idx` are still pending.
+    fn pending(&self, spec_idx: usize) -> usize {
+        let rule = &self.specs[spec_idx].stopping;
+        self.spec_cells(spec_idx)
+            .filter(|(_, cell)| cell.verdict(rule) == CellVerdict::Pending)
+            .count()
     }
 
     /// Runs the campaign to completion (or to `--max-cells`): rounds of
@@ -687,21 +608,23 @@ impl Campaign {
     /// # Errors
     /// Scheduler failures, quarantined replications (campaign cells must
     /// run clean — a panicking replication poisons the accumulated
-    /// vectors), cache/CSV write failures.
+    /// vectors, so the campaign must be loaded again), cache/CSV write
+    /// failures.
     pub fn run(&mut self, opts: &CampaignRunOptions) -> Result<CampaignRunReport, String> {
-        let cache_dir = self.cache_dir();
-        fs::create_dir_all(&cache_dir).map_err(|e| format!("cannot create cache dir: {e}"))?;
+        let cache_dir = self.dir.join("cache");
         let mut report = CampaignRunReport {
-            cells_total: self.cells.len(),
+            cells_total: self.cell_count(),
             ..CampaignRunReport::default()
         };
         loop {
-            let pending: Vec<usize> = (0..self.cells.len())
-                .filter(|&i| {
-                    let cell = &self.cells[i];
-                    cell.verdict(&self.specs[cell.spec_idx].stopping) == CellVerdict::Pending
-                })
-                .collect();
+            // One round: every pending cell runs its next batch on one
+            // scheduler pass.
+            let mut pending = Vec::new();
+            for (spec_idx, plan) in &mut self.plans {
+                let rule = &self.specs[*spec_idx].stopping;
+                let runs = plan.runs().into_iter();
+                pending.extend(runs.filter(|(_, cell)| cell.verdict(rule) == CellVerdict::Pending));
+            }
             if pending.is_empty() {
                 break;
             }
@@ -711,82 +634,41 @@ impl Campaign {
                 }
             }
             report.rounds += 1;
-
-            // One single-policy job per pending cell; `rep_base` makes
-            // each round continue the same deterministic stream sequence
-            // an unrounded `reps = rep_base + batch` job would use.
-            let bases: Vec<u64> = pending.iter().map(|&i| self.cells[i].n()).collect();
-            let jobs: Vec<PointJob<'_>> = pending
-                .iter()
-                .zip(&bases)
-                .map(|(&i, &base)| {
-                    let cell = &self.cells[i];
-                    let rule = &self.specs[cell.spec_idx].stopping;
-                    PointJob {
-                        config: &cell.config,
-                        reps: rule.next_batch(base),
-                        seed: cell.seed,
-                        rep_base: base,
-                        antithetic: rule.antithetic,
-                        options: SimOptions {
-                            deadline: cell.deadline,
-                            ..SimOptions::default()
-                        },
-                    }
-                })
-                .collect();
-            let cells = &self.cells;
-            let mut results: Vec<Option<PointStats>> = Vec::new();
-            results.resize_with(pending.len(), || None);
-            run_grid(
-                &jobs,
-                1,
-                &|p, _v, r| {
-                    let cell = &cells[pending[p]];
-                    // Policies draw their replication-keyed streams from
-                    // the *global* index, matching an unrounded run.
-                    cell.policy
-                        .build_for_rep(&cell.config, bases[p] + r)
-                        .expect("validated at load")
-                },
+            let mut finished = 0;
+            let exec = cells::run(
+                pending,
+                Some(&cache_dir),
                 opts.threads,
                 opts.chunk,
-                Vec::new(),
-                |p, _v, stats| {
-                    results[p] = Some(stats);
+                |_, point, cell| {
+                    finished += usize::from(cell.verdict(&point.rule) != CellVerdict::Pending);
                     Ok(())
                 },
             )?;
-
-            for (slot, &i) in results.into_iter().zip(&pending) {
-                let stats = slot.ok_or("scheduler dropped a cell")?;
-                if !stats.quarantined_reps.is_empty() {
-                    let cell = &self.cells[i];
+            for (spec_idx, plan) in &self.plans {
+                let mut lost = plan
+                    .cells
+                    .iter()
+                    .filter(|c| !c.stats.quarantined_reps.is_empty());
+                if let Some(cell) = lost.next() {
                     return Err(format!(
                         "spec `{}`: scenario {}: policy {}: replication(s) {:?} quarantined — \
                          campaign cells must run clean; fix the scenario before resuming",
-                        self.specs[cell.spec_idx].name,
-                        cell.scenario_name,
-                        cell.policy_label,
-                        stats.quarantined_reps,
+                        self.specs[*spec_idx].name,
+                        plan.points[cell.point].scenario.name,
+                        plan.labels[cell.policy],
+                        cell.stats.quarantined_reps,
                     ));
                 }
-                report.reps_run += stats.completion_times.len() as u64;
-                let rule = self.specs[self.cells[i].spec_idx].stopping;
-                let cell = &mut self.cells[i];
-                cell.stats.append(stats);
-                cache::store(&cache_dir, cell.digest, &cell.stats)?;
-                if cell.verdict(&rule) != CellVerdict::Pending {
-                    report.cells_finished_now += 1;
-                }
             }
+            report.reps_run += exec.totals().tasks;
+            report.cells_finished_now += finished;
         }
 
-        report.cells_done = self
-            .cells
-            .iter()
-            .filter(|c| c.verdict(&self.specs[c.spec_idx].stopping) != CellVerdict::Pending)
-            .count();
+        report.cells_done = report.cells_total
+            - (0..self.specs.len())
+                .map(|s| self.pending(s))
+                .sum::<usize>();
         report.csv_paths = self.write_finished_csvs()?;
         Ok(report)
     }
@@ -797,10 +679,7 @@ impl Campaign {
     fn write_finished_csvs(&self) -> Result<Vec<PathBuf>, String> {
         let mut paths = Vec::new();
         for (spec_idx, spec) in self.specs.iter().enumerate() {
-            let done = self.spec_cells[spec_idx]
-                .iter()
-                .all(|&i| self.cells[i].verdict(&spec.stopping) != CellVerdict::Pending);
-            if !done {
+            if self.pending(spec_idx) > 0 {
                 continue;
             }
             fs::create_dir_all(self.dir.join("out"))
@@ -821,9 +700,9 @@ impl Campaign {
             out.push_str(&csv_field(key));
         }
         out.push('\n');
-        for &i in &self.spec_cells[spec_idx] {
+        for (plan, cell) in self.spec_cells(spec_idx) {
             out.push_str(&csv_field(&spec.name));
-            let row = self.cells[i].row(&spec.stopping, &CSV_SPELLING);
+            let row = row(plan, cell, &spec.stopping, &CSV_SPELLING);
             for value in row.iter().chain(spec.fields.iter().map(|(_, value)| value)) {
                 out.push(',');
                 out.push_str(&csv_field(value));
@@ -840,23 +719,17 @@ impl Campaign {
             "campaign {}: {} spec(s), {} cell(s)\n",
             self.dir.display(),
             self.specs.len(),
-            self.cells.len()
+            self.cell_count()
         );
         for (spec_idx, spec) in self.specs.iter().enumerate() {
-            let indices = &self.spec_cells[spec_idx];
-            let mut converged = 0usize;
-            let mut capped = 0usize;
-            let mut reps = 0u64;
-            for &i in indices {
-                let cell = &self.cells[i];
+            // Cells per verdict (pending, converged, capped) and reps held.
+            let (mut counts, mut reps) = ([0usize; 3], 0u64);
+            for (_, cell) in self.spec_cells(spec_idx) {
+                counts[cell.verdict(&spec.stopping) as usize] += 1;
                 reps += cell.n();
-                match cell.verdict(&spec.stopping) {
-                    CellVerdict::Converged => converged += 1,
-                    CellVerdict::Capped => capped += 1,
-                    CellVerdict::Pending => {}
-                }
             }
-            let done = converged + capped;
+            let [pending, converged, capped] = counts;
+            let (done, cells) = (converged + capped, pending + converged + capped);
             let csv = self.csv_path(spec);
             let csv_note = if csv.exists() {
                 format!("csv: {}", csv.display())
@@ -865,13 +738,7 @@ impl Campaign {
             };
             out.push_str(&format!(
                 "  {}: {}/{} cells done ({} converged, {} capped), {} replication(s) cached; {}\n",
-                spec.name,
-                done,
-                indices.len(),
-                converged,
-                capped,
-                reps,
-                csv_note
+                spec.name, done, cells, converged, capped, reps, csv_note
             ));
         }
         out
@@ -884,10 +751,7 @@ impl Campaign {
     /// finishes it — when any cell is still pending.
     pub fn report(&self) -> Result<String, String> {
         for (spec_idx, spec) in self.specs.iter().enumerate() {
-            let pending = self.spec_cells[spec_idx]
-                .iter()
-                .filter(|&&i| self.cells[i].verdict(&spec.stopping) == CellVerdict::Pending)
-                .count();
+            let pending = self.pending(spec_idx);
             if pending > 0 {
                 return Err(format!(
                     "spec `{}`: {pending} cell(s) still pending — finish the campaign with \
@@ -914,8 +778,8 @@ impl Campaign {
             out.push_str(&format!("| {} |\n", columns.join(" | ")));
             out.push_str(&"|---".repeat(columns.len()));
             out.push_str("|\n");
-            for &i in &self.spec_cells[spec_idx] {
-                let row = self.cells[i].row(&spec.stopping, &REPORT_SPELLING);
+            for (plan, cell) in self.spec_cells(spec_idx) {
+                let row = row(plan, cell, &spec.stopping, &REPORT_SPELLING);
                 out.push_str(&format!("| {} |\n", row.join(" | ")));
             }
             out.push('\n');
@@ -932,24 +796,22 @@ impl Campaign {
     /// Total cell count across all specs.
     #[must_use]
     pub fn cell_count(&self) -> usize {
-        self.cells.len()
+        self.plans.iter().map(|(_, plan)| plan.cells.len()).sum()
     }
 
     /// Per-cell `(spec, scenario, point, policy, cached reps)` rows, in
     /// CSV order — a stable probe for tests and tooling.
     #[must_use]
     pub fn cell_summaries(&self) -> Vec<(String, String, usize, String, u64)> {
-        self.spec_cells
-            .iter()
-            .enumerate()
-            .flat_map(|(spec_idx, indices)| {
-                indices.iter().map(move |&i| {
-                    let cell = &self.cells[i];
+        (0..self.specs.len())
+            .flat_map(|spec_idx| {
+                self.spec_cells(spec_idx).map(move |(plan, cell)| {
+                    let point = &plan.points[cell.point];
                     (
                         self.specs[spec_idx].name.clone(),
-                        cell.scenario_name.clone(),
-                        cell.point_index,
-                        cell.policy_label.clone(),
+                        point.scenario.name.clone(),
+                        point.index,
+                        plan.labels[cell.policy].clone(),
                         cell.n(),
                     )
                 })
@@ -961,6 +823,9 @@ impl Campaign {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache;
+    use crate::sweep::AxisParam;
+    use churnbal_cluster::PointStats;
 
     fn rule() -> StoppingRule {
         StoppingRule {
@@ -1054,7 +919,7 @@ mod tests {
         )
         .expect("spec");
         let campaign = Campaign::load(&dir).expect("loads without a cache dir");
-        assert!(campaign.cells.iter().all(|c| c.n() == 0));
+        assert!(campaign.cell_summaries().iter().all(|c| c.4 == 0));
         fs::write(dir.join("cache"), "").expect("cache file");
         let Err(err) = Campaign::load(&dir) else {
             panic!("a `cache` file is not a directory");

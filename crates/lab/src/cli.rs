@@ -649,11 +649,16 @@ fn quarantine_summary(report: &churnbal_cluster::ExecReport, policies: &[String]
          the surviving replications only\n",
         report.quarantines.len()
     );
+    // An experiment runs one job per (point, policy) cell, point-major,
+    // so a quarantine's job index is `point * k + policy`.
+    let k = policies.len();
     for q in &report.quarantines {
-        let policy = policies.get(q.policy).map_or("?", String::as_str);
         out.push_str(&format!(
             "  point {}, policy {}, rep {}: {}\n",
-            q.point, policy, q.rep, q.message
+            q.point / k,
+            policies[q.point % k],
+            q.rep,
+            q.message
         ));
     }
     out
@@ -1698,6 +1703,27 @@ mod tests {
         ])
         .unwrap_err();
         assert!(err.contains("--fail-on-quarantine"), "{err}");
+    }
+
+    #[test]
+    fn quarantine_summary_names_each_cell_on_a_multi_point_grid() {
+        let args = "compare paper-delay-crossover --policies lbp1,chaos-panic@1,none --reps 3 \
+                    --threads 2";
+        let out = call(&args.split_whitespace().collect::<Vec<_>>()).expect("degraded run");
+        let summary: Vec<&str> = out
+            .lines()
+            .skip_while(|l| !l.starts_with("warning"))
+            .collect();
+        let mut expected = vec!["warning: 5 replication(s) were quarantined; affected rows \
+                                 aggregate the surviving replications only"
+            .to_string()];
+        expected.extend((0..5).map(|p| {
+            format!(
+                "  point {p}, policy chaos-panic@1, rep 1: panicked: chaos-panic: injected \
+                 worker panic"
+            )
+        }));
+        assert_eq!(summary, expected, "{out}");
     }
 
     #[test]

@@ -2,15 +2,16 @@
 //! multi-policy comparisons.
 //!
 //! An [`ExperimentSpec`] is `scenario × axes × policy set × options`. Its
-//! [`Experiment`] executes the whole thing in **one pass** through the
-//! shared work-stealing scheduler
-//! ([`churnbal_cluster::exec::run_grid`]): the policy
-//! set is just another axis of the flattened task space, and replication
-//! `r` of *every* policy at a grid point runs on the streams derived from
-//! `(seed, r)` — common random numbers across policies by construction.
-//! That makes the per-replication differences between two policies paired
-//! samples, and [`ExperimentRow::delta`] reports their mean with a
-//! t-based 95% confidence interval
+//! [`Experiment`] lays the whole thing out as `(grid point, policy)` cells
+//! and runs them in **one pass** through the lab's cell runner (the
+//! crate-private `cells` module owns planning, cache replay, scheduling
+//! and storing cells for experiments and campaigns alike): one scheduler
+//! job per cell, and every cell of a grid point on the point's seed, so
+//! replication `r` of *every* policy at a point runs on the streams
+//! derived from `(seed, r)` — common random numbers across policies by
+//! construction. That makes the per-replication differences between two
+//! policies paired samples, and [`ExperimentRow::delta`] reports their
+//! mean with a t-based 95% confidence interval
 //! ([`churnbal_stochastic::paired_comparison`]).
 //!
 //! Output is decoupled from execution through [`RowSink`]: a
@@ -29,16 +30,16 @@
 use std::io::Write;
 use std::path::PathBuf;
 
-use churnbal_cluster::exec::{run_grid, ExecReport, PointJob, PointStats};
+use churnbal_cluster::exec::ExecReport;
 use churnbal_cluster::mc::McEstimate;
-use churnbal_cluster::{ProbeReport, SimOptions, SystemConfig};
+use churnbal_cluster::{ProbeReport, SimOptions};
 use churnbal_core::PolicySpec;
 use churnbal_stochastic::{paired_comparison, LogHistogram, PairedComparison};
 
-use crate::cache;
 use crate::campaign::StoppingRule;
+use crate::cells::{self, Plan};
 use crate::scenario::{Scenario, ScenarioError, ScenarioErrorKind};
-use crate::sweep::{expand_grid, Axis, AxisParam, RunOptions};
+use crate::sweep::{Axis, AxisParam, RunOptions};
 use crate::theory::TheoryCache;
 
 /// One labelled policy of a comparison: the display/CSV label (usually the
@@ -815,53 +816,39 @@ impl Experiment {
     /// Propagates scenario/policy validation failures.
     pub fn estimate(&self) -> Result<McEstimate, String> {
         let spec = &self.spec;
-        let scenario = &spec.scenario;
-        let config = scenario.system_config()?;
-        let policy = match spec.policies.first() {
-            Some(entry) => entry.spec.clone(),
-            None => scenario.policy.clone(),
-        };
-        // Validate once up front so the per-replication build cannot fail.
-        policy
-            .validate_for(&config)
-            .map_err(|e| format!("scenario {}: {e}", scenario.name))?;
-        let job = self.job(scenario, &config);
-        let mut stats = None;
-        run_grid(
-            std::slice::from_ref(&job),
-            1,
-            &|_, _, r| policy.build_for_rep(&config, r).expect("validated above"),
-            spec.options.threads,
-            spec.options.chunk,
-            Vec::new(),
-            |_, _, s| {
-                stats = Some(s);
-                Ok(())
-            },
-        )?;
-        Ok(McEstimate::from_point_stats(
-            stats.expect("one point always completes"),
-        ))
+        let mut base = spec.scenario.clone();
+        base.axes.clear();
+        let mut plan = self.plan(&base, &[], &spec.policies[..spec.policies.len().min(1)])?;
+        let (threads, chunk) = (spec.options.threads, spec.options.chunk);
+        cells::run(plan.runs(), None, threads, chunk, |_, _, _| Ok(()))?;
+        Ok(McEstimate::from_point_stats(std::mem::take(
+            &mut plan.cells[0].stats,
+        )))
     }
 
-    /// The scheduler job for one grid point of this experiment.
-    fn job<'a>(&self, scenario: &Scenario, config: &'a SystemConfig) -> PointJob<'a> {
+    /// The cells of `scenario` over `axes` × `policies` under this
+    /// experiment's options: each point runs a fixed number of
+    /// replications.
+    fn plan(
+        &self,
+        scenario: &Scenario,
+        axes: &[Axis],
+        policies: &[PolicyEntry],
+    ) -> Result<Plan, String> {
         let options = self.spec.options;
-        PointJob {
-            config,
-            reps: options.effective_reps(scenario).max(1),
-            seed: options.seed.unwrap_or(scenario.seed),
-            rep_base: 0,
-            antithetic: false,
-            options: SimOptions {
-                deadline: scenario.deadline,
-                backend: options.backend,
-                probe_dt: options.effective_probe_dt(scenario),
-                task_timeout: options.task_timeout,
-                audit: options.audit,
-                ..SimOptions::default()
-            },
-        }
+        Plan::new(scenario, axes, policies, options.seed, |point| {
+            (
+                StoppingRule::fixed(options.effective_reps(point).max(1)),
+                SimOptions {
+                    deadline: point.deadline,
+                    backend: options.backend,
+                    probe_dt: options.effective_probe_dt(point),
+                    task_timeout: options.task_timeout,
+                    audit: options.audit,
+                    ..SimOptions::default()
+                },
+            )
+        })
     }
 
     /// Executes the experiment, streaming rows to `sink` in
@@ -878,8 +865,9 @@ impl Experiment {
 
     /// [`Experiment::run`] plus the scheduler's runtime instrumentation:
     /// per-worker task/chunk/event counts and wall-clock throughput
-    /// ([`ExecReport`]). The report is observational — wall times depend
-    /// on the machine — while the rows stay bit-deterministic.
+    /// ([`ExecReport`]; a quarantine's `point` is its cell's index,
+    /// point-major). The report is observational — wall times depend on
+    /// the machine — while the rows stay bit-deterministic.
     ///
     /// # Errors
     /// Same conditions as [`Experiment::run`].
@@ -888,109 +876,46 @@ impl Experiment {
         sink: &mut dyn RowSink,
     ) -> Result<(ExperimentSchema, ExecReport), String> {
         let spec = &self.spec;
-        let points = expand_grid(&spec.scenario, &spec.axes)?;
-        let axes: Vec<AxisParam> = points
-            .first()
-            .map(|p| p.coords.iter().map(|&(a, _)| a).collect())
-            .unwrap_or_default();
-
-        // Resolve the policy set. Explicit policies inherit every gain
-        // coordinate of a point (a gain axis sweeps each gain-bearing,
-        // non-pinned policy of the comparison; gainless and gain-pinned
-        // policies ride along as flat baselines, exactly the shape of
-        // the paper's Fig. 3).
-        let labels: Vec<String> = if spec.policies.is_empty() {
-            vec![spec.scenario.policy.kind().to_string()]
-        } else {
-            spec.policies.iter().map(|e| e.label.clone()).collect()
-        };
-        let mut point_policies: Vec<Vec<PolicySpec>> = Vec::with_capacity(points.len());
-        for point in &points {
-            if spec.policies.is_empty() {
-                point_policies.push(vec![point.scenario.policy.clone()]);
-                continue;
-            }
-            let mut set = Vec::with_capacity(spec.policies.len());
-            for entry in &spec.policies {
-                let mut policy = entry.spec.clone();
-                for &(param, value) in &point.coords {
-                    // An explicitly pinned gain (`lbp2@0.2`) must never
-                    // be silently overwritten by the axis — the entry
-                    // rides along the grid at its own gain instead.
-                    if param == AxisParam::Gain && policy.gain().is_some() && !entry.pinned_gain {
-                        policy = policy.with_gain(value)?;
-                    }
-                }
-                set.push(policy);
-            }
-            point_policies.push(set);
-        }
-
-        // Materialise configs and validate every (point, policy) pair up
-        // front so the per-replication build in the workers cannot fail.
-        let mut configs: Vec<SystemConfig> = Vec::with_capacity(points.len());
-        for (point, set) in points.iter().zip(&point_policies) {
-            let config = point.scenario.system_config()?;
-            for policy in set {
-                policy
-                    .validate_for(&config)
-                    .map_err(|e| format!("scenario {}: {e}", point.scenario.name))?;
-            }
-            configs.push(config);
-        }
+        let mut plan = self.plan(&spec.scenario, &spec.axes, &spec.policies)?;
 
         // Join the Eq. 4 theory means (cheap: one lattice per distinct
-        // two-node system, memoised).
-        let theory: Vec<Vec<Option<f64>>> = if spec.theory {
+        // two-node system, memoised), one per cell.
+        let theory: Vec<Option<f64>> = if spec.theory {
             let mut cache = TheoryCache::new();
-            points
+            plan.cells
                 .iter()
-                .zip(&configs)
-                .zip(&point_policies)
-                .map(|((point, config), set)| {
-                    set.iter()
-                        .map(|policy| cache.eq4_mean(&point.scenario, config, policy))
-                        .collect()
+                .map(|cell| {
+                    let point = &plan.points[cell.point];
+                    cache.eq4_mean(&point.scenario, &point.config, &cell.spec)
                 })
                 .collect()
         } else {
-            point_policies.iter().map(|s| vec![None; s.len()]).collect()
+            vec![None; plan.cells.len()]
         };
+        let probe = plan.points.iter().any(|p| p.options.probe_dt.is_some());
 
-        let jobs: Vec<PointJob<'_>> = points
-            .iter()
-            .zip(&configs)
-            .map(|(point, config)| self.job(&point.scenario, config))
-            .collect();
-        let probe = jobs.iter().any(|j| j.options.probe_dt.is_some());
-
-        let paired = labels.len() > 1;
-        if spec.baseline >= labels.len() {
+        let k = plan.labels.len();
+        if spec.baseline >= k {
             return Err(format!(
-                "baseline index {} out of range for {} policies",
-                spec.baseline,
-                labels.len()
+                "baseline index {} out of range for {k} policies",
+                spec.baseline
             ));
         }
         let schema = ExperimentSchema {
             scenario: spec.scenario.name.clone(),
-            axes,
-            points: points.len(),
-            policies: labels,
+            axes: plan
+                .points
+                .first()
+                .map(|p| p.coords.iter().map(|&(a, _)| a).collect())
+                .unwrap_or_default(),
+            points: plan.points.len(),
+            policies: plan.labels.clone(),
             baseline: spec.baseline,
             theory: spec.theory,
-            paired,
+            paired: k > 1,
             metrics_full: spec.options.metrics_full,
             probe,
         };
-        let k = schema.policies.len();
-        let b = spec.baseline;
-
-        // ---- cell cache ------------------------------------------------
-        // One key per (point, policy) cell, point-major; cells already in
-        // the cache come in preloaded and are never re-simulated.
-        let mut keys: Vec<u64> = Vec::new();
-        let mut preloaded: Vec<Option<PointStats>> = Vec::new();
         if let Some(dir) = &spec.cache {
             if probe {
                 return Err(ScenarioError {
@@ -999,141 +924,99 @@ impl Experiment {
                 }
                 .into());
             }
-            std::fs::create_dir_all(dir)
-                .map_err(|e| format!("cannot create cache dir `{}`: {e}", dir.display()))?;
-            for ((point, job), set) in points.iter().zip(&jobs).zip(&point_policies) {
-                let point_toml = point.scenario.to_toml();
-                for (v, policy) in set.iter().enumerate() {
-                    let key = cache::cell_digest(
-                        &point_toml,
-                        &point.coords,
-                        &schema.policies[v],
-                        policy,
-                        job.seed,
-                        &StoppingRule::fixed(job.reps),
-                    );
-                    let cell = cache::load(dir, key)?;
-                    if let Some(stats) = &cell {
-                        if stats.completion_times.len() as u64 != job.reps {
-                            return Err(format!(
-                                "cell cache `{}`: holds {} replications, expected {} \
-                                 (delete the file to recompute)",
-                                cache::cell_path(dir, key).display(),
-                                stats.completion_times.len(),
-                                job.reps
-                            ));
-                        }
-                    }
-                    keys.push(key);
-                    preloaded.push(cell);
-                }
-            }
+            cells::replay([&mut plan], dir)?;
         }
-        // Which cells came from the cache — those are not stored again.
-        let cached: Vec<bool> = preloaded.iter().map(Option::is_some).collect();
         sink.begin(&schema)?;
 
-        let build_row = |p: usize, v: usize, est: &McEstimate, delta: Option<PairedDelta>| {
-            let theory_mean = theory[p][v];
-            // Cross-replication histogram aggregation: exact integer
-            // bucket adds, so the merge order cannot matter.
-            let mut telemetry = ProbeReport::default();
-            for report in &est.probes {
-                telemetry.merge_telemetry(report);
+        let emit = |sink: &mut dyn RowSink,
+                    row: &ExperimentRow,
+                    probes: &[ProbeReport]|
+         -> Result<(), String> {
+            sink.row(row)?;
+            if probe {
+                sink.probes(row, probes)?;
             }
-            ExperimentRow {
-                index: points[p].index,
-                coords: points[p].coords.clone(),
-                policy_index: v,
-                policy: schema.policies[v].clone(),
-                // Quarantined replications are excluded from every
-                // statistic, so the row honestly reports the surviving
-                // sample size (and flags the loss in `quarantined`).
-                reps: jobs[p].reps - est.quarantined,
-                seed: jobs[p].seed,
-                mean_completion: est.mean(),
-                ci95: est.ci95(),
-                sd_completion: sample_sd(est.completion_times.iter().copied()),
-                mean_failures: est.mean_failures,
-                sd_failures: sample_sd(est.failures_per_rep.iter().map(|&x| x as f64)),
-                mean_tasks_shipped: est.mean_tasks_shipped,
-                sd_tasks_shipped: sample_sd(est.tasks_shipped_per_rep.iter().map(|&x| x as f64)),
-                incomplete: est.incomplete,
-                quarantined: est.quarantined,
-                theory_mean,
-                mc_minus_theory: theory_mean.map(|t| est.mean() - t),
-                delta,
-                mean_recoveries: est.mean_recoveries,
-                mean_transfers: est.mean_transfers,
-                mean_tasks_clamped: est.mean_tasks_clamped,
-                mean_transit_task_seconds: est.mean_transit_task_seconds,
-                mean_tasks_lost: est.mean_tasks_lost,
-                mean_retries: est.mean_retries,
-                mean_bounces: est.mean_bounces,
-                telemetry,
-            }
+            Ok(())
         };
+        let b = spec.baseline;
         // The current point's baseline cell, as pairing inputs: its
         // *slot-stable* per-replication times (placeholder zeros
         // included) and quarantined slots, captured before
         // `McEstimate::from_point_stats` drops them. CRN pairing must
         // align replication r with replication r, so slots — not the
         // compacted vectors — are what gets paired.
-        let mut baseline = (Vec::new(), Vec::new());
-        // Cells arrive in policy order; those of the current point that
+        let mut baseline: (Vec<f64>, Vec<u64>) = (Vec::new(), Vec::new());
+        // Cells arrive in policy order; rows of the current point that
         // precede its baseline cell wait here for it.
         let mut held = Vec::new();
-        let report = run_grid(
-            &jobs,
-            k,
-            &|p, v, r| {
-                point_policies[p][v]
-                    .build_for_rep(&configs[p], r)
-                    .expect("validated above")
-            },
+        let report = cells::run(
+            plan.runs(),
+            spec.cache.as_deref(),
             spec.options.threads,
             spec.options.chunk,
-            preloaded,
-            |p, v, stats| {
-                if let Some(dir) = &spec.cache {
-                    // The cell hits disk before any sink sees it.
-                    // Quarantined cells are withheld so the next run
-                    // retries them instead of trusting placeholder slots.
-                    let idx = p * k + v;
-                    if !cached[idx] && stats.quarantined_reps.is_empty() {
-                        cache::store(dir, keys[idx], &stats)?;
-                    }
+            |j, point, cell| {
+                let stats = std::mem::take(&mut cell.stats);
+                let slots = schema.paired.then(|| {
+                    (
+                        stats.completion_times.clone(),
+                        stats.quarantined_reps.clone(),
+                    )
+                });
+                let est = McEstimate::from_point_stats(stats);
+                // Cross-replication histogram aggregation: exact integer
+                // bucket adds, so the merge order cannot matter.
+                let mut telemetry = ProbeReport::default();
+                for report in &est.probes {
+                    telemetry.merge_telemetry(report);
                 }
-                let emit = |sink: &mut dyn RowSink,
-                            v: usize,
-                            est: &McEstimate,
-                            delta: Option<PairedDelta>|
-                 -> Result<(), String> {
-                    let row = build_row(p, v, est, delta);
-                    sink.row(&row)?;
-                    if probe {
-                        sink.probes(&row, &est.probes)?;
-                    }
-                    Ok(())
+                let v = cell.policy;
+                let theory_mean = theory[j];
+                let row = ExperimentRow {
+                    index: point.index,
+                    coords: point.coords.clone(),
+                    policy_index: v,
+                    policy: schema.policies[v].clone(),
+                    // Quarantined replications are excluded from every
+                    // statistic, so the row honestly reports the surviving
+                    // sample size (and flags the loss in `quarantined`).
+                    reps: est.completion_times.len() as u64,
+                    seed: cell.seed,
+                    mean_completion: est.mean(),
+                    ci95: est.ci95(),
+                    sd_completion: sample_sd(est.completion_times.iter().copied()),
+                    mean_failures: est.mean_failures,
+                    sd_failures: sample_sd(est.failures_per_rep.iter().map(|&x| x as f64)),
+                    mean_tasks_shipped: est.mean_tasks_shipped,
+                    sd_tasks_shipped: sample_sd(
+                        est.tasks_shipped_per_rep.iter().map(|&x| x as f64),
+                    ),
+                    incomplete: est.incomplete,
+                    quarantined: est.quarantined,
+                    theory_mean,
+                    mc_minus_theory: theory_mean.map(|t| est.mean() - t),
+                    delta: None,
+                    mean_recoveries: est.mean_recoveries,
+                    mean_transfers: est.mean_transfers,
+                    mean_tasks_clamped: est.mean_tasks_clamped,
+                    mean_transit_task_seconds: est.mean_transit_task_seconds,
+                    mean_tasks_lost: est.mean_tasks_lost,
+                    mean_retries: est.mean_retries,
+                    mean_bounces: est.mean_bounces,
+                    telemetry,
                 };
-                if !paired {
-                    return emit(sink, v, &McEstimate::from_point_stats(stats), None);
-                }
-                let slots = (
-                    stats.completion_times.clone(),
-                    stats.quarantined_reps.clone(),
-                );
+                let Some(slots) = slots else {
+                    return emit(sink, &row, &est.probes);
+                };
                 if v == b {
-                    baseline.0.clone_from(&slots.0);
-                    baseline.1.clone_from(&slots.1);
+                    baseline.clone_from(&slots);
                 }
-                held.push((v, McEstimate::from_point_stats(stats), slots));
+                held.push((row, est.probes, slots));
                 if v < b {
                     return Ok(());
                 }
-                for (v, est, (times, quarantined)) in held.drain(..) {
-                    let delta = paired_delta(&times, &quarantined, &baseline.0, &baseline.1);
-                    emit(sink, v, &est, delta)?;
+                for (mut row, probes, (times, quarantined)) in held.drain(..) {
+                    row.delta = paired_delta(&times, &quarantined, &baseline.0, &baseline.1);
+                    emit(sink, &row, &probes)?;
                 }
                 Ok(())
             },

@@ -38,6 +38,13 @@
 //!   (`stats` is a one-point observability deep dive: counters, telemetry
 //!   quantiles, runtime).
 //!
+//! Experiments and campaigns own no execution of their own: a private
+//! `cells` module owns the `(grid point, policy)` cells both are made of.
+//! It expands the grid, resolves and validates each cell's policy, keys
+//! and replays cells from the cache, schedules the rest on
+//! [`churnbal_cluster::exec::run_grid`] as one job per cell, and stores
+//! what ran.
+//!
 //! ```
 //! use churnbal_core::PolicySpec;
 //! use churnbal_lab::{registry, Experiment, ExperimentSpec, PolicyEntry, RunOptions};
@@ -62,6 +69,7 @@
 
 pub mod cache;
 pub mod campaign;
+mod cells;
 pub mod cli;
 pub mod experiment;
 pub mod registry;

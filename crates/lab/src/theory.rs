@@ -149,13 +149,16 @@ impl TheoryCache {
 /// `churnbal_core::InitialBalanceOnly` cuts at `t = 0`.
 fn initial_balance_transfer(config: &SystemConfig, m0: [u32; 2], gain: f64) -> (usize, u32) {
     let mut orders = Vec::new();
-    churnbal_core::excess::balancing_orders_into(
-        2,
-        |i| config.nodes[i].initial_tasks,
-        |i| config.nodes[i].service_rate,
-        gain,
-        &mut orders,
-    );
+    for j in 0..2 {
+        churnbal_core::excess::local_balancing_orders_into(
+            j,
+            std::iter::once(1 - j),
+            |i| config.nodes[i].initial_tasks,
+            |i| config.nodes[i].service_rate,
+            gain,
+            &mut orders,
+        );
+    }
     match orders.first() {
         Some(o) => (o.from, o.tasks.min(m0[o.from])),
         None => (0, 0),

@@ -151,18 +151,10 @@ fn assert_warm_sweep_point_is_allocation_free(reps: u64) {
     };
     let count_run = |jobs: &[PointJob<'_>]| -> u64 {
         count_allocs(|| {
-            run_grid(
-                jobs,
-                1,
-                &|_, _, _| Lbp2::new(1.0),
-                1,
-                0,
-                Vec::new(),
-                |_, _, stats| {
-                    assert!(!stats.completion_times.is_empty());
-                    Ok(())
-                },
-            )
+            run_grid(jobs, &|_, _| Lbp2::new(1.0), 1, 0, |_, stats| {
+                assert!(!stats.completion_times.is_empty());
+                Ok(())
+            })
             .expect("grid runs");
         })
     };

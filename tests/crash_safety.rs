@@ -53,9 +53,10 @@ fn grid_args<'a>(policies: &'a str, cache: Option<&'a str>, threads: &'a str) ->
     args
 }
 
-/// The same grid through the library, returning the tasks simulated.
-fn tasks_run(policies: &[&str], cache: &Path) -> u64 {
-    let scenario = registry::get("paper-delay-crossover").expect("preset");
+/// A compare of `scenario` through the library at `reps` replications,
+/// returning the tasks simulated.
+fn tasks_run(scenario: &str, policies: &[&str], reps: u64, cache: &Path) -> u64 {
+    let scenario = registry::get(scenario).expect("preset");
     let entries = policies
         .iter()
         .map(|name| {
@@ -68,7 +69,7 @@ fn tasks_run(policies: &[&str], cache: &Path) -> u64 {
         Vec::new(),
         entries,
         RunOptions {
-            reps: Some(3),
+            reps: Some(reps),
             threads: 2,
             ..RunOptions::default()
         },
@@ -113,7 +114,62 @@ fn kill_and_resume_reproduces_identical_bytes_across_threads() {
     assert_eq!(cell_files(&dir), files, "the cache is whole again");
 
     // A fully warm rerun simulates nothing.
-    assert_eq!(tasks_run(&["lbp1", "none"], &dir), 0);
+    assert_eq!(
+        tasks_run("paper-delay-crossover", &["lbp1", "none"], 3, &dir),
+        0
+    );
+}
+
+/// `compare paper-fig5 --policies lbp2,none --reps 8`, cached in `cache`
+/// when given.
+fn fig5_compare(cache: Option<&Path>) -> String {
+    let mut args = "compare paper-fig5 --policies lbp2,none --reps 8 --format csv --threads 2"
+        .split(' ')
+        .collect::<Vec<_>>();
+    if let Some(dir) = cache {
+        args.extend(["--cache", dir.to_str().expect("utf8")]);
+    }
+    call(&args).expect("compare runs")
+}
+
+/// Runs a fresh campaign of those cells — `paper-fig5 × {lbp2, none}` at
+/// a fixed 8 replications — in `dir` after `warm_up` and returns its
+/// report and CSV.
+fn fig5_campaign(name: &str, warm_up: impl FnOnce(&Path)) -> (String, String, PathBuf) {
+    let dir = fresh_dir(name);
+    fs::create_dir_all(&dir).expect("campaign dir");
+    let spec = "scenarios = [\"paper-fig5\"]\npolicies = [\"lbp2\", \"none\"]\n\
+                [stopping]\ntolerance = 0.5\nr0 = 8\nmax_reps = 8\n";
+    fs::write(dir.join("fig5.toml"), spec).expect("campaign spec");
+    warm_up(&dir.join("cache"));
+    let report = call(&["campaign", "run", dir.to_str().expect("utf8")]).expect("campaign runs");
+    let csv = fs::read_to_string(dir.join("out").join("fig5.csv")).expect("csv");
+    (report, csv, dir)
+}
+
+#[test]
+fn compare_and_campaign_share_cells_both_ways() {
+    let plain = fig5_compare(None);
+    // A compare warms a campaign's cache: the campaign then simulates
+    // nothing and writes a cold campaign's bytes.
+    let (warm, warm_csv, _) = fig5_campaign("churnbal_shared_cells_warm", |cache| {
+        assert_eq!(fig5_compare(Some(cache)), plain);
+    });
+    assert!(
+        warm.contains("0 round(s), 0 replication(s) simulated"),
+        "{warm}"
+    );
+    let (cold, cold_csv, dir) = fig5_campaign("churnbal_shared_cells_cold", |_| {});
+    assert!(
+        cold.contains("1 round(s), 16 replication(s) simulated"),
+        "{cold}"
+    );
+    assert_eq!(warm_csv, cold_csv);
+    // A cold campaign's cache serves the compare: same bytes, nothing
+    // simulated.
+    let cache = dir.join("cache");
+    assert_eq!(fig5_compare(Some(&cache)), plain);
+    assert_eq!(tasks_run("paper-fig5", &["lbp2", "none"], 8, &cache), 0);
 }
 
 #[test]
@@ -143,7 +199,10 @@ fn quarantined_cells_are_never_cached_and_rerun() {
     assert_eq!(cell_files(&dir).len(), 5);
     // The next run replays the clean cells and retries the chaos ones
     // (5 cells x 3 replications), with the same bytes.
-    assert_eq!(tasks_run(&["lbp1", "chaos-panic@1"], &dir), 15);
+    assert_eq!(
+        tasks_run("paper-delay-crossover", &["lbp1", "chaos-panic@1"], 3, &dir),
+        15
+    );
     let again = call(&grid_args("lbp1,chaos-panic@1", Some(dir_str), "1")).expect("rerun");
     assert_eq!(again, first);
     assert_eq!(cell_files(&dir).len(), 5);

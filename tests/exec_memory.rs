@@ -78,11 +78,12 @@ const REPS: u64 = 500;
 /// checking that every cell arrives in order with `probes_per_rep`
 /// probe reports per replication.
 fn grid_peak(config: &SystemConfig, options: SimOptions, probes_per_rep: usize) -> usize {
-    let jobs: Vec<PointJob<'_>> = (0..POINTS)
-        .map(|seed| PointJob {
+    // One job per (point, policy) cell, every cell of a point on its seed.
+    let jobs: Vec<PointJob<'_>> = (0..POINTS * POLICIES as u64)
+        .map(|cell| PointJob {
             config,
             reps: REPS,
-            seed,
+            seed: cell / POLICIES as u64,
             rep_base: 0,
             antithetic: false,
             options,
@@ -93,13 +94,11 @@ fn grid_peak(config: &SystemConfig, options: SimOptions, probes_per_rep: usize) 
     PEAK.store(base, Ordering::Relaxed);
     run_grid(
         &jobs,
-        POLICIES,
-        &|_, v, _| Lbp2::new(if v == 0 { 1.0 } else { 0.5 }),
+        &|cell, _| Lbp2::new(if cell % POLICIES == 0 { 1.0 } else { 0.5 }),
         2,
         0,
-        Vec::new(),
-        |p, v, stats| {
-            assert_eq!(p * POLICIES + v, next, "cells drain in grid order");
+        |cell, stats| {
+            assert_eq!(cell, next, "cells drain in grid order");
             next += 1;
             assert_eq!(stats.completion_times.len() as u64, REPS);
             assert_eq!(stats.probes.len(), probes_per_rep * REPS as usize);

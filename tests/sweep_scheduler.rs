@@ -38,19 +38,11 @@ fn grid_stats(
         })
         .collect();
     let mut out = Vec::new();
-    run_grid(
-        &jobs,
-        1,
-        &|_, _, _| Lbp2::new(1.0),
-        threads,
-        chunk,
-        Vec::new(),
-        |p, _, stats| {
-            assert_eq!(p, out.len(), "points must drain in grid order");
-            out.push(stats);
-            Ok(())
-        },
-    )
+    run_grid(&jobs, &|_, _| Lbp2::new(1.0), threads, chunk, |p, stats| {
+        assert_eq!(p, out.len(), "points must drain in grid order");
+        out.push(stats);
+        Ok(())
+    })
     .expect("grid runs");
     out
 }
