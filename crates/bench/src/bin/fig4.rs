@@ -48,7 +48,7 @@ fn main() {
     println!(
         "LBP-2: K = 1.00, completion {:.2} s, {} failure-compensation transfers\n",
         out2.completion_time,
-        out2.metrics.transfers.saturating_sub(1)
+        out2.metrics.counters.transfers.saturating_sub(1)
     );
 
     let mut t = TextTable::new([

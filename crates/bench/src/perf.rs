@@ -40,7 +40,7 @@ use std::time::Instant;
 
 use churnbal_cluster::exec::{run_grid, PointJob};
 use churnbal_cluster::{
-    run_replications, ChannelModel, ChurnModel, DownPolicy, McEstimate, NetworkConfig, NodeConfig,
+    run_replications, ChannelModel, ChurnModel, DownPolicy, NetworkConfig, NodeConfig, PointStats,
     Policy, QueueBackend, SimOptions, SystemConfig, Topology,
 };
 use churnbal_core::{Lbp2, PolicySpec};
@@ -461,7 +461,7 @@ pub struct Measured<'a> {
 
 /// Measures one row: `--repeat` runs, merged, with odd runs mirrored. An
 /// overhead gate takes at least twice as many rounds of
-/// [`OVERHEAD_ROUND_RUNS`] runs (up to its cap) and keeps adding rounds
+/// `OVERHEAD_ROUND_RUNS` runs (up to its cap) and keeps adding rounds
 /// until the interval of its median paired ratio decides.
 ///
 /// # Panics
@@ -682,7 +682,7 @@ fn replications(
     policy: &PolicySpec,
     reps: u64,
     options: SimOptions,
-) -> (McEstimate, f64) {
+) -> (PointStats, f64) {
     let make = |_| policy.build(config).expect("perf rows are self-consistent");
     timed(|| run_replications(config, &make, reps, s.seed, s.threads, options))
 }
@@ -695,7 +695,7 @@ fn engine(s: &Settings, config: &SystemConfig, policy: &PolicySpec, reps: (u64, 
         reps,
         primary: Mode {
             wall_seconds,
-            events: est.total_events,
+            events: est.counters.events,
             digest: digest_f64s(&est.completion_times),
         },
         second: None,
@@ -813,7 +813,7 @@ fn grid_pass<P: Policy>(
     let mut cells = Vec::with_capacity(jobs.len());
     let mut events = 0;
     run_grid(jobs, make, SWEEP_GRID_THREADS, 0, |_, stats| {
-        events += stats.total_events;
+        events += stats.counters.events;
         cells.push(stats.completion_times);
         Ok(())
     })
@@ -841,7 +841,7 @@ fn sweep_grid_row(s: &Settings, mirrored: bool) -> Outcome {
                 job.options,
             );
             cells.push(est.completion_times);
-            events += est.total_events;
+            events += est.counters.events;
         }
         (cells, events)
     };
@@ -963,11 +963,11 @@ fn large_fleet_config(quick: bool) -> SystemConfig {
 /// the digest folds in the per-replication failure and shipment counts
 /// plus the total event count — any drifted trajectory moves at least
 /// one of them.
-fn deadline_run_digest(est: &McEstimate) -> u64 {
+fn deadline_run_digest(est: &PointStats) -> u64 {
     let mut values = est.completion_times.clone();
     values.extend(est.failures_per_rep.iter().map(|&f| f as f64));
     values.extend(est.tasks_shipped_per_rep.iter().map(|&s| s as f64));
-    values.push(est.total_events as f64);
+    values.push(est.counters.events as f64);
     digest_f64s(&values)
 }
 
@@ -988,7 +988,7 @@ fn large_fleet(s: &Settings, mirrored: bool) -> Outcome {
             timed(|| run_replications(&config, &|_| Lbp2::new(1.0), 1, s.seed, 1, options));
         Mode {
             wall_seconds,
-            events: est.total_events,
+            events: est.counters.events,
             digest: deadline_run_digest(&est),
         }
     };
@@ -1034,7 +1034,7 @@ fn probe_overhead(s: &Settings, mirrored: bool) -> Outcome {
         "probe-overhead: arming the probe changed the sampled trajectories"
     );
     assert_eq!(
-        off.total_events, armed.total_events,
+        off.counters.events, armed.counters.events,
         "probe-overhead: arming the probe changed the event count"
     );
     assert!(
@@ -1044,7 +1044,7 @@ fn probe_overhead(s: &Settings, mirrored: bool) -> Outcome {
     same_paths(
         reps,
         &off.completion_times,
-        off.total_events,
+        off.counters.events,
         (off_wall, armed_wall),
     )
 }
@@ -1076,17 +1076,17 @@ fn channel_overhead(s: &Settings, mirrored: bool) -> Outcome {
         "channel-overhead: arming a zero-loss channel changed the sampled trajectories"
     );
     assert_eq!(
-        reliable.total_events, lossy.total_events,
+        reliable.counters.events, lossy.counters.events,
         "channel-overhead: arming a zero-loss channel changed the event count"
     );
     assert!(
-        lossy.mean_tasks_lost == 0.0 && lossy.mean_retries == 0.0,
+        lossy.counters.tasks_lost == 0 && lossy.counters.retries == 0,
         "zero-loss lossy mode must lose and retry nothing"
     );
     same_paths(
         reps,
         &reliable.completion_times,
-        reliable.total_events,
+        reliable.counters.events,
         (reliable_wall, lossy_wall),
     )
 }

@@ -77,9 +77,10 @@ pub struct SimOutcome {
     pub probe: Option<ProbeReport>,
 }
 
-/// Compact, allocation-free result of one replication — what the
-/// Monte-Carlo runner needs from [`Simulator::run_summary`] without moving
-/// or cloning the full [`Metrics`] out of a reused simulator.
+/// Compact, allocation-free result of one replication: its outcome and a
+/// flat view of its [`Metrics::counters`] (see [`crate::metrics::Counters`]
+/// for each count), read off a reused simulator without moving or cloning
+/// its [`Metrics`].
 #[derive(Clone, Copy, Debug)]
 pub struct RunSummary {
     /// Overall completion time (or the deadline if not completed).
@@ -94,15 +95,13 @@ pub struct RunSummary {
     pub transfers: u64,
     /// Total tasks shipped between nodes.
     pub tasks_shipped: u64,
-    /// Tasks ordered but clamped for lack of supply (see
-    /// [`Metrics::tasks_clamped`]).
+    /// Tasks ordered but clamped for lack of supply.
     pub tasks_clamped: u64,
-    /// Tasks permanently lost by the transfer channel (see
-    /// [`Metrics::tasks_lost`]).
+    /// Tasks permanently lost by the transfer channel.
     pub tasks_lost: u64,
-    /// Channel redelivery attempts (see [`Metrics::retries`]).
+    /// Channel redelivery attempts.
     pub retries: u64,
-    /// Batches bounced off down destinations (see [`Metrics::bounces`]).
+    /// Batches bounced off down destinations.
     pub bounces: u64,
     /// In-transit task·seconds integral (see
     /// [`Metrics::transit_task_seconds`]).
@@ -407,19 +406,20 @@ impl<'a> Simulator<'a> {
     pub fn run_summary(&mut self, policy: &mut dyn Policy) -> RunSummary {
         let (time, completed) = self.drive(policy);
         self.close_accounting(time);
+        let c = self.metrics.counters;
         RunSummary {
             completion_time: time,
             completed,
-            failures: self.metrics.failures,
-            recoveries: self.metrics.recoveries,
-            transfers: self.metrics.transfers,
-            tasks_shipped: self.metrics.tasks_shipped,
-            tasks_clamped: self.metrics.tasks_clamped,
-            tasks_lost: self.metrics.tasks_lost,
-            retries: self.metrics.retries,
-            bounces: self.metrics.bounces,
+            failures: c.failures,
+            recoveries: c.recoveries,
+            transfers: c.transfers,
+            tasks_shipped: c.tasks_shipped,
+            tasks_clamped: c.tasks_clamped,
+            tasks_lost: c.tasks_lost,
+            retries: c.retries,
+            bounces: c.bounces,
             transit_task_seconds: self.metrics.transit_task_seconds,
-            events: self.metrics.events,
+            events: c.events,
             aborted: self.aborted,
         }
     }
@@ -454,7 +454,7 @@ impl<'a> Simulator<'a> {
         // run — driving a finished one again would seed new events onto
         // stale state and "complete" instantly with garbage.
         debug_assert!(
-            self.queue.is_empty() && self.processed == 0 && self.metrics.events == 0,
+            self.queue.is_empty() && self.processed == 0 && self.metrics.counters.events == 0,
             "Simulator reused without reset()/rebind()"
         );
         // Seed churn, shock and external-arrival events.
@@ -494,13 +494,13 @@ impl<'a> Simulator<'a> {
         }
         while let Some(ev) = self.queue.pop() {
             let now = ev.time.seconds();
-            if now >= due.time || self.metrics.events >= due.events {
+            if now >= due.time || self.metrics.counters.events >= due.events {
                 match self.checkpoint(now, due) {
                     ControlFlow::Continue(next) => due = next,
                     ControlFlow::Break(stop) => return stop,
                 }
             }
-            self.metrics.events += 1;
+            self.metrics.counters.events += 1;
             // Whether tasks left the system, so the run may be complete.
             let drained = match ev.payload {
                 Ev::Service(i) => {
@@ -527,7 +527,7 @@ impl<'a> Simulator<'a> {
                     debug_assert!(!self.nodes.up[i], "recovery of an up node");
                     self.nodes.up[i] = true;
                     self.down_count -= 1;
-                    self.metrics.recoveries += 1;
+                    self.metrics.counters.recoveries += 1;
                     self.metrics.downtime_per_node[i] += now - self.nodes.down_since[i];
                     if let Some(ps) = &mut self.probe {
                         ps.record_downtime(now - self.nodes.down_since[i]);
@@ -566,7 +566,7 @@ impl<'a> Simulator<'a> {
                         true
                     }
                     ChannelVerdict::BounceDown => {
-                        self.metrics.bounces += 1;
+                        self.metrics.counters.bounces += 1;
                         self.retry_or_dead_letter(now, from, to, tasks, attempt)
                     }
                 },
@@ -622,7 +622,7 @@ impl<'a> Simulator<'a> {
         mut due: Checkpoint,
     ) -> ControlFlow<(f64, bool), Checkpoint> {
         // Only an armed watchdog's threshold is ever reached.
-        if self.metrics.events >= due.events {
+        if self.metrics.counters.events >= due.events {
             let limit = self.options.task_timeout.unwrap_or(f64::INFINITY);
             if self.wall_start.elapsed().as_secs_f64() > limit {
                 // Everything this run accumulated is lost (see
@@ -641,9 +641,9 @@ impl<'a> Simulator<'a> {
                     &self.nodes.up,
                     &self.nodes.queue,
                     self.in_transit,
-                    self.metrics.failures,
-                    self.metrics.transfers,
-                    self.metrics.tasks_lost,
+                    self.metrics.counters.failures,
+                    self.metrics.counters.transfers,
+                    self.metrics.counters.tasks_lost,
                 );
             }
         }
@@ -739,7 +739,7 @@ impl<'a> Simulator<'a> {
     /// tasks count toward drain: a run whose last in-flight batch is lost
     /// still terminates (with `tasks_lost` on the books).
     fn is_complete(&self) -> bool {
-        self.processed + self.metrics.tasks_lost >= self.spawned && !self.arrivals_open
+        self.processed + self.metrics.counters.tasks_lost >= self.spawned && !self.arrivals_open
     }
 
     /// The channel's verdict for a batch arriving over `from → to`. Under
@@ -807,7 +807,7 @@ impl<'a> Simulator<'a> {
             self.dead_letter(now, tasks);
             return true;
         }
-        self.metrics.retries += 1;
+        self.metrics.counters.retries += 1;
         // Mean backoff 2^attempt · retry_backoff; the exponent cap keeps
         // the mean finite for absurd `max_retries` settings.
         let mean = retry_backoff * f64::from(attempt.min(60)).exp2();
@@ -832,7 +832,7 @@ impl<'a> Simulator<'a> {
     fn dead_letter(&mut self, now: f64, tasks: u32) {
         self.accumulate_transit(now);
         self.in_transit -= tasks;
-        self.metrics.tasks_lost += u64::from(tasks);
+        self.metrics.counters.tasks_lost += u64::from(tasks);
     }
 
     /// Task-conservation audit hook: free in release builds unless
@@ -857,7 +857,7 @@ impl<'a> Simulator<'a> {
         let accounted = self.processed
             + queued
             + u64::from(self.in_transit)
-            + self.metrics.tasks_lost
+            + self.metrics.counters.tasks_lost
             + self.pending_external;
         assert!(
             accounted == self.spawned,
@@ -865,7 +865,7 @@ impl<'a> Simulator<'a> {
              {} lost + {} pending external = {accounted}, but {} tasks were spawned",
             self.processed,
             self.in_transit,
-            self.metrics.tasks_lost,
+            self.metrics.counters.tasks_lost,
             self.pending_external,
             self.spawned
         );
@@ -882,7 +882,7 @@ impl<'a> Simulator<'a> {
         self.nodes.up[i] = false;
         self.nodes.down_since[i] = now;
         self.down_count += 1;
-        self.metrics.failures += 1;
+        self.metrics.counters.failures += 1;
         if let Some(id) = self.nodes.service_ev[i].take() {
             self.queue.cancel(id);
         }
@@ -1084,7 +1084,7 @@ impl<'a> Simulator<'a> {
             recovery_rate: &self.nodes.recovery_rate,
             delay_per_task: self.config.network.per_task,
             in_transit: self.in_transit,
-            tasks_lost: self.metrics.tasks_lost,
+            tasks_lost: self.metrics.counters.tasks_lost,
             topology: self.config.topology(),
         }
     }
@@ -1112,7 +1112,7 @@ impl<'a> Simulator<'a> {
             }
             let available = self.nodes.queue[order.from];
             let granted = order.tasks.min(available);
-            self.metrics.tasks_clamped += u64::from(order.tasks - granted);
+            self.metrics.counters.tasks_clamped += u64::from(order.tasks - granted);
             if granted == 0 {
                 continue;
             }
@@ -1127,8 +1127,8 @@ impl<'a> Simulator<'a> {
             self.record_queue(now, order.from);
             self.accumulate_transit(now);
             self.in_transit += granted;
-            self.metrics.transfers += 1;
-            self.metrics.tasks_shipped += u64::from(granted);
+            self.metrics.counters.transfers += 1;
+            self.metrics.counters.tasks_shipped += u64::from(granted);
             let delay = self.sample_delay(order.from, order.to, granted);
             if let Some(ps) = &mut self.probe {
                 ps.record_transfer_delay(delay);
@@ -1306,7 +1306,10 @@ mod tests {
         assert!(out.completed);
         // With ~100 s horizons and 20 s mean failure times, churn is near
         // certain across both nodes.
-        assert!(out.metrics.failures > 0, "expected at least one failure");
+        assert!(
+            out.metrics.counters.failures > 0,
+            "expected at least one failure"
+        );
         assert!(out.metrics.downtime_per_node.iter().any(|&d| d > 0.0));
     }
 
@@ -1323,8 +1326,8 @@ mod tests {
         sim.reset(&factory.subfactory(1));
         let reused = sim.run_summary(&mut NoBalancing);
         assert_eq!(reused.completion_time, fresh.completion_time);
-        assert_eq!(reused.failures, fresh.metrics.failures);
-        assert_eq!(reused.events, fresh.metrics.events);
+        assert_eq!(reused.failures, fresh.metrics.counters.failures);
+        assert_eq!(reused.events, fresh.metrics.counters.events);
         assert_eq!(sim.metrics(), &fresh.metrics);
     }
 
@@ -1404,8 +1407,11 @@ mod tests {
             assert!(s.time <= off.completion_time);
         }
         let last = report.samples.last().expect("non-empty");
-        assert!(last.failures <= off.metrics.failures, "cumulative counters");
-        assert!(report.downtime_us.total() >= off.metrics.recoveries);
+        assert!(
+            last.failures <= off.metrics.counters.failures,
+            "cumulative counters"
+        );
+        assert!(report.downtime_us.total() >= off.metrics.counters.recoveries);
     }
 
     #[test]
@@ -1512,8 +1518,8 @@ mod tests {
         let cfg = reliable_pair([20, 0]);
         let out = simulate(&cfg, &mut ShipOnce(8), 9, SimOptions::default());
         assert!(out.completed);
-        assert_eq!(out.metrics.transfers, 1);
-        assert_eq!(out.metrics.tasks_shipped, 8);
+        assert_eq!(out.metrics.counters.transfers, 1);
+        assert_eq!(out.metrics.counters.tasks_shipped, 8);
         assert_eq!(out.metrics.processed_per_node[0], 12);
         assert_eq!(out.metrics.processed_per_node[1], 8);
         assert!(out.metrics.transit_task_seconds > 0.0);
@@ -1524,8 +1530,8 @@ mod tests {
         let cfg = reliable_pair([5, 0]);
         let out = simulate(&cfg, &mut ShipOnce(100), 10, SimOptions::default());
         assert!(out.completed);
-        assert_eq!(out.metrics.tasks_shipped, 5);
-        assert_eq!(out.metrics.tasks_clamped, 95);
+        assert_eq!(out.metrics.counters.tasks_shipped, 5);
+        assert_eq!(out.metrics.counters.tasks_clamped, 95);
         assert_eq!(out.metrics.processed_per_node, vec![0, 5]);
     }
 
@@ -1707,7 +1713,7 @@ mod tests {
             },
         );
         assert!(out.completed);
-        assert!(out.metrics.failures > 0, "strikes must land");
+        assert!(out.metrics.counters.failures > 0, "strikes must land");
         let trace = out.trace.expect("trace requested");
         let first_down = |node: usize| {
             trace
@@ -1775,10 +1781,10 @@ mod tests {
         assert_eq!(a.completion_time, b.completion_time, "determinism");
         let plain = simulate(&base, &mut NoBalancing, 5, SimOptions::default());
         assert!(
-            a.metrics.failures > plain.metrics.failures,
+            a.metrics.counters.failures > plain.metrics.counters.failures,
             "strikes add failures ({} vs {})",
-            a.metrics.failures,
-            plain.metrics.failures
+            a.metrics.counters.failures,
+            plain.metrics.counters.failures
         );
     }
 
@@ -1838,6 +1844,7 @@ mod tests {
                 .map(|seed| {
                     simulate(cfg, &mut NoBalancing, seed, SimOptions::default())
                         .metrics
+                        .counters
                         .failures
                 })
                 .sum()
@@ -1864,6 +1871,7 @@ mod tests {
                 .map(|seed| {
                     simulate(cfg, &mut NoBalancing, seed, SimOptions::default())
                         .metrics
+                        .counters
                         .failures
                 })
                 .sum()
@@ -2235,9 +2243,9 @@ mod tests {
             },
         );
         assert!(out.completed, "dead-lettered tasks count toward drain");
-        assert_eq!(out.metrics.tasks_lost, 4);
-        assert_eq!(out.metrics.retries, 2);
-        assert_eq!(out.metrics.bounces, 0);
+        assert_eq!(out.metrics.counters.tasks_lost, 4);
+        assert_eq!(out.metrics.counters.retries, 2);
+        assert_eq!(out.metrics.counters.bounces, 0);
         assert_eq!(out.metrics.total_processed(), 0);
         let probe = out.probe.expect("probe report");
         assert_eq!(
@@ -2259,9 +2267,9 @@ mod tests {
         assert!(out.completed);
         // Every delivery attempt (original + 3 redeliveries) bounces off
         // the down destination; the last one exhausts the retry budget.
-        assert_eq!(out.metrics.bounces, 4);
-        assert_eq!(out.metrics.retries, 3);
-        assert_eq!(out.metrics.tasks_lost, 2);
+        assert_eq!(out.metrics.counters.bounces, 4);
+        assert_eq!(out.metrics.counters.retries, 3);
+        assert_eq!(out.metrics.counters.tasks_lost, 2);
         assert_eq!(out.metrics.processed_per_node, vec![4, 0]);
     }
 
@@ -2275,9 +2283,9 @@ mod tests {
         });
         let out = simulate(&cfg, &mut ShipOnce(2), 19, SimOptions::default());
         assert!(out.completed);
-        assert_eq!(out.metrics.bounces, 0);
-        assert_eq!(out.metrics.retries, 0);
-        assert_eq!(out.metrics.tasks_lost, 2);
+        assert_eq!(out.metrics.counters.bounces, 0);
+        assert_eq!(out.metrics.counters.retries, 0);
+        assert_eq!(out.metrics.counters.tasks_lost, 2);
         assert_eq!(out.metrics.processed_per_node, vec![4, 0]);
     }
 
@@ -2301,9 +2309,9 @@ mod tests {
         });
         let out = simulate(&cfg, &mut ShipOnce(2), 19, opts);
         assert!(!out.completed, "the recovery outlives the deadline");
-        assert_eq!(out.metrics.tasks_lost, 0);
-        assert_eq!(out.metrics.bounces, 0);
-        assert_eq!(out.metrics.retries, 0);
+        assert_eq!(out.metrics.counters.tasks_lost, 0);
+        assert_eq!(out.metrics.counters.bounces, 0);
+        assert_eq!(out.metrics.counters.retries, 0);
         assert_eq!(out.metrics.processed_per_node, vec![4, 0]);
         let trace = out.trace.as_ref().expect("requested");
         assert_eq!(
@@ -2336,12 +2344,12 @@ mod tests {
         assert_eq!(a.completion_time, b.completion_time);
         assert_eq!(a.metrics, b.metrics);
         assert_eq!(
-            a.metrics.total_processed() + a.metrics.tasks_lost,
+            a.metrics.total_processed() + a.metrics.counters.tasks_lost,
             40,
             "every spawned task ends up processed or dead-lettered"
         );
         assert!(
-            a.metrics.tasks_lost > 0,
+            a.metrics.counters.tasks_lost > 0,
             "p = 0.9 with one redelivery loses the batch with probability 0.81"
         );
     }
@@ -2435,6 +2443,7 @@ mod tests {
         // Events executed up to and including the arrival.
         let upto = simulate(&cfg, &mut NoBalancing, 3, opts(Some(5.0), None))
             .metrics
+            .counters
             .events;
         assert!(upto > 2 * WATCHDOG_STRIDE);
         let factory = StreamFactory::new(3);

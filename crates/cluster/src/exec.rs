@@ -34,16 +34,22 @@
 //! Jobs with equal seeds share those streams: that is how the
 //! `(grid point, policy)` cells of the lab's `cells` module, one job
 //! each, get common random numbers.
+//!
+//! A replication that panics or overruns [`SimOptions::task_timeout`] is
+//! quarantined ([`QuarantineReport`]) and the pass goes on without it: its
+//! job's [`PointStats`] holds the surviving replications only and names
+//! the lost one in [`PointStats::quarantined_reps`].
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
-use churnbal_stochastic::StreamFactory;
+use churnbal_stochastic::{OnlineStats, StreamFactory};
 
 use crate::config::SystemConfig;
 use crate::engine::{RunSummary, SimOptions, Simulator};
+use crate::metrics::Counters;
 use crate::policy::Policy;
 use crate::probe::ProbeReport;
 
@@ -97,70 +103,86 @@ impl PointJob<'_> {
     }
 }
 
-/// Slot-stable per-replication results of one completed job, in
-/// replication order.
+/// The result of one completed job, and of one `(grid point, policy)`
+/// cell: the per-replication columns of its **surviving** replications in
+/// replication order, their summed counters, and the replications lost to
+/// quarantine. A quarantined replication has no entry in any column and
+/// adds nothing to any total, so every statistic below is over the
+/// survivors only.
 #[derive(Clone, Debug, Default)]
 pub struct PointStats {
-    /// Completion time of each replication.
+    /// Completion time of each surviving replication.
     pub completion_times: Vec<f64>,
-    /// Failures observed in each replication.
+    /// Failures observed in each surviving replication.
     pub failures_per_rep: Vec<u64>,
-    /// Tasks shipped in each replication.
+    /// Tasks shipped in each surviving replication.
     pub tasks_shipped_per_rep: Vec<u64>,
-    /// Replications that hit the deadline without completing.
+    /// Surviving replications that hit the deadline without completing.
     pub incomplete: u64,
-    /// Engine events dispatched across all replications.
-    pub total_events: u64,
-    /// Node recoveries summed across replications.
-    pub total_recoveries: u64,
-    /// Transfer batches summed across replications.
-    pub total_transfers: u64,
-    /// Tasks ordered by policies but clamped for lack of supply, summed
-    /// across replications.
-    pub total_tasks_clamped: u64,
-    /// Tasks permanently lost by the transfer channel, summed across
-    /// replications (always 0 under [`crate::ChannelModel::Reliable`]).
-    pub total_tasks_lost: u64,
-    /// Channel redelivery attempts summed across replications.
-    pub total_retries: u64,
-    /// Batches bounced off down destinations, summed across replications.
-    pub total_bounces: u64,
-    /// In-transit task·seconds summed across replications — the sum runs
+    /// The surviving replications' counters, summed; its `failures` and
+    /// `tasks_shipped` are the sums of the two columns above.
+    pub counters: Counters,
+    /// In-transit task·seconds summed across the surviving replications —
     /// in replication order on the drain thread, so the float total is
     /// schedule-invariant.
     pub transit_task_seconds: f64,
-    /// Per-replication probe telemetry, in replication order; empty when
-    /// probing is off (see [`SimOptions::probe_dt`]).
+    /// Probe telemetry of each surviving replication, in replication
+    /// order; empty when probing is off (see [`SimOptions::probe_dt`]).
     pub probes: Vec<ProbeReport>,
-    /// Replication indices that were quarantined (panicked, or aborted by
-    /// the [`SimOptions::task_timeout`] watchdog), in ascending order.
-    /// Their slots in the per-replication vectors hold placeholder zeros
-    /// and must be skipped by every estimator — see
-    /// [`crate::mc::McEstimate::from_point_stats`].
+    /// Replications that were quarantined (panicked, or aborted by the
+    /// [`SimOptions::task_timeout`] watchdog), ascending, counted from
+    /// this result's first replication. The survivors' replication
+    /// indices are the others, in order.
     pub quarantined_reps: Vec<u64>,
 }
 
 impl PointStats {
+    /// Sample mean of the completion time; `NaN` without a surviving
+    /// replication.
+    #[must_use]
+    pub fn mean(&self) -> f64 {
+        self.survived(OnlineStats::from_slice(&self.completion_times).mean())
+    }
+
+    /// 95% confidence half-width of the mean completion time; `NaN`
+    /// without a surviving replication.
+    #[must_use]
+    pub fn ci95(&self) -> f64 {
+        self.survived(OnlineStats::from_slice(&self.completion_times).ci95_half_width())
+    }
+
+    /// `statistic`, or `NaN` when no replication survived: an empty
+    /// sample has no statistic, and a made-up 0.0 would read as data.
+    fn survived(&self, statistic: f64) -> f64 {
+        if self.completion_times.is_empty() {
+            f64::NAN
+        } else {
+            statistic
+        }
+    }
+
+    /// Replications covered: the survivors and the quarantined.
+    fn len(&self) -> u64 {
+        (self.completion_times.len() + self.quarantined_reps.len()) as u64
+    }
+
     /// Appends the replications that follow this one's, in replication
-    /// order: the per-replication columns, probe reports and quarantined
-    /// replications move over, and the run totals (the float
-    /// `transit_task_seconds` included) add.
+    /// order: the per-replication columns and probe reports move over,
+    /// the totals (the float `transit_task_seconds` included) add, and
+    /// `next`'s quarantined replications are renumbered from this
+    /// result's end.
     pub fn append(&mut self, mut next: Self) {
+        let offset = self.len();
         self.completion_times.append(&mut next.completion_times);
         self.failures_per_rep.append(&mut next.failures_per_rep);
         self.tasks_shipped_per_rep
             .append(&mut next.tasks_shipped_per_rep);
         self.incomplete += next.incomplete;
-        self.total_events += next.total_events;
-        self.total_recoveries += next.total_recoveries;
-        self.total_transfers += next.total_transfers;
-        self.total_tasks_clamped += next.total_tasks_clamped;
-        self.total_tasks_lost += next.total_tasks_lost;
-        self.total_retries += next.total_retries;
-        self.total_bounces += next.total_bounces;
+        self.counters.add(&next.counters);
         self.transit_task_seconds += next.transit_task_seconds;
         self.probes.append(&mut next.probes);
-        self.quarantined_reps.append(&mut next.quarantined_reps);
+        self.quarantined_reps
+            .extend(next.quarantined_reps.iter().map(|r| r + offset));
     }
 }
 
@@ -184,12 +206,11 @@ pub struct QuarantineReport {
 /// The inline path runs each job as one block, so both schedules build
 /// their stats through this one accumulator.
 struct Block {
-    /// Replication index of the first entry.
+    /// Replication index of the block's first replication.
     first: u64,
-    /// Everything but the transit total: per-replication columns
-    /// (placeholder zeros for a quarantined replication), integer run
-    /// totals (exact in any order), probe reports when probing is armed,
-    /// and the quarantined replications.
+    /// Everything but the transit total: the survivors' columns, integer
+    /// run totals (exact in any order), probe reports when probing is
+    /// armed, and the quarantined replications.
     stats: PointStats,
     /// Per-replication transit integrals, summed in replication order by
     /// [`Block::into_stats`] so the float total is schedule-invariant.
@@ -234,30 +255,19 @@ impl Block {
         let s = &mut block.stats;
         for r in reps {
             match run_one(jobs, j, r, sim, make_policy, local) {
-                Ok((out, probe)) => {
+                Ok((out, counters, probe)) => {
                     s.completion_times.push(out.completion_time);
-                    s.failures_per_rep.push(out.failures);
-                    s.tasks_shipped_per_rep.push(out.tasks_shipped);
+                    s.failures_per_rep.push(counters.failures);
+                    s.tasks_shipped_per_rep.push(counters.tasks_shipped);
                     block.transit.push(out.transit_task_seconds);
                     s.incomplete += u64::from(!out.completed);
-                    s.total_events += out.events;
-                    s.total_recoveries += out.recoveries;
-                    s.total_transfers += out.transfers;
-                    s.total_tasks_clamped += out.tasks_clamped;
-                    s.total_tasks_lost += out.tasks_lost;
-                    s.total_retries += out.retries;
-                    s.total_bounces += out.bounces;
+                    s.counters.add(&counters);
                     s.probes.extend(probe);
                 }
                 Err(message) => {
-                    // Quarantined: placeholder zeros keep the columns
-                    // slot-stable, and it counts as neither complete nor
-                    // deadline-incomplete.
-                    s.completion_times.push(0.0);
-                    s.failures_per_rep.push(0);
-                    s.tasks_shipped_per_rep.push(0);
-                    block.transit.push(0.0);
-                    s.quarantined_reps.push(r);
+                    // Quarantined: no entry anywhere, and neither
+                    // complete nor deadline-incomplete.
+                    s.quarantined_reps.push(r - block.first);
                     block.quarantines.push(QuarantineReport {
                         point: j,
                         rep: r,
@@ -270,7 +280,7 @@ impl Block {
     }
 
     fn len(&self) -> u64 {
-        self.transit.len() as u64
+        self.stats.len()
     }
 
     /// Appends the block that follows this one in replication order.
@@ -702,8 +712,8 @@ fn bind_simulator<'s, 'a>(
 /// simulator (creating or rebinding it as needed) inside a panic boundary,
 /// and accumulates the worker's instrumentation.
 ///
-/// Returns the run's summary and probe report, or `Err(message)` when
-/// the task must be quarantined: it panicked, or the
+/// Returns the run's summary, counters and probe report, or
+/// `Err(message)` when the task must be quarantined: it panicked, or the
 /// [`SimOptions::task_timeout`] watchdog aborted it. After a panic the
 /// simulator slot is dropped — the unwound run may have left it
 /// mid-update, and the next bind builds a fresh one ([`Simulator::rebind`]
@@ -717,7 +727,7 @@ fn run_one<'a, P, F>(
     sim: &mut Option<(usize, Simulator<'a>)>,
     make_policy: &F,
     local: &mut WorkerReport,
-) -> Result<(RunSummary, Option<ProbeReport>), String>
+) -> Result<(RunSummary, Counters, Option<ProbeReport>), String>
 where
     P: Policy,
     F: Fn(usize, u64) -> P + Sync,
@@ -731,19 +741,18 @@ where
         let sim = bind_simulator(sim, j, job, r, &mut local.rebinds);
         let mut policy = make_policy(j, r);
         let out = sim.run_summary(&mut policy);
-        let probe = sim.take_probe_report();
-        (out, probe)
+        (out, sim.metrics().counters, sim.take_probe_report())
     }));
     local.busy_seconds += task_start.elapsed().as_secs_f64();
     local.tasks += 1;
     match outcome {
-        Ok((out, probe)) => {
+        Ok((out, counters, probe)) => {
             local.events += out.events;
             if out.aborted {
                 let limit = job.options.task_timeout.unwrap_or(f64::INFINITY);
                 return Err(format!("exceeded the task timeout of {limit}s"));
             }
-            Ok((out, probe))
+            Ok((out, counters, probe))
         }
         Err(payload) => {
             *sim = None;
@@ -859,7 +868,7 @@ mod tests {
             assert_eq!(stats.failures_per_rep.len(), reps[i] as usize);
             assert_eq!(stats.tasks_shipped_per_rep.len(), reps[i] as usize);
             assert!(stats.completion_times.iter().all(|&t| t > 0.0));
-            assert!(stats.total_events > 0);
+            assert!(stats.counters.events > 0);
             assert_eq!(stats.incomplete, 0);
         }
     }
@@ -872,13 +881,7 @@ mod tests {
             failures_per_rep,
             tasks_shipped_per_rep,
             incomplete,
-            total_events,
-            total_recoveries,
-            total_transfers,
-            total_tasks_clamped,
-            total_tasks_lost,
-            total_retries,
-            total_bounces,
+            counters,
             transit_task_seconds,
             probes,
             quarantined_reps,
@@ -887,29 +890,8 @@ mod tests {
         assert_eq!(bits(completion_times), bits(&b.completion_times), "{ctx}");
         assert_eq!(*failures_per_rep, b.failures_per_rep, "{ctx}");
         assert_eq!(*tasks_shipped_per_rep, b.tasks_shipped_per_rep, "{ctx}");
-        assert_eq!(
-            [
-                *incomplete,
-                *total_events,
-                *total_recoveries,
-                *total_transfers,
-                *total_tasks_clamped,
-                *total_tasks_lost,
-                *total_retries,
-                *total_bounces,
-            ],
-            [
-                b.incomplete,
-                b.total_events,
-                b.total_recoveries,
-                b.total_transfers,
-                b.total_tasks_clamped,
-                b.total_tasks_lost,
-                b.total_retries,
-                b.total_bounces,
-            ],
-            "{ctx}"
-        );
+        assert_eq!(*incomplete, b.incomplete, "{ctx}");
+        assert_eq!(*counters, b.counters, "{ctx}");
         assert_eq!(
             transit_task_seconds.to_bits(),
             b.transit_task_seconds.to_bits(),
@@ -1076,7 +1058,7 @@ mod tests {
                 assert_eq!((*j0, *j1), (2 * point, 2 * point + 1), "cell order");
                 assert_eq!(a.completion_times, b.completion_times);
                 assert_eq!(a.failures_per_rep, b.failures_per_rep);
-                assert_eq!(a.total_events, b.total_events);
+                assert_eq!(a.counters, b.counters);
             }
         }
     }
@@ -1180,29 +1162,21 @@ mod tests {
 
     #[test]
     fn telemetry_counters_are_schedule_invariant() {
-        // The new PointStats counters (recoveries/transfers/clamped and
-        // the float transit sum) must match the inline reference for any
-        // thread/chunk placement, like the per-rep vectors.
+        // The summed counters and the float transit sum match the inline
+        // reference for any thread/chunk placement, like the columns.
         let configs = grid();
         let reps = [5u64, 3, 9, 2];
         let reference = collect(&configs, &reps, 1, 0);
         assert!(
-            reference.iter().any(|(_, s)| s.total_recoveries > 0),
+            reference.iter().any(|(_, s)| s.counters.recoveries > 0),
             "churny grid must recover somewhere"
         );
         for threads in [2, 4] {
             for chunk in [0, 1, 3] {
                 let got = collect(&configs, &reps, threads, chunk);
                 for ((_, a), (_, b)) in reference.iter().zip(&got) {
-                    assert_eq!(a.total_recoveries, b.total_recoveries);
-                    assert_eq!(a.total_transfers, b.total_transfers);
-                    assert_eq!(a.total_tasks_clamped, b.total_tasks_clamped);
-                    assert_eq!(
-                        a.transit_task_seconds.to_bits(),
-                        b.transit_task_seconds.to_bits(),
-                        "threads={threads} chunk={chunk}: float sum must be bit-stable"
-                    );
-                    assert!(a.probes.is_empty() && b.probes.is_empty());
+                    assert_same_stats(a, b, &format!("threads={threads} chunk={chunk}"));
+                    assert!(a.probes.is_empty());
                 }
             }
         }
@@ -1245,7 +1219,7 @@ mod tests {
             .collect();
         for threads in [1, 4] {
             let (cells, report) = run_cells(&jobs, threads, 1);
-            let events: u64 = cells.iter().map(|(_, s)| s.total_events).sum();
+            let events: u64 = cells.iter().map(|(_, s)| s.counters.events).sum();
             let totals = report.totals();
             assert_eq!(totals.tasks, 3 * jobs.len() as u64, "threads={threads}");
             assert_eq!(totals.events, events, "threads={threads}");
@@ -1321,18 +1295,27 @@ mod tests {
             for (i, (p, stats)) in cells.iter().enumerate() {
                 assert_eq!(*p, i);
                 if i == 1 {
+                    // The quarantined replication has no slot: the
+                    // survivors are replications 0 and 2 of the clean
+                    // reference, and only they are counted.
+                    let clean = &reference[1].1;
                     assert_eq!(stats.quarantined_reps, vec![1]);
-                    assert_eq!(stats.completion_times[1], 0.0, "placeholder slot");
                     assert_eq!(stats.incomplete, 0, "lost, not deadline-incomplete");
-                    // Surviving slots match the clean reference.
+                    let survivors = |v: &[u64]| vec![v[0], v[2]];
                     assert_eq!(
-                        stats.completion_times[0],
-                        reference[1].1.completion_times[0]
+                        stats.completion_times,
+                        [clean.completion_times[0], clean.completion_times[2]]
+                    );
+                    assert_eq!(stats.failures_per_rep, survivors(&clean.failures_per_rep));
+                    assert_eq!(
+                        stats.tasks_shipped_per_rep,
+                        survivors(&clean.tasks_shipped_per_rep)
                     );
                     assert_eq!(
-                        stats.completion_times[2],
-                        reference[1].1.completion_times[2]
+                        stats.counters.failures,
+                        stats.failures_per_rep.iter().sum::<u64>()
                     );
+                    assert!(stats.counters.events < clean.counters.events);
                 } else {
                     assert_eq!(stats.completion_times, reference[i].1.completion_times);
                     assert!(stats.quarantined_reps.is_empty());
@@ -1381,7 +1364,7 @@ mod tests {
         let plain = run(None);
         let watched = run(Some(3600.0));
         assert_eq!(plain.completion_times, watched.completion_times);
-        assert_eq!(plain.total_events, watched.total_events);
+        assert_eq!(plain.counters, watched.counters);
         assert!(watched.quarantined_reps.is_empty());
     }
 }

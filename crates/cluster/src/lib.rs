@@ -22,8 +22,8 @@
 //!   (see DESIGN.md "Substitutions"): the same dynamics with the empirically
 //!   shaped transfer-delay law (fixed shift + per-task jitter) and the
 //!   matrix-multiplication application model used for Figs. 1–2.
-//! * [`trace`] / [`metrics`] — queue step-functions (Fig. 4) and summary
-//!   statistics.
+//! * [`trace`] / [`metrics`] — queue step-functions (Fig. 4) and the
+//!   per-run [`Counters`] and integrals.
 //! * [`probe`] — the deterministic observability layer: simulation-time
 //!   fleet probes ([`SimOptions::probe_dt`]) producing per-tick aggregate
 //!   samples and log-bucketed distribution histograms, zero-cost when off
@@ -52,7 +52,8 @@ pub use config::{
 };
 pub use engine::{simulate, RunSummary, SimOptions, SimOutcome, Simulator};
 pub use exec::{run_grid, ExecReport, PointJob, PointStats, QuarantineReport, WorkerReport};
-pub use mc::{run_replications, McEstimate};
+pub use mc::run_replications;
+pub use metrics::Counters;
 pub use policy::{
     Neighbors, NoBalancing, NodeView, Policy, SystemSnapshot, SystemView, TransferOrder,
 };

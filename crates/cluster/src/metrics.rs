@@ -1,18 +1,27 @@
 //! Per-run summary metrics.
+//!
+//! Every per-run count lives in one [`Counters`] record: the engine
+//! increments the fields of [`Metrics::counters`], the scheduler sums one
+//! record per cell ([`crate::PointStats::counters`]), and the lab's rows
+//! carry that sum. A new count is one `Counters` field, its line in
+//! [`Counters::add`], its key in the lab's cell file (render and parse)
+//! and its output column; `add` and the cell file take the record apart
+//! or build it whole, so a count left out of either does not compile.
 
-/// Counters and integrals collected during one simulation run.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Metrics {
-    /// Number of events the engine executed (a deadline-exceeding pop is
-    /// not counted). The throughput numerator of the `perfreport` harness.
+/// The per-run counts of one replication, or their sum over a cell's
+/// replications.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Counters {
+    /// Events the engine executed (a deadline-exceeding pop is not
+    /// counted). The throughput numerator of the `perfreport` harness.
     pub events: u64,
-    /// Number of node failures observed.
+    /// Node failures observed.
     pub failures: u64,
-    /// Number of node recoveries observed.
+    /// Node recoveries observed.
     pub recoveries: u64,
-    /// Number of transfer batches initiated.
+    /// Transfer batches initiated.
     pub transfers: u64,
-    /// Total tasks shipped between nodes.
+    /// Tasks shipped between nodes.
     pub tasks_shipped: u64,
     /// Tasks a policy ordered but the source queue could not supply
     /// (requests are clamped; a large value flags a mis-tuned policy).
@@ -26,6 +35,40 @@ pub struct Metrics {
     /// Batches bounced off a down destination back into the retry
     /// protocol ([`crate::config::DownPolicy::Bounce`]).
     pub bounces: u64,
+}
+
+impl Counters {
+    /// Adds `other` field by field — integer sums, exact in any order
+    /// (the destructuring breaks the build when a field is added unsummed).
+    pub fn add(&mut self, other: &Self) {
+        let Self {
+            events,
+            failures,
+            recoveries,
+            transfers,
+            tasks_shipped,
+            tasks_clamped,
+            tasks_lost,
+            retries,
+            bounces,
+        } = *other;
+        self.events += events;
+        self.failures += failures;
+        self.recoveries += recoveries;
+        self.transfers += transfers;
+        self.tasks_shipped += tasks_shipped;
+        self.tasks_clamped += tasks_clamped;
+        self.tasks_lost += tasks_lost;
+        self.retries += retries;
+        self.bounces += bounces;
+    }
+}
+
+/// Counters and integrals collected during one simulation run.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Metrics {
+    /// The run's counts.
+    pub counters: Counters,
     /// Tasks processed by each node.
     pub processed_per_node: Vec<u64>,
     /// Total down-time accumulated by each node (seconds).
@@ -41,15 +84,7 @@ impl Metrics {
     #[must_use]
     pub fn new(n: usize) -> Self {
         Self {
-            events: 0,
-            failures: 0,
-            recoveries: 0,
-            transfers: 0,
-            tasks_shipped: 0,
-            tasks_clamped: 0,
-            tasks_lost: 0,
-            retries: 0,
-            bounces: 0,
+            counters: Counters::default(),
             processed_per_node: vec![0; n],
             downtime_per_node: vec![0.0; n],
             transit_task_seconds: 0.0,
@@ -73,15 +108,7 @@ impl Metrics {
     /// path of a simulator reused across sweep grid points. Keeps the
     /// per-node vectors' allocations whenever capacity allows.
     pub fn reset_for(&mut self, n: usize) {
-        self.events = 0;
-        self.failures = 0;
-        self.recoveries = 0;
-        self.transfers = 0;
-        self.tasks_shipped = 0;
-        self.tasks_clamped = 0;
-        self.tasks_lost = 0;
-        self.retries = 0;
-        self.bounces = 0;
+        self.counters = Counters::default();
         self.processed_per_node.clear();
         self.processed_per_node.resize(n, 0);
         self.downtime_per_node.clear();
@@ -100,7 +127,7 @@ mod tests {
         assert_eq!(m.total_processed(), 0);
         assert_eq!(m.processed_per_node.len(), 3);
         assert_eq!(m.downtime_per_node.len(), 3);
-        assert_eq!(m.failures, 0);
+        assert_eq!(m.counters, Counters::default());
     }
 
     #[test]
@@ -125,15 +152,8 @@ mod tests {
     #[test]
     fn reset_restores_the_zero_state() {
         let mut m = Metrics::new(2);
-        m.events = 9;
-        m.failures = 3;
-        m.recoveries = 2;
-        m.transfers = 1;
-        m.tasks_shipped = 7;
-        m.tasks_clamped = 4;
-        m.tasks_lost = 2;
-        m.retries = 6;
-        m.bounces = 1;
+        m.counters.events = 9;
+        m.counters.bounces = 1;
         m.processed_per_node[1] = 5;
         m.downtime_per_node[0] = 1.5;
         m.transit_task_seconds = 0.25;

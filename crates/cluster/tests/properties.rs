@@ -134,7 +134,7 @@ proptest! {
     fn clamp_accounting(config in arb_config(), seed in any::<u64>()) {
         let mut policy = ChaosPolicy { seed, calls: 0 };
         let out = simulate(&config, &mut policy, seed, SimOptions::default());
-        prop_assert!(out.metrics.tasks_shipped <= config.total_tasks() * (out.metrics.transfers + 1));
+        prop_assert!(out.metrics.counters.tasks_shipped <= config.total_tasks() * (out.metrics.counters.transfers + 1));
         // every shipped task is eventually processed (conservation above),
         // and downtime is non-negative
         for &d in &out.metrics.downtime_per_node {
@@ -209,7 +209,7 @@ proptest! {
         );
         prop_assert!(out.completed);
         prop_assert_eq!(
-            out.metrics.total_processed() + out.metrics.tasks_lost,
+            out.metrics.total_processed() + out.metrics.counters.tasks_lost,
             config.total_tasks()
         );
     }

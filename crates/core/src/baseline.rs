@@ -87,7 +87,7 @@ mod tests {
         let out = simulate(&cfg, &mut p, 31, SimOptions::default());
         assert!(out.completed);
         // one initial order from the overloaded node, nothing else
-        assert_eq!(out.metrics.transfers, 1);
+        assert_eq!(out.metrics.counters.transfers, 1);
     }
 
     #[test]
@@ -96,7 +96,10 @@ mod tests {
         let mut p = UponFailureOnly::new();
         let out = simulate(&cfg, &mut p, 32, SimOptions::default());
         assert!(out.completed);
-        assert_eq!(out.metrics.transfers, 0, "no failures, no transfers");
+        assert_eq!(
+            out.metrics.counters.transfers, 0,
+            "no failures, no transfers"
+        );
     }
 
     #[test]
@@ -105,7 +108,10 @@ mod tests {
         let mut p = UponFailureOnly::new();
         let out = simulate(&cfg, &mut p, 33, SimOptions::default());
         assert!(out.completed);
-        assert!(out.metrics.failures > 0, "long run should see churn");
-        assert!(out.metrics.transfers > 0);
+        assert!(
+            out.metrics.counters.failures > 0,
+            "long run should see churn"
+        );
+        assert!(out.metrics.counters.transfers > 0);
     }
 }

@@ -167,7 +167,7 @@ mod tests {
         assert!(out.completed);
         assert_eq!(p.episodes(), 3, "start + two arrivals");
         // Re-balancing must have shipped some of the late-arriving load.
-        assert!(out.metrics.transfers >= 2);
+        assert!(out.metrics.counters.transfers >= 2);
     }
 
     #[test]
@@ -182,7 +182,7 @@ mod tests {
         assert!(out.completed);
         assert_eq!(p.episodes(), 2, "start + one arrival");
         assert!(
-            out.metrics.transfers >= 2,
+            out.metrics.counters.transfers >= 2,
             "each episode should ship something here"
         );
     }

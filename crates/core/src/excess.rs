@@ -20,7 +20,36 @@
 //! load `m/λ_d` receive more. The amount actually shipped is attenuated by
 //! the gain: `L_ij = K · p_ij · L_excess_j` (Eq. 7).
 
-use churnbal_cluster::TransferOrder;
+use churnbal_cluster::{SystemView, TransferOrder};
+
+/// Streams the Eq. (6)–(7) balancing orders of every sender of `view`
+/// into `sink`, in sender order: each sender's excess over its
+/// weight-proportional share of its closed neighborhood, partitioned over
+/// its neighbors (see [`local_balancing_orders_into`]). Without a
+/// topology every closed neighborhood is the whole system, so its totals
+/// are summed once per call, in the `0..n` order of the per-sender walk:
+/// the scan costs O(n) plus O(n) per sender with an excess, and every
+/// order is bit-identical to the per-sender form's.
+///
+/// # Panics
+/// Panics if any weight is non-positive.
+pub(crate) fn balancing_orders_into(
+    view: &SystemView<'_>,
+    weight: impl Fn(usize) -> f64,
+    gain: f64,
+    sink: &mut Vec<TransferOrder>,
+) {
+    let n = view.len();
+    let queue = |i: usize| view.queue_len[i];
+    let mut complete = None;
+    for j in 0..n {
+        let hood = match view.topology {
+            Some(_) => Neighborhood::closed(j, view.neighbors(j), queue, &weight),
+            None => *complete.get_or_insert_with(|| Neighborhood::closed(0, 1..n, queue, &weight)),
+        };
+        partition_excess(j, view.neighbors(j), hood, queue, &weight, gain, sink);
+    }
+}
 
 /// Streams the Eq. (6)–(7) balancing orders of one sender `j` into `sink`
 /// without allocating: `j`'s excess over its weight-proportional share of
@@ -46,36 +75,74 @@ pub fn local_balancing_orders_into(
     gain: f64,
     sink: &mut Vec<TransferOrder>,
 ) {
-    // Totals pass over the closed neighborhood, ascending — merging `j`
-    // into the sorted receiver walk keeps the `0..n` accumulation order
-    // of the reference on complete graphs.
-    let mut total_rate = 0.0;
-    let mut total_load = 0.0;
-    let mut degree = 0usize;
-    let mut merged = false;
-    let mut absorb = |l: usize| {
-        let w = weight(l);
-        assert!(w > 0.0, "service rates must be positive");
-        total_rate += w;
-        total_load += f64::from(queue(l));
-    };
-    for l in receivers.clone() {
-        debug_assert_ne!(l, j, "receivers must not contain the sender");
-        if !merged && l > j {
-            absorb(j);
-            merged = true;
+    let hood = Neighborhood::closed(j, receivers.clone(), &queue, &weight);
+    partition_excess(j, receivers, hood, queue, weight, gain, sink);
+}
+
+/// The totals of a sender's closed neighborhood.
+#[derive(Clone, Copy)]
+struct Neighborhood {
+    /// Σ weight.
+    rate: f64,
+    /// Σ queue.
+    load: f64,
+    /// Receivers (the sender excluded).
+    degree: usize,
+}
+
+impl Neighborhood {
+    /// Sums `j` and `receivers` ascending — merging `j` into the sorted
+    /// receiver walk keeps the `0..n` accumulation order of the reference
+    /// on complete graphs.
+    fn closed(
+        j: usize,
+        receivers: impl Iterator<Item = usize>,
+        queue: impl Fn(usize) -> u32,
+        weight: impl Fn(usize) -> f64,
+    ) -> Self {
+        let mut hood = Self {
+            rate: 0.0,
+            load: 0.0,
+            degree: 0,
+        };
+        let mut merged = false;
+        let mut absorb = |l: usize| {
+            let w = weight(l);
+            assert!(w > 0.0, "service rates must be positive");
+            hood.rate += w;
+            hood.load += f64::from(queue(l));
+        };
+        for l in receivers {
+            debug_assert_ne!(l, j, "receivers must not contain the sender");
+            if !merged && l > j {
+                absorb(j);
+                merged = true;
+            }
+            absorb(l);
+            hood.degree += 1;
         }
-        absorb(l);
-        degree += 1;
+        if !merged {
+            absorb(j);
+        }
+        hood
     }
-    if !merged {
-        absorb(j);
-    }
-    if degree == 0 {
+}
+
+/// Sender `j`'s orders given its closed neighborhood's totals.
+fn partition_excess(
+    j: usize,
+    receivers: impl Iterator<Item = usize> + Clone,
+    hood: Neighborhood,
+    queue: impl Fn(usize) -> u32,
+    weight: impl Fn(usize) -> f64,
+    gain: f64,
+    sink: &mut Vec<TransferOrder>,
+) {
+    if hood.degree == 0 {
         return;
     }
-    let n_local = degree + 1;
-    let ex = (f64::from(queue(j)) - weight(j) / total_rate * total_load).max(0.0);
+    let n_local = hood.degree + 1;
+    let ex = (f64::from(queue(j)) - weight(j) / hood.rate * hood.load).max(0.0);
     if ex <= 0.0 {
         return;
     }
@@ -313,6 +380,23 @@ mod tests {
                     );
                 }
                 assert_eq!(streamed, reference, "queues {queues:?} gain {gain}");
+                // The whole-view scan sums the complete graph's totals once.
+                let (up, zero) = (vec![true; n], vec![0.0; n]);
+                let view = SystemView {
+                    time: 0.0,
+                    queue_len: queues,
+                    up: &up,
+                    service_rate: rates,
+                    failure_rate: &zero,
+                    recovery_rate: &zero,
+                    delay_per_task: 0.0,
+                    in_transit: 0,
+                    tasks_lost: 0,
+                    topology: None,
+                };
+                let mut scanned = Vec::new();
+                balancing_orders_into(&view, |i| rates[i], gain, &mut scanned);
+                assert_eq!(scanned, reference, "queues {queues:?} gain {gain}");
             }
         }
     }

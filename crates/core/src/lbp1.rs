@@ -131,8 +131,8 @@ mod tests {
         assert_eq!(p.tasks(), 35);
         let out = simulate(&cfg, &mut p, 11, SimOptions::default());
         assert!(out.completed);
-        assert_eq!(out.metrics.transfers, 1);
-        assert_eq!(out.metrics.tasks_shipped, 35);
+        assert_eq!(out.metrics.counters.transfers, 1);
+        assert_eq!(out.metrics.counters.tasks_shipped, 35);
     }
 
     #[test]
@@ -140,7 +140,7 @@ mod tests {
         let cfg = SystemConfig::paper([100, 60]);
         let mut p = Lbp1::with_gain(0, 1, 100, 0.0);
         let out = simulate(&cfg, &mut p, 12, SimOptions::default());
-        assert_eq!(out.metrics.transfers, 0);
+        assert_eq!(out.metrics.counters.transfers, 0);
     }
 
     #[test]
@@ -174,7 +174,7 @@ mod tests {
         let mut p = Lbp1::with_gain(0, 1, 50, 0.4);
         let out = simulate(&cfg, &mut p, 13, SimOptions::default());
         // exactly the single initial transfer, regardless of churn
-        assert_eq!(out.metrics.transfers, 1);
+        assert_eq!(out.metrics.counters.transfers, 1);
     }
 
     #[test]

@@ -128,16 +128,7 @@ impl Lbp2 {
     /// without a topology the neighborhood is the whole system, which is
     /// the paper's global partition.
     pub fn balancing_orders_into(&self, view: &SystemView<'_>, orders: &mut Vec<TransferOrder>) {
-        for j in 0..view.len() {
-            crate::excess::local_balancing_orders_into(
-                j,
-                view.neighbors(j),
-                |i| view.queue_len[i],
-                |i| view.service_rate[i],
-                self.gain,
-                orders,
-            );
-        }
+        crate::excess::balancing_orders_into(view, |i| view.service_rate[i], self.gain, orders);
     }
 
     /// The Eq. (7) orders as a fresh vector (convenience/diagnostic form of
@@ -351,9 +342,9 @@ mod tests {
         let mut p = Lbp2::new(1.0);
         let out = simulate(&cfg, &mut p, 21, SimOptions::default());
         assert!(out.completed);
-        if out.metrics.failures > 0 {
+        if out.metrics.counters.failures > 0 {
             assert!(
-                out.metrics.transfers >= 1,
+                out.metrics.counters.transfers >= 1,
                 "failures occurred but no compensation transfers"
             );
         }

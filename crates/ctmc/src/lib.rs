@@ -25,12 +25,10 @@ pub mod absorb;
 pub mod chain;
 pub mod explore;
 pub mod moments;
-pub mod stationary;
 pub mod uniformization;
 
 pub use absorb::expected_absorption_times;
 pub use chain::{Chain, StateIndex, ABSORBING};
 pub use explore::{explore, Explored};
 pub use moments::{absorption_moments, AbsorptionMoments};
-pub use stationary::stationary_distribution;
 pub use uniformization::{absorption_cdf, transient_distribution};

@@ -3,17 +3,19 @@
 //! `compare` / `stats`.
 //!
 //! The unit of storage is a *cell* — one `(resolved grid point, policy)`
-//! pair — keyed by [`cell_digest`], an FNV-1a digest of every input that
+//! pair — keyed by `cell_digest`, an FNV-1a digest of every input that
 //! can change its replication outcomes: the point scenario's canonical
 //! TOML, the grid coordinates, the policy, the seed and the stopping rule.
 //! A fixed-replication run is the stopping rule `r0 = max_reps = reps`,
 //! so a CLI cell and a campaign cell with the same inputs share one file.
 //! Each cell lives in `<dir>/<digest>.cell.jsonl`: a header line naming
 //! the format and the digest, then one line carrying the cell's
-//! [`PointStats`] minus probe telemetry. Floats are stored as their
-//! IEEE-754 bit patterns, so a replayed cell is bit-identical to the one
-//! that was stored and its rows render byte for byte the same — including
-//! the `--metrics full` counter columns.
+//! [`PointStats`] minus probe telemetry: its per-replication columns, and
+//! its counters except `failures` and `tasks_shipped`, which a load sums
+//! from their columns. Floats are stored as their IEEE-754 bit patterns,
+//! so a replayed cell is bit-identical to the one that was stored and its
+//! rows render byte for byte the same — including the `--metrics full`
+//! counter columns.
 //!
 //! Durability: every write goes to a temporary file that is then renamed
 //! over the cell file, so a crash leaves either the old cell or the new
@@ -28,7 +30,7 @@ use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use churnbal_cluster::PointStats;
+use churnbal_cluster::{Counters, PointStats};
 use churnbal_core::PolicySpec;
 use churnbal_stochastic::Fnv1a;
 
@@ -130,19 +132,26 @@ fn render(digest: u64, s: &PointStats) -> String {
         out,
         "{{\"kind\":\"{CELL_KIND}\",\"version\":{CELL_VERSION},\"cell\":\"{digest:016x}\"}}"
     );
+    // `failures` and `tasks_shipped` are stored as their columns only; the
+    // destructuring breaks the build when a counter is added unstored.
+    let Counters {
+        events,
+        failures: _,
+        recoveries,
+        transfers,
+        tasks_shipped: _,
+        tasks_clamped,
+        tasks_lost,
+        retries,
+        bounces,
+    } = s.counters;
     let _ = write!(
         out,
-        "{{\"reps\":{},\"incomplete\":{},\"events\":{},\"recoveries\":{},\"transfers\":{},\
-         \"clamped\":{},\"lost\":{},\"retries\":{},\"bounces\":{},\"transit\":{}",
+        "{{\"reps\":{},\"incomplete\":{},\"events\":{events},\"recoveries\":{recoveries},\
+         \"transfers\":{transfers},\"clamped\":{tasks_clamped},\"lost\":{tasks_lost},\
+         \"retries\":{retries},\"bounces\":{bounces},\"transit\":{}",
         s.completion_times.len(),
         s.incomplete,
-        s.total_events,
-        s.total_recoveries,
-        s.total_transfers,
-        s.total_tasks_clamped,
-        s.total_tasks_lost,
-        s.total_retries,
-        s.total_bounces,
         s.transit_task_seconds.to_bits(),
     );
     push_u64_array(
@@ -211,19 +220,26 @@ fn parse(text: &str, digest: u64, path: &Path) -> Result<Option<PointStats>, Str
     {
         return Err(bad("inconsistent replication counts"));
     }
+    // The failures and shipped totals are not stored: they are the sums
+    // of their per-replication arrays.
+    let counters = Counters {
+        events: num("events")?,
+        failures: failures.iter().sum(),
+        recoveries: num("recoveries")?,
+        transfers: num("transfers")?,
+        tasks_shipped: shipped.iter().sum(),
+        tasks_clamped: num("clamped")?,
+        tasks_lost: num("lost")?,
+        retries: num("retries")?,
+        bounces: num("bounces")?,
+    };
     Ok(Some(PointStats {
         // Same-layout map: the collect reuses the array's allocation.
         completion_times: times.into_iter().map(f64::from_bits).collect(),
         failures_per_rep: failures,
         tasks_shipped_per_rep: shipped,
         incomplete: num("incomplete")?,
-        total_events: num("events")?,
-        total_recoveries: num("recoveries")?,
-        total_transfers: num("transfers")?,
-        total_tasks_clamped: num("clamped")?,
-        total_tasks_lost: num("lost")?,
-        total_retries: num("retries")?,
-        total_bounces: num("bounces")?,
+        counters,
         transit_task_seconds: f64::from_bits(num("transit")?),
         probes: Vec::new(),
         quarantined_reps: Vec::new(),
@@ -402,21 +418,27 @@ mod tests {
     use crate::registry;
 
     fn sample_stats(reps: usize, salt: u64) -> PointStats {
+        let failures_per_rep: Vec<u64> = (0..reps as u64 + 2).map(|r| r + salt).collect();
+        let tasks_shipped_per_rep: Vec<u64> = (0..reps as u64 + 2).map(|r| 2 * r).collect();
         PointStats {
             completion_times: (0..reps)
                 .map(|r| 0.25 + r as f64 + salt as f64)
                 .chain([f64::MIN_POSITIVE, 1e300])
                 .collect(),
-            failures_per_rep: (0..reps as u64 + 2).map(|r| r + salt).collect(),
-            tasks_shipped_per_rep: (0..reps as u64 + 2).map(|r| 2 * r).collect(),
             incomplete: 1,
-            total_events: 1000 + salt,
-            total_recoveries: 7,
-            total_transfers: 9,
-            total_tasks_clamped: 2,
-            total_tasks_lost: 4 + salt,
-            total_retries: 5,
-            total_bounces: 1,
+            counters: Counters {
+                events: 1000 + salt,
+                failures: failures_per_rep.iter().sum(),
+                recoveries: 7,
+                transfers: 9,
+                tasks_shipped: tasks_shipped_per_rep.iter().sum(),
+                tasks_clamped: 2,
+                tasks_lost: 4 + salt,
+                retries: 5,
+                bounces: 1,
+            },
+            failures_per_rep,
+            tasks_shipped_per_rep,
             transit_task_seconds: 3.5 + salt as f64 * 0.125,
             probes: Vec::new(),
             quarantined_reps: Vec::new(),
@@ -445,10 +467,9 @@ mod tests {
             back.transit_task_seconds.to_bits(),
             stats.transit_task_seconds.to_bits()
         );
-        assert_eq!(
-            (back.total_events, back.total_tasks_lost, back.total_bounces),
-            (1003, 7, 1)
-        );
+        // Every counter comes back, the two array totals derived on load.
+        assert_eq!(back.counters, stats.counters);
+        assert_eq!((back.counters.events, back.counters.tasks_lost), (1003, 7));
         // No stray temporary file is left behind.
         assert_eq!(fs::read_dir(&dir).expect("dir").count(), 1);
         let _ = fs::remove_dir_all(&dir);
@@ -575,7 +596,8 @@ mod tests {
             parse(&max, 5, path)
                 .expect("parses")
                 .expect("hit")
-                .total_events,
+                .counters
+                .events,
             u64::MAX
         );
     }

@@ -825,7 +825,7 @@ mod tests {
     use super::*;
     use crate::cache;
     use crate::sweep::AxisParam;
-    use churnbal_cluster::PointStats;
+    use churnbal_cluster::{Counters, PointStats};
 
     fn rule() -> StoppingRule {
         StoppingRule {
@@ -869,8 +869,13 @@ mod tests {
             failures_per_rep: (0..t.len() as u64).collect(),
             tasks_shipped_per_rep: (10..10 + t.len() as u64).collect(),
             incomplete: 1,
-            total_events: 100,
-            total_retries: 2,
+            counters: Counters {
+                events: 100,
+                failures: (0..t.len() as u64).sum(),
+                tasks_shipped: (10..10 + t.len() as u64).sum(),
+                retries: 2,
+                ..Counters::default()
+            },
             transit_task_seconds: transit,
             ..PointStats::default()
         };
@@ -883,7 +888,7 @@ mod tests {
         );
         assert_eq!(acc.failures_per_rep, vec![0, 1, 0, 1]);
         assert_eq!(
-            (acc.incomplete, acc.total_events, acc.total_retries),
+            (acc.incomplete, acc.counters.events, acc.counters.retries),
             (2, 200, 4)
         );
 
@@ -901,7 +906,8 @@ mod tests {
             back.transit_task_seconds.to_bits(),
             acc.transit_task_seconds.to_bits()
         );
-        assert_eq!((back.incomplete, back.total_events), (2, 200));
+        assert_eq!(back.incomplete, 2);
+        assert_eq!(back.counters, acc.counters);
         // A different digest is a cache miss, not an error.
         assert!(cache::load(&dir, digest ^ 1).expect("no file").is_none());
         let _ = fs::remove_dir_all(&dir);

@@ -60,8 +60,10 @@ pub(crate) struct Cell {
 }
 
 impl Cell {
+    /// Replications run, quarantined ones included: the next round
+    /// continues from here on the stream map.
     pub(crate) fn n(&self) -> u64 {
-        self.stats.completion_times.len() as u64
+        (self.stats.completion_times.len() + self.stats.quarantined_reps.len()) as u64
     }
 
     pub(crate) fn halfwidth(&self) -> f64 {
@@ -259,7 +261,7 @@ pub(crate) fn run<'a>(
         |j, stats| {
             let i = order[j];
             let cell = &mut cells[i].1;
-            if cell.stats.completion_times.is_empty() {
+            if cell.n() == 0 {
                 cell.stats = stats;
             } else {
                 cell.stats.append(stats);

@@ -45,8 +45,8 @@ use churnbal_core::PolicySpec;
 
 use crate::campaign::{Campaign, CampaignRunOptions};
 use crate::experiment::{
-    probe_jsonl_row, CollectSink, Experiment, ExperimentResult, ExperimentRow, ExperimentSchema,
-    ExperimentSpec, LineSink, OutputFormat, PolicyEntry, RowSink,
+    probe_jsonl_row, survivors, CollectSink, Experiment, ExperimentResult, ExperimentRow,
+    ExperimentSchema, ExperimentSpec, LineSink, OutputFormat, PolicyEntry, RowSink,
 };
 use crate::registry;
 use crate::scenario::{Scenario, ScenarioError, ScenarioErrorKind};
@@ -600,11 +600,19 @@ fn render_table(result: &ExperimentResult) -> String {
                 }
             }
         }
+        let mean = |total: u64| r.per_rep(total as f64);
         row.extend([
-            shown(r, format!("{:.2} ± {:.2}", r.mean_failures, r.sd_failures)),
             shown(
                 r,
-                format!("{:.1} ± {:.1}", r.mean_tasks_shipped, r.sd_tasks_shipped),
+                format!("{:.2} ± {:.2}", mean(r.counters.failures), r.sd_failures),
+            ),
+            shown(
+                r,
+                format!(
+                    "{:.1} ± {:.1}",
+                    mean(r.counters.tasks_shipped),
+                    r.sd_tasks_shipped
+                ),
             ),
             r.incomplete.to_string(),
         ]);
@@ -707,8 +715,10 @@ fn deliver(text: String, opts: &CliOptions, preamble: String) -> Result<String, 
 /// Tees probe telemetry to a `--probe-out` JSONL writer while delegating
 /// everything else to the wrapped sink. One line per probe tick, in
 /// `(grid point, policy, replication, tick)` order — the scheduler hands
-/// rows over in `(point, policy)` order and replication slots are stable,
-/// so the file is bit-identical for any `--threads` / `--chunk` value.
+/// rows over in `(point, policy)` order with their survivors' reports in
+/// replication order, so the file is bit-identical for any `--threads` /
+/// `--chunk` value. A quarantined replication has no report, and the
+/// others keep their replication indices.
 struct ProbeTee<'a, W: Write> {
     inner: &'a mut dyn RowSink,
     out: W,
@@ -736,7 +746,8 @@ impl<W: Write> RowSink for ProbeTee<'_, W> {
     }
 
     fn probes(&mut self, row: &ExperimentRow, reports: &[ProbeReport]) -> Result<(), String> {
-        for (rep, report) in reports.iter().enumerate() {
+        for (rep, report) in survivors(&row.quarantined).zip(reports) {
+            let rep = usize::try_from(rep).expect("replication index fits usize");
             for sample in &report.samples {
                 let line = probe_jsonl_row(&self.scenario, row.index, &row.policy, rep, sample);
                 self.out
@@ -942,6 +953,8 @@ fn cmd_stats(scenario: &Scenario, opts: &CliOptions) -> Result<String, String> {
     );
 
     out.push_str("\ncounters (mean per replication)\n");
+    let c = &row.counters;
+    let mean = |total: u64| row.per_rep(total as f64);
     let counters = [
         (
             "completion time",
@@ -952,25 +965,26 @@ fn cmd_stats(scenario: &Scenario, opts: &CliOptions) -> Result<String, String> {
         ),
         (
             "failures",
-            format!("{:.2} ± {:.2} sd", row.mean_failures, row.sd_failures),
+            format!("{:.2} ± {:.2} sd", mean(c.failures), row.sd_failures),
         ),
-        ("recoveries", format!("{:.2}", row.mean_recoveries)),
-        ("transfer batches", format!("{:.2}", row.mean_transfers)),
+        ("recoveries", format!("{:.2}", mean(c.recoveries))),
+        ("transfer batches", format!("{:.2}", mean(c.transfers))),
         (
             "tasks shipped",
             format!(
                 "{:.1} ± {:.1} sd",
-                row.mean_tasks_shipped, row.sd_tasks_shipped
+                mean(c.tasks_shipped),
+                row.sd_tasks_shipped
             ),
         ),
-        ("clamped orders", format!("{:.2}", row.mean_tasks_clamped)),
+        ("clamped orders", format!("{:.2}", mean(c.tasks_clamped))),
         (
             "transit task-seconds",
-            format!("{:.2}", row.mean_transit_task_seconds),
+            format!("{:.2}", row.per_rep(row.transit_task_seconds)),
         ),
-        ("tasks lost", format!("{:.2}", row.mean_tasks_lost)),
-        ("channel retries", format!("{:.2}", row.mean_retries)),
-        ("channel bounces", format!("{:.2}", row.mean_bounces)),
+        ("tasks lost", format!("{:.2}", mean(c.tasks_lost))),
+        ("channel retries", format!("{:.2}", mean(c.retries))),
+        ("channel bounces", format!("{:.2}", mean(c.bounces))),
     ];
     for (label, value) in counters {
         out.push_str(&format!("  {label:<22}{}\n", shown(row, value)));

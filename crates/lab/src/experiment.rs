@@ -30,9 +30,8 @@
 use std::io::Write;
 use std::path::PathBuf;
 
-use churnbal_cluster::exec::ExecReport;
-use churnbal_cluster::mc::McEstimate;
-use churnbal_cluster::{ProbeReport, SimOptions};
+use churnbal_cluster::exec::{ExecReport, PointStats};
+use churnbal_cluster::{Counters, ProbeReport, SimOptions};
 use churnbal_core::PolicySpec;
 use churnbal_stochastic::{paired_comparison, LogHistogram, PairedComparison};
 
@@ -107,9 +106,9 @@ pub struct ExperimentSpec {
     /// Cell-cache directory (`--cache DIR`): each completed
     /// `(point, policy)` cell is stored there and cells already present
     /// are replayed instead of simulated — see [`crate::cache`]. Cells
-    /// are keyed like campaign cells with the fixed rule
-    /// [`StoppingRule::fixed`], so a campaign's `cache/` directory is the
-    /// same store. Not available with probing.
+    /// are keyed like campaign cells with a fixed [`StoppingRule`]
+    /// (`r0 = max_reps = reps`), so a campaign's `cache/` directory is
+    /// the same store. Not available with probing.
     pub cache: Option<PathBuf>,
 }
 
@@ -203,7 +202,7 @@ pub struct ExperimentRow {
     pub policy_index: usize,
     /// Policy label.
     pub policy: String,
-    /// Replications run.
+    /// Replications the statistics cover: the survivors.
     pub reps: u64,
     /// Master seed used.
     pub seed: u64,
@@ -213,20 +212,17 @@ pub struct ExperimentRow {
     pub ci95: f64,
     /// Sample standard deviation of the completion time.
     pub sd_completion: f64,
-    /// Mean failures per replication.
-    pub mean_failures: f64,
     /// Sample standard deviation of failures per replication.
     pub sd_failures: f64,
-    /// Mean tasks shipped per replication.
-    pub mean_tasks_shipped: f64,
     /// Sample standard deviation of tasks shipped per replication.
     pub sd_tasks_shipped: f64,
     /// Replications that hit the deadline without completing.
     pub incomplete: u64,
-    /// Replications quarantined (panicked or timed out) and excluded
-    /// from every statistic of this row; [`ExperimentRow::reps`] already
-    /// counts only the survivors. Nonzero marks the row as degraded.
-    pub quarantined: u64,
+    /// Replications quarantined (panicked or timed out), by replication
+    /// index, ascending: excluded from every statistic of this row, so
+    /// [`ExperimentRow::reps`] counts only the survivors. Any entry marks
+    /// the row as degraded.
+    pub quarantined: Vec<u64>,
     /// Eq. 4 theory mean, when the model covers this point and policy.
     pub theory_mean: Option<f64>,
     /// `mean_completion − theory_mean`, when theory is available.
@@ -234,23 +230,11 @@ pub struct ExperimentRow {
     /// Paired delta vs the point's baseline policy (`None` on plain
     /// sweeps).
     pub delta: Option<PairedDelta>,
-    /// Mean node recoveries per replication.
-    pub mean_recoveries: f64,
-    /// Mean transfer batches per replication.
-    pub mean_transfers: f64,
-    /// Mean clamped transfer orders per replication (tasks a policy
-    /// ordered that the source queue could not supply) — satellite of the
-    /// observability PR.
-    pub mean_tasks_clamped: f64,
-    /// Mean in-transit task·seconds per replication.
-    pub mean_transit_task_seconds: f64,
-    /// Mean tasks permanently lost by the transfer channel per
-    /// replication (0 under a reliable channel).
-    pub mean_tasks_lost: f64,
-    /// Mean channel redelivery attempts per replication.
-    pub mean_retries: f64,
-    /// Mean bounced batches per replication.
-    pub mean_bounces: f64,
+    /// The surviving replications' counters, summed; every renderer shows
+    /// a counter as its mean per replication ([`ExperimentRow::per_rep`]).
+    pub counters: Counters,
+    /// In-transit task·seconds summed over the surviving replications.
+    pub transit_task_seconds: f64,
     /// Probe telemetry merged across this cell's replications (empty
     /// histograms when probing is off). Quantiles come from
     /// [`churnbal_stochastic::LogHistogram::quantile`].
@@ -264,6 +248,22 @@ impl ExperimentRow {
     /// field, a JSON `null`, `-` in tables).
     pub(crate) fn stat<T>(&self, x: T) -> Option<T> {
         (self.reps > 0).then_some(x)
+    }
+
+    /// A cell total (a counter or the transit integral) as a mean per
+    /// surviving replication; `NaN` without one.
+    #[must_use]
+    pub fn per_rep(&self, total: f64) -> f64 {
+        if self.reps > 0 {
+            total / self.reps as f64
+        } else {
+            f64::NAN
+        }
+    }
+
+    /// The output cell of a counter: its mean per replication.
+    fn mean_of(&self, total: u64) -> Cell<'static> {
+        self.stat(self.per_rep(total as f64)).into()
     }
 
     /// The column table: calls `col(name, cell)` for every output column
@@ -319,10 +319,10 @@ const BASE_COLUMNS: [Column; 11] = [
     ("mean_completion", |r| r.stat(r.mean_completion).into()),
     ("ci95", |r| r.stat(r.ci95).into()),
     ("sd_completion", |r| r.stat(r.sd_completion).into()),
-    ("mean_failures", |r| r.stat(r.mean_failures).into()),
+    ("mean_failures", |r| r.mean_of(r.counters.failures)),
     ("sd_failures", |r| r.stat(r.sd_failures).into()),
     ("mean_tasks_shipped", |r| {
-        r.stat(r.mean_tasks_shipped).into()
+        r.mean_of(r.counters.tasks_shipped)
     }),
     ("sd_tasks_shipped", |r| r.stat(r.sd_tasks_shipped).into()),
     ("incomplete", |r| Cell::Int(r.incomplete)),
@@ -347,17 +347,17 @@ const PAIRED_COLUMNS: [Column; 3] = [
 
 /// With `--metrics full`: the run counters, as means per replication.
 const COUNTER_COLUMNS: [Column; 7] = [
-    ("mean_recoveries", |r| r.stat(r.mean_recoveries).into()),
-    ("mean_transfers", |r| r.stat(r.mean_transfers).into()),
+    ("mean_recoveries", |r| r.mean_of(r.counters.recoveries)),
+    ("mean_transfers", |r| r.mean_of(r.counters.transfers)),
     ("mean_tasks_clamped", |r| {
-        r.stat(r.mean_tasks_clamped).into()
+        r.mean_of(r.counters.tasks_clamped)
     }),
     ("mean_transit_task_seconds", |r| {
-        r.stat(r.mean_transit_task_seconds).into()
+        r.stat(r.per_rep(r.transit_task_seconds)).into()
     }),
-    ("mean_tasks_lost", |r| r.stat(r.mean_tasks_lost).into()),
-    ("mean_retries", |r| r.stat(r.mean_retries).into()),
-    ("mean_bounces", |r| r.stat(r.mean_bounces).into()),
+    ("mean_tasks_lost", |r| r.mean_of(r.counters.tasks_lost)),
+    ("mean_retries", |r| r.mean_of(r.counters.retries)),
+    ("mean_bounces", |r| r.mean_of(r.counters.bounces)),
 ];
 
 /// With `--metrics full` and probing: the merged histogram quantiles.
@@ -526,8 +526,8 @@ impl OutputFormat {
                 });
                 // Degraded rows carry an explicit marker; clean rows keep
                 // their pre-quarantine bytes exactly.
-                if row.quarantined > 0 {
-                    out.push_str(&format!(",\"quarantined\":{}", row.quarantined));
+                if !row.quarantined.is_empty() {
+                    out.push_str(&format!(",\"quarantined\":{}", row.quarantined.len()));
                 }
                 out.push_str("}\n");
             }
@@ -731,10 +731,15 @@ impl ExperimentResult {
     }
 }
 
-/// CRN pairing of two cells' slot-stable completion-time vectors, honest
-/// under quarantine: replication `r` contributes only when it survived on
-/// **both** sides (a quarantined slot holds a placeholder zero, and
-/// pairing it would corrupt the delta). Returns `None` when no
+/// The replication indices of a cell's survivors, in order: every index
+/// its ascending quarantine list skips.
+pub(crate) fn survivors(quarantined: &[u64]) -> impl Iterator<Item = u64> + '_ {
+    (0..).filter(move |r| !quarantined.contains(r))
+}
+
+/// CRN pairing of two cells' survivor completion times, honest under
+/// quarantine: replication `r` contributes only when it survived on
+/// **both** sides, matched by replication index. Returns `None` when no
 /// replication survived on both sides — renderers show empty cells /
 /// `null`s / `-` for such rows. With no quarantine anywhere (the normal
 /// case) this is exactly the full-vector pairing, byte for byte.
@@ -747,13 +752,13 @@ fn paired_delta(
     if quarantined.is_empty() && base_quarantined.is_empty() {
         return Some(paired_comparison(times, base_times));
     }
-    let mut xs = Vec::new();
-    let mut ys = Vec::new();
-    for r in 0..times.len().min(base_times.len()) {
-        let r64 = r as u64;
-        if !quarantined.contains(&r64) && !base_quarantined.contains(&r64) {
-            xs.push(times[r]);
-            ys.push(base_times[r]);
+    let mut base = survivors(base_quarantined).zip(base_times).peekable();
+    let (mut xs, mut ys) = (Vec::new(), Vec::new());
+    for (r, &x) in survivors(quarantined).zip(times) {
+        while base.next_if(|&(b, _)| b < r).is_some() {}
+        if let Some((_, &y)) = base.next_if(|&(b, _)| b == r) {
+            xs.push(x);
+            ys.push(y);
         }
     }
     (!xs.is_empty()).then(|| paired_comparison(&xs, &ys))
@@ -808,22 +813,20 @@ impl Experiment {
 
     /// Runs the **base point** of the spec's scenario (axes ignored)
     /// under its first policy — or the scenario's own policy when the set
-    /// is empty — and returns the raw Monte-Carlo estimate with every
+    /// is empty — and returns the cell's raw result with every
     /// per-replication vector. Rendered output goes through
     /// [`Experiment::run`] instead.
     ///
     /// # Errors
     /// Propagates scenario/policy validation failures.
-    pub fn estimate(&self) -> Result<McEstimate, String> {
+    pub fn estimate(&self) -> Result<PointStats, String> {
         let spec = &self.spec;
         let mut base = spec.scenario.clone();
         base.axes.clear();
         let mut plan = self.plan(&base, &[], &spec.policies[..spec.policies.len().min(1)])?;
         let (threads, chunk) = (spec.options.threads, spec.options.chunk);
         cells::run(plan.runs(), None, threads, chunk, |_, _, _| Ok(()))?;
-        Ok(McEstimate::from_point_stats(std::mem::take(
-            &mut plan.cells[0].stats,
-        )))
+        Ok(std::mem::take(&mut plan.cells[0].stats))
     }
 
     /// The cells of `scenario` over `axes` × `policies` under this
@@ -940,14 +943,10 @@ impl Experiment {
         };
         let b = spec.baseline;
         // The current point's baseline cell, as pairing inputs: its
-        // *slot-stable* per-replication times (placeholder zeros
-        // included) and quarantined slots, captured before
-        // `McEstimate::from_point_stats` drops them. CRN pairing must
-        // align replication r with replication r, so slots — not the
-        // compacted vectors — are what gets paired.
+        // survivors' times and its quarantined replications.
         let mut baseline: (Vec<f64>, Vec<u64>) = (Vec::new(), Vec::new());
         // Cells arrive in policy order; rows of the current point that
-        // precede its baseline cell wait here for it.
+        // precede its baseline cell wait here for it, with their times.
         let mut held = Vec::new();
         let report = cells::run(
             plan.runs(),
@@ -956,21 +955,15 @@ impl Experiment {
             spec.options.chunk,
             |j, point, cell| {
                 let stats = std::mem::take(&mut cell.stats);
-                let slots = schema.paired.then(|| {
-                    (
-                        stats.completion_times.clone(),
-                        stats.quarantined_reps.clone(),
-                    )
-                });
-                let est = McEstimate::from_point_stats(stats);
                 // Cross-replication histogram aggregation: exact integer
                 // bucket adds, so the merge order cannot matter.
                 let mut telemetry = ProbeReport::default();
-                for report in &est.probes {
+                for report in &stats.probes {
                     telemetry.merge_telemetry(report);
                 }
                 let v = cell.policy;
                 let theory_mean = theory[j];
+                let mean = stats.mean();
                 let row = ExperimentRow {
                     index: point.index,
                     coords: point.coords.clone(),
@@ -979,43 +972,37 @@ impl Experiment {
                     // Quarantined replications are excluded from every
                     // statistic, so the row honestly reports the surviving
                     // sample size (and flags the loss in `quarantined`).
-                    reps: est.completion_times.len() as u64,
+                    reps: stats.completion_times.len() as u64,
                     seed: cell.seed,
-                    mean_completion: est.mean(),
-                    ci95: est.ci95(),
-                    sd_completion: sample_sd(est.completion_times.iter().copied()),
-                    mean_failures: est.mean_failures,
-                    sd_failures: sample_sd(est.failures_per_rep.iter().map(|&x| x as f64)),
-                    mean_tasks_shipped: est.mean_tasks_shipped,
+                    mean_completion: mean,
+                    ci95: stats.ci95(),
+                    sd_completion: sample_sd(stats.completion_times.iter().copied()),
+                    sd_failures: sample_sd(stats.failures_per_rep.iter().map(|&x| x as f64)),
                     sd_tasks_shipped: sample_sd(
-                        est.tasks_shipped_per_rep.iter().map(|&x| x as f64),
+                        stats.tasks_shipped_per_rep.iter().map(|&x| x as f64),
                     ),
-                    incomplete: est.incomplete,
-                    quarantined: est.quarantined,
+                    incomplete: stats.incomplete,
+                    quarantined: stats.quarantined_reps,
                     theory_mean,
-                    mc_minus_theory: theory_mean.map(|t| est.mean() - t),
+                    mc_minus_theory: theory_mean.map(|t| mean - t),
                     delta: None,
-                    mean_recoveries: est.mean_recoveries,
-                    mean_transfers: est.mean_transfers,
-                    mean_tasks_clamped: est.mean_tasks_clamped,
-                    mean_transit_task_seconds: est.mean_transit_task_seconds,
-                    mean_tasks_lost: est.mean_tasks_lost,
-                    mean_retries: est.mean_retries,
-                    mean_bounces: est.mean_bounces,
+                    counters: stats.counters,
+                    transit_task_seconds: stats.transit_task_seconds,
                     telemetry,
                 };
-                let Some(slots) = slots else {
-                    return emit(sink, &row, &est.probes);
-                };
-                if v == b {
-                    baseline.clone_from(&slots);
+                if !schema.paired {
+                    return emit(sink, &row, &stats.probes);
                 }
-                held.push((row, est.probes, slots));
+                if v == b {
+                    baseline.0.clone_from(&stats.completion_times);
+                    baseline.1.clone_from(&row.quarantined);
+                }
+                held.push((row, stats.probes, stats.completion_times));
                 if v < b {
                     return Ok(());
                 }
-                for (mut row, probes, (times, quarantined)) in held.drain(..) {
-                    row.delta = paired_delta(&times, &quarantined, &baseline.0, &baseline.1);
+                for (mut row, probes, times) in held.drain(..) {
+                    row.delta = paired_delta(&times, &row.quarantined, &baseline.0, &baseline.1);
                     emit(sink, &row, &probes)?;
                 }
                 Ok(())
@@ -1182,7 +1169,7 @@ mod tests {
                 assert_eq!(c.index, s.index);
                 assert_eq!(c.mean_completion, s.mean_completion, "{}", entry.label);
                 assert_eq!(c.sd_completion, s.sd_completion);
-                assert_eq!(c.mean_failures, s.mean_failures);
+                assert_eq!(c.counters, s.counters);
                 assert_eq!(c.incomplete, s.incomplete);
             }
         }

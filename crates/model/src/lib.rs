@@ -42,9 +42,7 @@ pub use cdf::{lbp1_cdf, mean_from_cdf, CompletionCdf};
 pub use cdf_lattice::lbp1_cdf_lattice;
 pub use exact::multinode_mean_exact;
 pub use mean::{HatTable, Lbp1Evaluator};
-pub use optimize::{
-    gain_sweep, optimize_lbp1, optimize_lbp1_deadline, DeadlineOptimum, Lbp1Optimum,
-};
+pub use optimize::{optimize_lbp1, optimize_lbp1_deadline, DeadlineOptimum, Lbp1Optimum};
 pub use rates::{DelayModel, MultiNodeParams, TwoNodeParams};
 pub use state::{StateSpace, WorkState};
 pub use variance::{lbp1_moments, lbp2_moments, CompletionMoments};

@@ -170,26 +170,6 @@ pub fn optimize_lbp1_deadline(
     best.expect("grid evaluated")
 }
 
-/// Mean completion time for each gain in `gains` with a fixed sender —
-/// the theory curve of the paper's Fig. 3.
-///
-/// # Panics
-/// Panics if any gain is outside `[0, 1]`.
-#[must_use]
-pub fn gain_sweep(
-    params: &TwoNodeParams,
-    m0: [u32; 2],
-    sender: usize,
-    gains: &[f64],
-    initial: WorkState,
-) -> Vec<f64> {
-    let ev = Lbp1Evaluator::new(params, m0);
-    gains
-        .iter()
-        .map(|&k| ev.mean_for_gain(sender, k, initial))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,18 +233,6 @@ mod tests {
             k_fail < k_nofail,
             "churn-aware optimum K={k_fail} should be below no-failure K={k_nofail}"
         );
-    }
-
-    #[test]
-    fn gain_sweep_matches_pointwise_evaluation() {
-        let p = quick_params();
-        let gains = [0.0, 0.25, 0.5, 0.75, 1.0];
-        let sweep = gain_sweep(&p, [20, 12], 0, &gains, WorkState::BOTH_UP);
-        let ev = Lbp1Evaluator::new(&p, [20, 12]);
-        for (i, &k) in gains.iter().enumerate() {
-            let direct = ev.mean_for_gain(0, k, WorkState::BOTH_UP);
-            assert_eq!(sweep[i], direct);
-        }
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //! times (§2). The test-bed chapter (§3–4) additionally motivates a
 //! *shifted* exponential (the observed transfer-delay pdf "has a slight
 //! shift"), and the application layer draws task sizes from an exponential
-//! law. The richer distributions (Erlang, hyper-exponential) power
-//! sensitivity experiments on the exponential assumption.
+//! law.
 
 use crate::rng::Xoshiro256pp;
 
@@ -264,117 +263,6 @@ impl Sample for Erlang {
     }
 }
 
-/// Two-phase hyper-exponential: with probability `p` draw `Exp(rate1)`,
-/// otherwise `Exp(rate2)`. More variable than the exponential (`CV² > 1`);
-/// models bursty wireless channels in sensitivity runs.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct HyperExponential {
-    p: f64,
-    a: Exponential,
-    b: Exponential,
-}
-
-impl HyperExponential {
-    /// Creates the mixture `p·Exp(rate1) + (1-p)·Exp(rate2)`.
-    ///
-    /// # Panics
-    /// Panics unless `p ∈ [0,1]` and both rates are positive.
-    #[must_use]
-    pub fn new(p: f64, rate1: f64, rate2: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&p),
-            "mixing probability must be in [0,1]"
-        );
-        Self {
-            p,
-            a: Exponential::new(rate1),
-            b: Exponential::new(rate2),
-        }
-    }
-}
-
-impl Sample for HyperExponential {
-    fn sample(&self, rng: &mut Xoshiro256pp) -> f64 {
-        if rng.next_f64() < self.p {
-            self.a.sample(rng)
-        } else {
-            self.b.sample(rng)
-        }
-    }
-
-    fn mean(&self) -> f64 {
-        self.p * self.a.mean() + (1.0 - self.p) * self.b.mean()
-    }
-
-    fn variance(&self) -> f64 {
-        // E[X^2] of an exponential is 2/λ²; mix second moments, subtract mean².
-        let m2 = self.p * 2.0 * self.a.mean() * self.a.mean()
-            + (1.0 - self.p) * 2.0 * self.b.mean() * self.b.mean();
-        let m = self.mean();
-        m2 - m * m
-    }
-}
-
-/// Resamples uniformly from an observed data set (empirical bootstrap
-/// distribution). Lets the test-bed replay *measured* delays instead of a
-/// fitted law.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Empirical {
-    samples: Vec<f64>,
-    mean: f64,
-    variance: f64,
-}
-
-impl Empirical {
-    /// Builds the empirical distribution of `samples`.
-    ///
-    /// # Panics
-    /// Panics if `samples` is empty or contains non-finite values.
-    #[must_use]
-    pub fn new(samples: Vec<f64>) -> Self {
-        assert!(!samples.is_empty(), "empirical distribution needs data");
-        assert!(
-            samples.iter().all(|x| x.is_finite()),
-            "samples must be finite"
-        );
-        let n = samples.len() as f64;
-        let mean = samples.iter().sum::<f64>() / n;
-        let variance = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n;
-        Self {
-            samples,
-            mean,
-            variance,
-        }
-    }
-
-    /// Number of underlying observations.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// True when there are no observations (never, by construction).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-}
-
-impl Sample for Empirical {
-    fn sample(&self, rng: &mut Xoshiro256pp) -> f64 {
-        let i = rng.next_below(self.samples.len() as u64) as usize;
-        self.samples[i]
-    }
-
-    fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    fn variance(&self) -> f64 {
-        self.variance
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -467,32 +355,5 @@ mod tests {
         let cv2 = d.variance() / (d.mean() * d.mean());
         assert!((cv2 - 0.25).abs() < 1e-12);
         assert!((sample_mean(&d, 100_000, 8) - 2.0).abs() < 0.02);
-    }
-
-    #[test]
-    fn hyper_exponential_moments() {
-        let d = HyperExponential::new(0.3, 5.0, 0.5);
-        assert!((sample_mean(&d, 300_000, 9) - d.mean()).abs() < 0.02);
-        assert!((sample_var(&d, 300_000, 10) - d.variance()).abs() < d.variance() * 0.05);
-        // mixture is more variable than an exponential of the same mean
-        assert!(d.variance() > d.mean() * d.mean());
-    }
-
-    #[test]
-    fn empirical_resamples_only_observed_values() {
-        let data = vec![1.0, 2.0, 4.0];
-        let d = Empirical::new(data.clone());
-        let mut rng = Xoshiro256pp::seed_from_u64(11);
-        for _ in 0..100 {
-            assert!(data.contains(&d.sample(&mut rng)));
-        }
-        assert_eq!(d.len(), 3);
-        assert!((d.mean() - 7.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "needs data")]
-    fn empirical_rejects_empty() {
-        let _ = Empirical::new(vec![]);
     }
 }

@@ -36,10 +36,7 @@ pub mod rng;
 pub mod stats;
 
 pub use digest::{digest_f64s, fnv1a_bytes, Fnv1a};
-pub use dist::{
-    Deterministic, Empirical, Erlang, Exponential, HyperExponential, Sample, ShiftedExponential,
-    Uniform,
-};
+pub use dist::{Deterministic, Erlang, Exponential, Sample, ShiftedExponential, Uniform};
 pub use ecdf::Ecdf;
 pub use histogram::{Histogram, LogHistogram};
 pub use rng::{BatchedRng, SplitMix64, StreamFactory, Xoshiro256pp, RNG_BATCH};

@@ -71,7 +71,11 @@ fn main() {
         };
         println!(
             "{:<30} {:>12.2} {:>10.2} {:>14} {:>16.1}",
-            row.policy, row.mean_completion, row.ci95, d, row.mean_tasks_shipped
+            row.policy,
+            row.mean_completion,
+            row.ci95,
+            d,
+            row.per_rep(row.counters.tasks_shipped as f64)
         );
     }
 

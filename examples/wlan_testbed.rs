@@ -93,7 +93,7 @@ fn main() {
     }
     println!(
         "  failures seen: {}, compensation transfers: {}",
-        out.metrics.failures,
-        out.metrics.transfers.saturating_sub(1)
+        out.metrics.counters.failures,
+        out.metrics.counters.transfers.saturating_sub(1)
     );
 }

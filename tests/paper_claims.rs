@@ -142,19 +142,25 @@ fn failure_compensation_is_visible_in_traces() {
     let (out1, out2) = loop {
         let o1 = simulate(&config, &mut Lbp1::with_gain(0, 1, 100, 0.35), seed, opts);
         let o2 = simulate(&config, &mut Lbp2::new(1.0), seed, opts);
-        if o2.metrics.failures >= 2 {
+        if o2.metrics.counters.failures >= 2 {
             break (o1, o2);
         }
         seed += 1;
         assert!(seed < 50, "could not find a churny seed");
     };
-    assert_eq!(out1.metrics.transfers, 1, "LBP-1 acts exactly once");
+    assert_eq!(
+        out1.metrics.counters.transfers, 1,
+        "LBP-1 acts exactly once"
+    );
     assert!(
-        out2.metrics.transfers >= 2,
+        out2.metrics.counters.transfers >= 2,
         "LBP-2 must add compensation transfers at failures"
     );
     // Common random numbers: the churn path is policy-independent.
-    assert_eq!(out1.metrics.failures, out2.metrics.failures);
+    assert_eq!(
+        out1.metrics.counters.failures,
+        out2.metrics.counters.failures
+    );
 }
 
 /// §4: LBP-2's mean across seeds lands near the paper's measured 109-112 s

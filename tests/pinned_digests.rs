@@ -10,7 +10,7 @@
 //! experiment. If a drift is *intended*, re-pin the digests in the same PR
 //! and say why.
 
-use churnbal::cluster::{McEstimate, QueueBackend};
+use churnbal::cluster::{PointStats, QueueBackend};
 use churnbal::lab::{
     registry, Axis, AxisParam, Experiment, ExperimentResult, ExperimentSpec, PolicyEntry,
     RunOptions, Scenario,
@@ -22,9 +22,9 @@ use churnbal::stochastic::{digest_f64s, fnv1a_bytes};
 /// transfers and multi-node paths, cheap enough for every `cargo test`.
 const REPS: u64 = 24;
 
-/// The raw Monte-Carlo estimate of a scenario's base point (baked-in axes
+/// The raw cell result of a scenario's base point (baked-in axes
 /// ignored) at `REPS` replications.
-fn estimate(scenario: &Scenario, threads: usize) -> McEstimate {
+fn estimate(scenario: &Scenario, threads: usize) -> PointStats {
     Experiment::new(ExperimentSpec::sweep(
         scenario.clone(),
         Vec::new(),
@@ -224,7 +224,7 @@ fn lossy_full_metrics(threads: usize) -> ExperimentResult {
     .expect("lossy sweep runs");
     for row in &result.rows {
         assert!(
-            row.mean_tasks_lost > 0.0 && row.mean_retries > 0.0 && row.mean_bounces > 0.0,
+            row.counters.tasks_lost > 0 && row.counters.retries > 0 && row.counters.bounces > 0,
             "the channel counters must be exercised: {row:?}"
         );
     }

@@ -59,7 +59,7 @@ fn render(stats: &[PointStats]) -> String {
             s.failures_per_rep,
             s.tasks_shipped_per_rep,
             s.incomplete,
-            s.total_events
+            s.counters.events
         ));
     }
     out
